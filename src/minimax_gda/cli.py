@@ -148,7 +148,6 @@ def build_parser():
     w.add_argument("--seeds", type=int, default=1, help="seeds 0..N-1 per cell")
     w.add_argument("--sigma", type=float, default=None)
     w.add_argument("--batch", type=int, default=1)
-    w.add_argument("--jobs", type=int, default=1)
     w.add_argument("-o", "--out", required=True, help="sweep CSV path")
 
     v = sub.add_parser("verify", help="run certification suites")
@@ -156,7 +155,6 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=float, default=1.0,
                    help="1.0 = full acceptance-scale workloads")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("-o", "--out", default=None, help="also write JSON here")
 
     return parser
@@ -264,16 +262,14 @@ def cmd_sweep(args):
         seeds=tuple(range(args.seeds)),
         noise=noise,
     )
-    result = harness.ratio_sweep(sweep_spec, jobs=args.jobs)
+    result = harness.ratio_sweep(sweep_spec)
     path = _write_atomic(args.out, lambda fh: harness.write_sweep_csv(result, fh))
     print(f"wrote {path} ({len(result.cells)} cells)")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    results = verify_mod.verify_suite(
-        args.suite, seed=args.seed, budget=args.budget, jobs=args.jobs
-    )
+    results = verify_mod.verify_suite(args.suite, seed=args.seed, budget=args.budget)
     payload = {
         "suites": [r.to_json_dict() for r in results],
         "passed": all(r.passed for r in results),

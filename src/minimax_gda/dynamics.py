@@ -1,17 +1,22 @@
 """Algorithm steppers (GDA, SGDA, EG), transition matrices and trajectory
 execution.
 
-With an exact oracle on a quadratic instance the iteration is a linear
-time-invariant system: one GDA step maps ``z - z*`` through ``I + eta_x*M``
-and one EG step through ``I + eta_x*M + eta_x^2*M^2`` where
+On a quadratic instance one GDA step maps ``w = z - z*`` through
+``T = I + eta_x*M`` and one EG step through ``T = I + eta_x*M + eta_x^2*M^2``,
+where
 
     M = [[-C, -B], [r*B', -r*A]],   r = eta_y / eta_x.
 
-``run`` exploits this exactness: deterministic quadratic runs evolve through
-the precomputed transition matrix, while stochastic and non-quadratic runs
-step through the gradient oracle.  A run owns its RNG (seeded from the
-config) and is single-threaded; returned trajectories are immutable, so a
-harness may execute many runs concurrently.
+A mini-batch Gaussian oracle adds ``G xi`` per step, with ``xi`` standard
+normal, so every quadratic run, exact or noisy, is the affine recurrence
+``w <- T w + G xi`` (``G = 0`` for an exact oracle).  ``run`` advances that
+recurrence a chunk of steps at a time: block starts move by the power
+``T^b``, the states inside each block come from one product with the stack
+``T^1..T^b``, and the stop iteration is found from the whole chunk's
+distances at once.  Non-quadratic runs step through the gradient oracle,
+one iteration at a time.  A run owns its RNG (seeded from the config), and
+the noise it draws is the per-step oracle's stream, value for value;
+``gda_step``/``eg_step`` with ``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -208,63 +213,56 @@ def _transition_matrix(problem, config):
     return T
 
 
-class _Recorder:
-    __slots__ = ("stride", "iters", "distances", "gaps")
-
-    def __init__(self, max_iters, want_gaps):
-        self.stride = max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
-        self.iters = []
-        self.distances = []
-        self.gaps = [] if want_gaps else None
-
-
 def run(problem, config, z0=None):
     """Execute the configured dynamics and record the convergence measure.
 
     Stops when the measure drops to ``target_eps`` (converged), grows to
     ``divergence_factor`` times its initial value or leaves the floats
-    (diverged), or the iteration budget runs out.  Distances are recorded
-    every iteration, or every ``ceil(T/1e6)`` iterations for very long
-    budgets (the terminal point is always recorded).  Deterministic given
-    ``(problem, config, z0)``; when ``z0`` is omitted it defaults to the
-    optimum plus a unit direction drawn from ``config.seed``.
+    (diverged), or the iteration budget runs out; when several hold at the
+    same iteration, diverged wins over converged, and converged over budget.
+    Distances are recorded every iteration, or every ``ceil(T/1e6)``
+    iterations for very long budgets (the terminal point is always
+    recorded).  Deterministic given ``(problem, config, z0)``; when ``z0`` is
+    omitted it defaults to the optimum plus a unit direction drawn from
+    ``config.seed``.  The oracle noise is drawn from a generator seeded with
+    ``config.seed``, in the order the per-step oracle of ``make_oracle``
+    draws it.
+
+    Quadratic runs, exact or noisy, go through the affine engine
+    (``_run_affine``), which advances many steps per numpy call and finds
+    the stop iteration within each chunk of steps; non-quadratic runs step
+    through the gradient oracle one iteration at a time.
     """
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     quad = problem.base if nonquad else problem
-    rng = np.random.default_rng(config.seed)
     if z0 is None:
         z0 = default_initial_point(problem, config.seed)
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (quad.dim,):
         raise InvalidInputError(f"z0 must have length {quad.dim}")
 
-    sigma0 = config.noise is None or config.noise.sigma == 0.0
-    exact_lti = (not nonquad) and sigma0
-
-    want_gaps = False
-    constants = None
+    schur = None
     if not nonquad and config.record_primal_gaps:
         constants = prob.derive_constants(quad)
-        want_gaps = constants.schur_min >= -prob.VALIDATION_RTOL * quad.L
+        if constants.schur_min >= -prob.VALIDATION_RTOL * quad.L:
+            schur = constants.schur
 
-    rec = _Recorder(config.max_iters, want_gaps)
     start = time.perf_counter()
-
     # overflow to inf is an expected outcome here: it classifies the run as
     # diverged rather than warranting a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if exact_lti:
-            status, final_z = _run_lti(quad, config, z0, rec,
-                                       constants if want_gaps else None)
+        if nonquad:
+            status, final_z, iters, distances = _run_oracle(problem, config, z0)
+            gaps = None
         else:
-            status, final_z = _run_oracle(problem, quad, config, z0, rng, rec,
-                                          constants if want_gaps else None, nonquad)
-
+            status, w, iters, distances, gaps = _run_affine(
+                quad, config, z0 - quad.z_star, schur)
+            final_z = quad.z_star + w
     wall = time.perf_counter() - start
     return Trajectory(
-        iters=np.asarray(rec.iters, dtype=np.int64),
-        distances=np.asarray(rec.distances, dtype=float),
-        primal_gaps=None if rec.gaps is None else np.asarray(rec.gaps, dtype=float),
+        iters=iters,
+        distances=distances,
+        primal_gaps=gaps,
         status=status,
         metric="grad_norm" if nonquad else "distance",
         wall_time=wall,
@@ -273,90 +271,188 @@ def run(problem, config, z0=None):
     )
 
 
-def _gap_of(schur, wx):
-    return max(0.0, 0.5 * float(wx.dot(schur.dot(wx))))
+def _stride(max_iters):
+    return max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
 
 
-def _run_lti(quad, config, z0, rec, constants):
+def _stop_status(d, k, limit, eps):
+    """Status of a run stopped at iteration ``k`` with measure ``d``."""
+    if not math.isfinite(d) or (d >= limit and k > 0):
+        return Status(StatusKind.DIVERGED, k)
+    if d <= eps:
+        return Status(StatusKind.CONVERGED, k)
+    return Status(StatusKind.BUDGET_EXHAUSTED)
+
+
+# Block length b of the affine engine: a run precomputes T^1..T^b once and
+# fills b consecutive states with one product per block start.
+_BLOCK = 64
+# Chunks start at one block and double up to this many blocks, so a run that
+# stops early computes few states past its stop.
+_MAX_BLOCKS = 64
+
+
+def _power_stack(T, b):
+    """The powers ``T^1..T^b`` side by side: a ``(dim, b*dim)`` matrix whose
+    block ``j`` is ``(T^(j+1))'``, so ``s @ P`` lists ``T^j s`` for every
+    ``j``.  Built by doubling.  Powers from the first one that overflows on
+    are dropped, since an infinite power would turn exact zeros of a state
+    into NaN."""
+    P = np.empty((b,) + T.shape)
+    P[0] = T
+    have = 1
+    while have < b:
+        add = min(have, b - have)
+        np.matmul(P[:add], P[have - 1], out=P[have:have + add])
+        have += add
+    finite = np.isfinite(P).all(axis=(1, 2))
+    if not finite.all():
+        P = P[:max(1, int(np.argmin(finite)))]
+    return P.transpose(2, 0, 1).reshape(len(T), -1)
+
+
+def _noise_gain(quad, config):
+    """The matrix ``G`` through which one step's standard normal draws
+    ``xi`` enter ``w = z - z*``, or ``None`` for an exact oracle.
+
+    The oracle perturbs each gradient block by ``s/sqrt(dim_block)`` times a
+    standard normal vector, ``s = sigma/sqrt(batch)``, x block first; the
+    stepsizes turn that into ``D xi`` with ``D = diag(-eta_x s/sqrt(n),
+    eta_y s/sqrt(m))``, so ``G = D`` for SGDA.  EG calls the oracle twice
+    per step and its half-step noise reaches the iterate through
+    ``eta_x M``, so ``G = [eta_x M D | D]``.
+    """
+    noise = config.noise
+    if noise is None or noise.sigma == 0.0:
+        return None
+    n, m = quad.n, quad.m
+    s = noise.sigma / math.sqrt(noise.batch)
+    D = np.diag(np.concatenate([np.full(n, -config.eta_x * s / math.sqrt(n)),
+                                np.full(m, config.eta_y * s / math.sqrt(m))]))
+    if config.algorithm is not Algorithm.EG:
+        return D
+    return np.hstack([config.eta_x * build_M(quad, config.ratio) @ D, D])
+
+
+def _advance(w, steps, T, P, G, rng):
+    """States ``w_1..w_steps`` of ``w_{k+1} = T w_k + G xi_k`` from ``w_0 = w``.
+
+    ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``.  The chunk
+    is cut into blocks of ``b`` steps.  Block starts follow
+    ``s_{i+1} = T^b s_i + r_i``, with ``r_i`` the block's response to its
+    own noise from a zero start; every state in block ``i`` is then
+    ``T^j s_i`` plus that response, from one product with ``P``.
+    """
+    dim = len(w)
+    b = P.shape[1] // dim
+    nb = -(-steps // b)
+    Tb = P[:, -dim:].T
+    R = None  # R[j, i]: block i's response to its own noise after j+1 steps
+    if G is not None:
+        # the final chunk may end mid-block; the extra draws are never used
+        E = (rng.standard_normal((nb * b, G.shape[1])) @ G.T).reshape(nb, b, dim)
+        R = np.empty((b, nb, dim))
+        R[0] = E[:, 0]
+        TT = T.T
+        for j in range(1, b):
+            np.matmul(R[j - 1], TT, out=R[j])
+            R[j] += E[:, j]
+    S = np.empty((nb + 1, dim))
+    S[0] = w
+    for i in range(nb):
+        S[i + 1] = Tb @ S[i]
+        if R is not None:
+            S[i + 1] += R[-1, i]
+    W = (S[:-1] @ P).reshape(nb, b, dim)
+    if R is not None:
+        W += R.transpose(1, 0, 2)
+    W[:, -1] = S[1:]
+    return W.reshape(nb * b, dim)[:steps]
+
+
+def _run_affine(quad, config, w, schur):
+    """Quadratic runs as the affine recurrence ``w <- T w + G xi`` on
+    ``w = z - z*``, a chunk of steps at a time.
+
+    Each chunk's distances are checked at once for the first stopping
+    iteration; recorded points (every ``stride``-th iteration plus the stop)
+    and their primal gaps are taken from the chunk's states.  Returns
+    ``(status, w_stop, iters, distances, gaps)``.
+    """
     T = _transition_matrix(quad, config)
-    schur = constants.schur if constants is not None else None
-    n = quad.n
-    w = z0 - quad.z_star
-    d0 = math.sqrt(w.dot(w))
-    d = d0
-    limit = config.divergence_factor * d0
-    eps = config.target_eps
-    max_iters = config.max_iters
-    stride = rec.stride
-    rec_iters, rec_dist = rec.iters.append, rec.distances.append
-    rec_gap = rec.gaps.append if rec.gaps is not None else None
-    Tdot = T.dot
-    k = 0
+    G = _noise_gain(quad, config)
+    rng = np.random.default_rng(config.seed) if G is not None else None
+    eps, max_iters = config.target_eps, config.max_iters
+    stride = _stride(max_iters)
+    P = None
+    limit = math.inf
+    parts = []  # (iters, distances, gaps) per chunk
+    W = w[None, :]
+    k0 = 0  # iteration of W[0]
+    blocks = 1
     while True:
-        finite = math.isfinite(d)
-        if not finite:
-            d = math.inf
-        stop = (not finite) or d <= eps or (d >= limit and k > 0) or k == max_iters
-        if stop or k % stride == 0:
-            rec_iters(k)
-            rec_dist(d)
-            if rec_gap is not None:
-                rec_gap(_gap_of(schur, w[:n]) if finite else math.inf)
-        if stop:
-            final_z = quad.z_star + w
-            if not finite or (d >= limit and k > 0):
-                return Status(StatusKind.DIVERGED, k), final_z
-            if d <= eps:
-                return Status(StatusKind.CONVERGED, k), final_z
-            return Status(StatusKind.BUDGET_EXHAUSTED), final_z
-        w = Tdot(w)
-        d = math.sqrt(w.dot(w))
-        k += 1
+        d = np.sqrt(np.einsum("ij,ij->i", W, W))
+        bad = ~np.isfinite(d)
+        d[bad] = math.inf
+        stop = bad | (d <= eps)
+        if k0 == 0:
+            limit = config.divergence_factor * d[0]
+        else:
+            stop |= d >= limit
+        last = k0 + len(d) - 1
+        j = int(np.argmax(stop)) if stop.any() else (
+            len(d) - 1 if last == max_iters else None)
+        end = len(d) if j is None else j + 1
+        ks = np.arange(k0, k0 + end)
+        keep = ks % stride == 0
+        if j is not None:
+            keep[j] = True
+        gaps = None
+        if schur is not None:
+            X = W[:end][keep, :quad.n]
+            gaps = np.fmax(0.5 * np.einsum("ij,ij->i", X @ schur, X), 0.0)
+            gaps[bad[:end][keep]] = math.inf
+        parts.append((ks[keep], d[:end][keep], gaps))
+        if j is not None:
+            status = _stop_status(float(d[j]), k0 + j, limit, eps)
+            iters, dists, gap_parts = zip(*parts)
+            return (status, W[j], np.concatenate(iters), np.concatenate(dists),
+                    None if schur is None else np.concatenate(gap_parts))
+        if P is None:
+            P = _power_stack(T, min(_BLOCK, max_iters))
+        steps = min(max_iters - last, blocks * P.shape[1] // len(w))
+        W = _advance(W[-1], steps, T, P, G, rng)
+        k0 = last + 1
+        blocks = min(2 * blocks, _MAX_BLOCKS)
 
 
-def _run_oracle(problem, quad, config, z0, rng, rec, constants, nonquad):
+def _run_oracle(problem, config, z0):
+    """Non-quadratic runs, one oracle step per iteration; the measure is the
+    exact gradient norm, independent of the oracle's noise."""
     oracle = make_oracle(problem, config.noise)
     stepper = eg_step if config.algorithm is Algorithm.EG else gda_step
-    schur = constants.schur if constants is not None else None
-    n = quad.n
-    z_star = quad.z_star
-    eps = config.target_eps
-    max_iters = config.max_iters
-    stride = rec.stride
-    rec_iters, rec_dist = rec.iters.append, rec.distances.append
-    rec_gap = rec.gaps.append if rec.gaps is not None else None
+    rng = np.random.default_rng(config.seed)
+    eps, max_iters = config.target_eps, config.max_iters
+    stride = _stride(max_iters)
+    iters, distances = [], []
     z = z0.copy()
-    d0 = None
     limit = math.inf
     k = 0
     while True:
-        if nonquad:
-            # the convergence measure is the exact gradient norm, independent
-            # of the oracle's noise
-            gx, gy = prob.nonquad_grad(problem, z)
-            d = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
-        else:
-            w = z - z_star
-            d = math.sqrt(w.dot(w))
+        gx, gy = prob.nonquad_grad(problem, z)
+        d = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
         # a non-finite iterate surfaces as a non-finite measure
-        finite = math.isfinite(d)
-        if not finite:
+        if not math.isfinite(d):
             d = math.inf
-        if d0 is None:
-            d0 = d
-            limit = config.divergence_factor * d0
-        stop = (not finite) or d <= eps or (d >= limit and k > 0) or k == max_iters
+        if k == 0:
+            limit = config.divergence_factor * d
+        stop = d == math.inf or d <= eps or (d >= limit and k > 0) or k == max_iters
         if stop or k % stride == 0:
-            rec_iters(k)
-            rec_dist(d)
-            if rec_gap is not None:
-                rec_gap(_gap_of(schur, z[:n] - quad.x_star) if finite else math.inf)
+            iters.append(k)
+            distances.append(d)
         if stop:
-            if not finite or (d >= limit and k > 0):
-                return Status(StatusKind.DIVERGED, k), z
-            if d <= eps:
-                return Status(StatusKind.CONVERGED, k), z
-            return Status(StatusKind.BUDGET_EXHAUSTED), z
+            return (_stop_status(d, k, limit, eps), z,
+                    np.asarray(iters, dtype=np.int64), np.asarray(distances))
         z = stepper(oracle, z, config.eta_x, config.eta_y, rng)
         k += 1
 

@@ -2,17 +2,14 @@
 lower-bound checks, SGDA noise-floor scaling, regularized runs for the
 ``mu_x = 0`` case, and sweeps over the non-quadratic family.
 
-Cells within a sweep are independent; with ``jobs > 1`` they execute on a
-bounded thread pool (the numeric kernels release the GIL), and results are
-always gathered in input order, so identical inputs produce identical
-outputs byte for byte.
+Cells within a sweep are independent and run one after another in input
+order, so identical inputs produce identical outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,16 +18,10 @@ import numpy as np
 from . import dynamics as dyn
 from . import problems as prob
 from . import spectral as spec
-from .errors import CertificateFailureError, InvalidInputError
+from .errors import (CertificateFailureError, InsufficientDataError,
+                     InvalidInputError, MinimaxGdaError)
 
 _EPS_NEVER = 1e-300  # target_eps that effectively disables the convergence stop
-
-
-def _map_cells(fn, cells, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
 
 
 def _fmt(x):
@@ -129,7 +120,7 @@ def write_sweep_csv(result, path_or_file):
 def _cell_from_run(ratio, seed, algorithm, traj, rho):
     try:
         rate = dyn.estimate_rate(traj)
-    except Exception:
+    except InsufficientDataError:
         rate = None
     step = traj.status.step if traj.status.kind is dyn.StatusKind.CONVERGED else None
     gap = None if traj.primal_gaps is None else float(traj.primal_gaps[-1])
@@ -146,10 +137,11 @@ def _cell_from_run(ratio, seed, algorithm, traj, rho):
     )
 
 
-def ratio_sweep(sweep_spec, jobs=1):
+def ratio_sweep(sweep_spec):
     """Run every (ratio, seed, algorithm) cell and collect status, fitted
     rate, the spectral-radius prediction and terminal measures.  A failing
-    cell is recorded with status ``error`` and the sweep continues."""
+    cell is recorded with status ``error: <ExceptionType>: <message>`` and
+    the sweep continues."""
     problem = sweep_spec.problem
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
@@ -160,7 +152,7 @@ def ratio_sweep(sweep_spec, jobs=1):
         try:
             rep = spec.spectral_report(base, r, eta_x, sweep_spec.scheme)
             radii[r] = (rep.rho1, rep.rho2)
-        except Exception:
+        except MinimaxGdaError:
             radii[r] = (None, None)
 
     cells = [
@@ -190,11 +182,11 @@ def ratio_sweep(sweep_spec, jobs=1):
         except Exception as exc:
             return SweepCell(
                 ratio=r, seed=seed, algorithm=alg.value,
-                status=f"error: {exc}", measured_rate=None, rho=None,
-                iters_to_eps=None, final_distance=math.nan, final_gap=None,
+                status=f"error: {type(exc).__name__}: {exc}", measured_rate=None,
+                rho=None, iters_to_eps=None, final_distance=math.nan, final_gap=None,
             )
 
-    return SweepResult(cells=tuple(_map_cells(execute, cells, jobs)))
+    return SweepResult(cells=tuple(execute(c) for c in cells))
 
 
 # --- divergence certification ----------------------------------------------
@@ -252,8 +244,7 @@ def _power_norm_course(problem, r, eta_x, max_iters):
 
 
 def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
-                           ratios=None, control_eps=1e-6, control_max_iters=200_000,
-                           jobs=1):
+                           ratios=None, control_eps=1e-6, control_max_iters=200_000):
     """Certify that GDA never converges on the hard threshold instance at
     ratios up to kappa, for every stepsize in the grid.
 
@@ -298,7 +289,7 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
             cell=(L, kappa, r, eta_x),
         )
 
-    cells = tuple(_map_cells(execute, specs, jobs))
+    cells = tuple(execute(s) for s in specs)
 
     controls = []
     for L in L_list:
@@ -406,7 +397,7 @@ class SgdaFloorReport:
 
 
 def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None,
-                     scheme=dyn.Scheme.QUARTER, tail_fraction=0.2, jobs=1):
+                     scheme=dyn.Scheme.QUARTER, tail_fraction=0.2):
     """Measure the SGDA steady-state mean-square distance against its proved
     bound across batch sizes.
 
@@ -465,7 +456,7 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None,
 
     tail_ms = {}
     counts = {}
-    for S, ms in _map_cells(execute, cells, jobs):
+    for S, ms in map(execute, cells):
         tail_ms[S] = tail_ms.get(S, 0.0) + ms
         counts[S] = counts.get(S, 0) + 1
     floors = {S: tail_ms[S] / counts[S] for S in batch_list}
@@ -587,7 +578,7 @@ class NonquadSweepResult:
 
 
 def nonquad_sweep(nq, ratios, max_iters, target_eps=None,
-                  scheme=dyn.Scheme.HALF, seeds=(0,), jobs=1):
+                  scheme=dyn.Scheme.HALF, seeds=(0,)):
     """GDA sweep over the logistic-perturbed family.
 
     Convergence is measured by the exact gradient norm (the perturbed
@@ -620,7 +611,7 @@ def nonquad_sweep(nq, ratios, max_iters, target_eps=None,
         target_eps=target_eps, algorithms=(dyn.Algorithm.GDA,),
         scheme=scheme, seeds=tuple(seeds),
     )
-    sweep = ratio_sweep(sweep_spec, jobs=jobs)
+    sweep = ratio_sweep(sweep_spec)
     return NonquadSweepResult(
         sweep=sweep, guaranteed=guaranteed, deviation=deviation, threshold=threshold
     )

@@ -194,7 +194,7 @@ def check_eigensolver_oracle(corpus, rng):
     )
 
 
-def verify_spectral(seed=0, budget=1.0, jobs=1):
+def verify_spectral(seed=0, budget=1.0):
     t0 = time.perf_counter()
     count = max(10, round(100 * budget))
     corpus = corpus_instances(count, start_seed=seed)
@@ -208,7 +208,7 @@ def verify_spectral(seed=0, budget=1.0, jobs=1):
 # --- criterion 1 + 4: lower-bound suite --------------------------------------
 
 def check_ratio_threshold(kappas=(2.0, 8.0, 64.0), max_iters=100_000,
-                          grid_lo=1e-6, grid_hi=0.5, grid_size=12, jobs=1):
+                          grid_lo=1e-6, grid_hi=0.5, grid_size=12):
     """Divergence at and below the threshold ratio on the hard instance, for
     every stepsize in the grid, plus a convergent control above it."""
     grid = np.logspace(math.log10(grid_lo), math.log10(grid_hi), grid_size)
@@ -217,7 +217,7 @@ def check_ratio_threshold(kappas=(2.0, 8.0, 64.0), max_iters=100_000,
         for kappa in kappas:
             cert = harness.divergence_certificate(
                 [float(kappa)], [float(kappa)], eta_grid=grid,
-                max_iters=max_iters, jobs=jobs,
+                max_iters=max_iters,
             )
             outcomes.append({
                 "kappa": kappa,
@@ -256,11 +256,11 @@ def check_rate_lower_bound(L=2.0, mu=1.0, mu_x=0.1, r=4.0, max_iters=1000):
     )
 
 
-def verify_lower_bounds(seed=0, budget=1.0, jobs=1):
+def verify_lower_bounds(seed=0, budget=1.0):
     t0 = time.perf_counter()
     max_iters = max(10_000, round(100_000 * budget))
     checks = [
-        check_ratio_threshold(max_iters=max_iters, jobs=jobs),
+        check_ratio_threshold(max_iters=max_iters),
         check_rate_lower_bound(),
     ]
     return SuiteResult("lower-bounds", checks, time.perf_counter() - t0)
@@ -269,7 +269,7 @@ def verify_lower_bounds(seed=0, budget=1.0, jobs=1):
 # --- criterion 3 + 5 + 9: rate suite -----------------------------------------
 
 def check_rate_matches_prediction(corpus, max_iters=40_000, gap_min=1e-3,
-                                  scheme=dyn.Scheme.QUARTER, jobs=1):
+                                  scheme=dyn.Scheme.QUARTER):
     """Measured exact-oracle GDA/EG contraction obeys the proved rate bound
     and the fitted per-step rate matches the transition spectral radius to
     1e-3.
@@ -327,7 +327,7 @@ def check_rate_matches_prediction(corpus, max_iters=40_000, gap_min=1e-3,
                 abs(rate - rho) if matched else None, gap > gap_min,
                 envelope_excess)
 
-    results = harness._map_cells(execute, cells, jobs)
+    results = [execute(c) for c in cells]
     n_matched = sum(1 for r_ in results if r_[1])
     n_separated = sum(1 for r_ in results if r_[1] and r_[4])
     worst_match = max((r_[3] for r_ in results if r_[3] is not None), default=0.0)
@@ -348,7 +348,7 @@ def check_rate_matches_prediction(corpus, max_iters=40_000, gap_min=1e-3,
 
 
 def check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0, eps=1e-6,
-                             min_mu_x=2.0, max_iters=5_000_000, jobs=1):
+                             min_mu_x=2.0, max_iters=5_000_000):
     """Iterations to ``eps`` at ``r = 2*kappa^2`` over iterations at
     ``r = 2*kappa`` stays within a factor 3 of ``kappa``, per instance.
 
@@ -375,7 +375,7 @@ def check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0, eps=1e-6,
             iters[r] = traj.status.step
         return iters[2.0 * kappa ** 2] / iters[2.0 * kappa]
 
-    ratios = harness._map_cells(execute, corpus, jobs)
+    ratios = [execute(item) for item in corpus]
     ok = [r_ for r_ in ratios if r_ is not None]
     passed = len(ok) == len(ratios) and all(
         kappa / 3.0 <= r_ <= 3.0 * kappa for r_ in ok
@@ -439,15 +439,14 @@ def check_nearly_quadratic(seed=0, L=2.0, mu=1.0, max_iters=200_000):
     )
 
 
-def verify_rates(seed=0, budget=1.0, jobs=1):
+def verify_rates(seed=0, budget=1.0):
     t0 = time.perf_counter()
     count = max(10, round(100 * budget))
     max_iters = max(5_000, round(40_000 * budget))
     corpus = corpus_instances(count, start_seed=seed)
     checks = [
-        check_rate_matches_prediction(corpus, max_iters=max_iters, jobs=jobs),
-        check_complexity_scaling(seed=seed, count=max(3, round(10 * budget)),
-                                 jobs=jobs),
+        check_rate_matches_prediction(corpus, max_iters=max_iters),
+        check_complexity_scaling(seed=seed, count=max(3, round(10 * budget))),
         check_nearly_quadratic(seed=seed),
     ]
     return SuiteResult("rates", checks, time.perf_counter() - t0)
@@ -455,15 +454,14 @@ def verify_rates(seed=0, budget=1.0, jobs=1):
 
 # --- criterion 6: SGDA floor --------------------------------------------------
 
-def check_sgda_floor(seed=0, sigma=1.0, batches=(16, 64, 256, 1024), n_seeds=32,
-                     jobs=1):
+def check_sgda_floor(seed=0, sigma=1.0, batches=(16, 64, 256, 1024), n_seeds=32):
     """Tail mean-square distance below the proved floor at every batch size,
     with the log-log slope against the batch size equal to -1 +- 0.15."""
     inst = corpus_instances(1, start_seed=seed, min_mu_x=10.0, max_mu_x=60.0)[0][1]
     dc = prob.derive_constants(inst)
     report = harness.sgda_floor_sweep(
         inst, r=2.0 * dc.kappa, sigma=sigma, batch_list=tuple(batches),
-        seeds=tuple(range(seed, seed + n_seeds)), jobs=jobs,
+        seeds=tuple(range(seed, seed + n_seeds)),
     )
     return CheckResult(
         criterion=6,
@@ -482,10 +480,10 @@ def check_sgda_floor(seed=0, sigma=1.0, batches=(16, 64, 256, 1024), n_seeds=32,
     )
 
 
-def verify_sgda_floor(seed=0, budget=1.0, jobs=1):
+def verify_sgda_floor(seed=0, budget=1.0):
     t0 = time.perf_counter()
     n_seeds = max(4, round(32 * budget))
-    checks = [check_sgda_floor(seed=seed, n_seeds=n_seeds, jobs=jobs)]
+    checks = [check_sgda_floor(seed=seed, n_seeds=n_seeds)]
     return SuiteResult("sgda-floor", checks, time.perf_counter() - t0)
 
 
@@ -524,7 +522,7 @@ def check_mux_zero(seed=0, eps_values=(1e-1, 1e-2), L=2.0, mu=1.0, n=2, m=2):
     )
 
 
-def verify_mux_zero(seed=0, budget=1.0, jobs=1):
+def verify_mux_zero(seed=0, budget=1.0):
     t0 = time.perf_counter()
     checks = [check_mux_zero(seed=seed)]
     return SuiteResult("mux-zero", checks, time.perf_counter() - t0)
@@ -541,13 +539,13 @@ _SUITES = {
 }
 
 
-def verify_suite(name, seed=0, budget=1.0, jobs=1):
+def verify_suite(name, seed=0, budget=1.0):
     """Run one named suite, or all of them."""
     if name == "all":
-        results = [fn(seed=seed, budget=budget, jobs=jobs) for fn in _SUITES.values()]
+        results = [fn(seed=seed, budget=budget) for fn in _SUITES.values()]
         return results
     if name not in _SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return [_SUITES[name](seed=seed, budget=budget, jobs=jobs)]
+    return [_SUITES[name](seed=seed, budget=budget)]

@@ -154,7 +154,7 @@ class TestSweep:
             out = tmp_path / name
             code, _, _ = run_cli(
                 capsys, "sweep", instance_file, "--ratios", "200", "400",
-                "-T", "20000", "--eps", "1e-4", "--jobs", "2", "-o", str(out),
+                "-T", "20000", "--eps", "1e-4", "-o", str(out),
             )
             assert code == 0
             outs.append(out.read_bytes())

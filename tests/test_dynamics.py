@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
 from minimax_gda import problems as prob
@@ -321,6 +324,213 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             dyn.SolverConfig(algorithm=GDA, eta_x=-1e-3, eta_y=2e-3,
                              max_iters=10, target_eps=1e-6)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow classifies a divergence
+def reference_run(problem, config, z0=None):
+    """Per-step reference for quadratic runs: the ``gda_step``/``eg_step``
+    steppers on the ``make_oracle`` oracle, driven by a generator seeded with
+    ``config.seed``, with the stop and recording rules ``run`` documents.
+    Returns ``(status, iters, distances, gaps, final_z)``."""
+    oracle = dyn.make_oracle(problem, config.noise)
+    step = dyn.eg_step if config.algorithm is EG else dyn.gda_step
+    rng = np.random.default_rng(config.seed)
+    z = dyn.default_initial_point(problem, config.seed) if z0 is None else z0.copy()
+    dc = prob.derive_constants(problem)
+    want_gaps = config.record_primal_gaps and \
+        dc.schur_min >= -prob.VALIDATION_RTOL * problem.L
+    stride = max(1, math.ceil(config.max_iters / dyn.TRAJECTORY_STORAGE_CAP))
+    iters, dists, gaps = [], [], []
+    limit = math.inf
+    k = 0
+    while True:
+        w = z - problem.z_star
+        d = math.sqrt(w.dot(w))
+        finite = math.isfinite(d)
+        d = d if finite else math.inf
+        if k == 0:
+            limit = config.divergence_factor * d
+        diverged = not finite or (d >= limit and k > 0)
+        stop = diverged or d <= config.target_eps or k == config.max_iters
+        if stop or k % stride == 0:
+            iters.append(k)
+            dists.append(d)
+            if want_gaps:
+                gaps.append(prob.primal_gap(problem, z[:problem.n], dc)
+                            if finite else math.inf)
+        if stop:
+            if diverged:
+                status = dyn.Status(dyn.StatusKind.DIVERGED, k)
+            elif d <= config.target_eps:
+                status = dyn.Status(dyn.StatusKind.CONVERGED, k)
+            else:
+                status = dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+            return (status, np.array(iters), np.array(dists),
+                    np.array(gaps) if want_gaps else None, z)
+        z = step(oracle, z, config.eta_x, config.eta_y, rng)
+        k += 1
+
+
+# The engine iterates on w = z - z* and the reference on z itself, so the
+# reference rounds each step to a few ulps of |z| rather than of |w|; the
+# engine also applies block powers T^j instead of j single steps.  Over the
+# budgets below (at most 2000 steps) both effects stay far inside a relative
+# tolerance of 1e-8 plus an absolute one of 1e-10 per unit of |z*| + |z0 - z*|.
+ENGINE_RTOL = 1e-8
+ENGINE_ATOL = 1e-10
+
+
+def assert_matches_reference(problem, config, z0=None):
+    traj = dyn.run(problem, config, z0=z0)
+    status, iters, dists, gaps, final_z = reference_run(problem, config, z0)
+    assert traj.status == status
+    assert np.array_equal(traj.iters, iters)
+    scale = 1.0 + np.linalg.norm(problem.z_star)
+    if np.isfinite(dists[0]):
+        scale += dists[0]
+    atol = ENGINE_ATOL * scale
+    assert np.allclose(traj.distances, dists, rtol=ENGINE_RTOL, atol=atol)
+    if gaps is None:
+        assert traj.primal_gaps is None
+    else:
+        # a gap is quadratic in the distance
+        assert np.allclose(traj.primal_gaps, gaps, rtol=ENGINE_RTOL,
+                           atol=problem.L * atol * scale)
+    if np.all(np.isfinite(final_z)):
+        assert np.allclose(traj.final_z, final_z, rtol=ENGINE_RTOL, atol=atol)
+    return traj
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    kappa = 10.0 ** draw(st.floats(0.3, 3.0))
+    L = 10.0 ** draw(st.integers(-1, 2))
+    seed = draw(st.integers(0, 2 ** 16))
+    p = prob.sample_instance(n, m, L, L / kappa, seed,
+                             primal_convex=draw(st.booleans()))
+    # move the optimum off the origin so the engine's z - z* shift is tested
+    rng = np.random.default_rng(seed)
+    p = dataclasses.replace(p, x_star=rng.standard_normal(n),
+                            y_star=rng.standard_normal(m))
+    # r on both sides of kappa and of 2*kappa
+    r = kappa * 2.0 ** draw(st.floats(-2.0, 3.0))
+    eta_x, eta_y = dyn.default_stepsizes(L, r, draw(st.sampled_from(list(dyn.Scheme))))
+    alg, noisy = draw(st.sampled_from([(GDA, False), (EG, False), (SGDA, True),
+                                       (EG, True)]))
+    noise = prob.NoiseModel(draw(st.sampled_from([1e-3, 0.1, 1.0])),
+                            draw(st.integers(1, 64))) if noisy else None
+    cfg = dyn.SolverConfig(
+        algorithm=alg, eta_x=eta_x, eta_y=eta_y,
+        max_iters=draw(st.integers(0, 2000)),
+        target_eps=10.0 ** -draw(st.integers(1, 12)),
+        divergence_factor=10.0 ** draw(st.integers(1, 8)),
+        noise=noise, seed=draw(st.integers(0, 2 ** 16)),
+    )
+    return p, cfg
+
+
+class TestAffineEngine:
+    """``run`` on quadratic instances against the per-step reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(engine_cases())
+    def test_matches_per_step_reference(self, case):
+        p, cfg = case
+        assert_matches_reference(p, cfg)
+
+    def test_no_oracle_calls_on_quadratic(self, reference_instance, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadratic runs must not call the oracle")
+
+        monkeypatch.setattr(prob, "grad", fail)
+        monkeypatch.setattr(prob, "stochastic_grad", fail)
+        for alg, noise in ((GDA, None), (EG, None), (SGDA, prob.NoiseModel(1.0, 4)),
+                           (EG, prob.NoiseModel(1.0, 4))):
+            dyn.run(reference_instance, config(alg=alg, T=300, noise=noise))
+
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_tiny_budgets(self, reference_instance, T):
+        for alg, noise in ((GDA, None), (SGDA, prob.NoiseModel(1.0, 4))):
+            traj = assert_matches_reference(
+                reference_instance, config(alg=alg, T=T, noise=noise))
+            assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+            assert list(traj.iters) == list(range(T + 1))
+
+    def test_start_at_optimum(self, reference_instance):
+        traj = assert_matches_reference(
+            reference_instance,
+            config(alg=SGDA, T=100, eps=1e-8, noise=prob.NoiseModel(1.0, 4)),
+            z0=reference_instance.z_star.copy())
+        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, 0)
+
+    def test_overflow_on_first_step(self):
+        p = prob.hard_ratio_instance(1e150, 1e149)
+        for alg in (GDA, EG):
+            traj = assert_matches_reference(p, config(alg=alg, eta_x=1e160, r=1.0, T=1000))
+            assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
+                                           (SGDA, prob.NoiseModel(0.01, 4))])
+    @pytest.mark.parametrize("boundary", [dyn._BLOCK, 3 * dyn._BLOCK, 7 * dyn._BLOCK])
+    def test_stops_on_block_and_chunk_boundaries(self, small_instance, alg, noise,
+                                                 boundary):
+        # chunks hold 1, 2, 4, ... blocks, so iterations b, 3b and 7b end a
+        # chunk; every stop rule is placed exactly there
+        p = small_instance
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+        base = dict(algorithm=alg, eta_x=eta_x, eta_y=eta_y, noise=noise, seed=3)
+        traj = assert_matches_reference(p, dyn.SolverConfig(
+            max_iters=boundary, target_eps=1e-300, **base))
+        assert traj.iters[-1] == boundary
+        d = reference_run(p, dyn.SolverConfig(
+            max_iters=boundary, target_eps=1e-300, **base))[2]
+        # converge exactly at the boundary: eps between the last two measures
+        eps = math.sqrt(d[boundary] * min(d[:boundary]))
+        assert d[boundary] < min(d[:boundary])
+        traj = assert_matches_reference(p, dyn.SolverConfig(
+            max_iters=10 * boundary, target_eps=eps, **base))
+        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, boundary)
+        # diverge exactly at the boundary: a concave descent block grows the
+        # distance monotonically from a start on the x axis
+        q = prob.QuadraticProblem(A=np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
+                                  x_star=np.ones(1), y_star=np.zeros(1), L=1.0, mu=1.0)
+        z0 = q.z_star + np.array([1.0, 0.0])
+        grow = dict(base, eta_x=1e-2, eta_y=1e-2)
+        if alg is SGDA:
+            grow["noise"] = prob.NoiseModel(1e-6, 1)
+        d = reference_run(q, dyn.SolverConfig(
+            max_iters=boundary, target_eps=1e-300, **grow), z0)[2]
+        assert d[boundary] > max(d[1:boundary])
+        factor = math.sqrt(d[boundary] * max(d[1:boundary])) / d[0]
+        traj = assert_matches_reference(q, dyn.SolverConfig(
+            max_iters=10 * boundary, target_eps=1e-300, divergence_factor=factor,
+            **grow), z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, boundary)
+
+    def test_strided_recording_with_gaps(self, monkeypatch):
+        monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
+        p = prob.sample_instance(3, 2, 10.0, 1.0, 5, primal_convex=True)
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+        for alg, noise in ((GDA, None), (EG, prob.NoiseModel(0.1, 2))):
+            traj = assert_matches_reference(p, dyn.SolverConfig(
+                algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=1000,
+                target_eps=1e-300, noise=noise))
+            assert traj.primal_gaps is not None
+            assert np.all(np.diff(traj.iters)[:-1] == 28)
+
+    def test_overflowing_powers_keep_exact_zeros(self):
+        # decoupled players: the ascent block explodes (|1 - eta_y| ~ 1e6, so
+        # T^52 overflows) while a start with y = y* exactly keeps y = y* at
+        # every step and the descent block converges
+        p = prob.QuadraticProblem(
+            A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1), x_star=np.zeros(1),
+            y_star=np.zeros(1), L=1.0, mu=0.5)
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=0.5, eta_y=1e6, max_iters=1000,
+                               target_eps=1e-12)
+        traj = assert_matches_reference(p, cfg, z0=np.array([1.0, 0.0]))
+        assert traj.status.kind is dyn.StatusKind.CONVERGED
 
 
 def synthetic_trajectory(distances, iters=None):

@@ -39,7 +39,7 @@ class TestRatioSweep:
                                 T=50_000, seeds=(0, 1))
         outputs = []
         for _ in range(2):
-            result = harness.ratio_sweep(sweep_spec, jobs=2)
+            result = harness.ratio_sweep(sweep_spec)
             buf = io.StringIO()
             harness.write_sweep_csv(result, buf)
             outputs.append(buf.getvalue())
@@ -86,7 +86,7 @@ class TestRatioSweep:
             algorithms=(dyn.Algorithm.SGDA,),  # no noise model: cell must error
         )
         cell = harness.ratio_sweep(sweep_spec).cells[0]
-        assert cell.status.startswith("error")
+        assert cell.status.startswith("error: InvalidInputError: ")
 
     def test_below_threshold_ratio_sometimes_diverges(self):
         # sampling with mu_x computed after the fact (possibly zero) finds
@@ -168,7 +168,7 @@ class TestSgdaFloor:
         dc = prob.derive_constants(floor_instance)
         report = harness.sgda_floor_sweep(
             floor_instance, r=2 * dc.kappa, sigma=1.0,
-            batch_list=(16, 256), seeds=range(4), jobs=2,
+            batch_list=(16, 256), seeds=range(4),
         )
         assert report.status == "pass"
         assert all(p.within_bound for p in report.points)
