@@ -1,103 +1,23 @@
 """Two-time-scale GDA/SGDA/EG dynamics on quadratic minimax problems, with
 spectral certification of the convergence threshold, linear rate, noise
-floor and regularization behavior."""
+floor and regularization behavior.
 
-from .dynamics import (
-    Algorithm,
-    Scheme,
-    SolverConfig,
-    Status,
-    StatusKind,
-    Trajectory,
-    build_M,
-    build_M_delta,
-    default_initial_point,
-    default_stepsizes,
-    eg_step,
-    estimate_rate,
-    gda_step,
-    make_oracle,
-    run,
-    write_trajectory_csv,
-)
-from .problems import (
-    DerivedConstants,
-    HessianDeviation,
-    NoiseModel,
-    NonQuadraticProblem,
-    QuadraticProblem,
-    ValidationReport,
-    derive_constants,
-    grad,
-    hard_rate_instance,
-    hard_ratio_instance,
-    load_instance,
-    nonquad_grad,
-    nonquad_hessian_deviation,
-    primal_gap,
-    regularize,
-    sample_instance,
-    save_instance,
-    stochastic_grad,
-    validate,
-)
-from .spectral import (
-    ComplexityTable,
-    RatioClass,
-    SpectralReport,
-    check_lemma_spectral,
-    classify_ratio,
-    complexity_table,
-    power_bound,
-    predicted_floor_sgda,
-    spectral_report,
-)
+The package namespace carries the names of the README's quick-start; every
+other name lives in its module (``minimax_gda.dynamics``, ``.problems``,
+``.spectral``, ``.harness``, ``.verify``, ``.linalg``)."""
+
+from .dynamics import Algorithm, SolverConfig, default_stepsizes, run
+from .problems import derive_constants, sample_instance
+from .spectral import spectral_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm",
-    "ComplexityTable",
-    "DerivedConstants",
-    "HessianDeviation",
-    "NoiseModel",
-    "NonQuadraticProblem",
-    "QuadraticProblem",
-    "RatioClass",
-    "Scheme",
     "SolverConfig",
-    "SpectralReport",
-    "Status",
-    "StatusKind",
-    "Trajectory",
-    "ValidationReport",
-    "build_M",
-    "build_M_delta",
-    "check_lemma_spectral",
-    "default_initial_point",
-    "classify_ratio",
-    "complexity_table",
     "default_stepsizes",
     "derive_constants",
-    "eg_step",
-    "estimate_rate",
-    "gda_step",
-    "grad",
-    "hard_rate_instance",
-    "hard_ratio_instance",
-    "load_instance",
-    "make_oracle",
-    "nonquad_grad",
-    "nonquad_hessian_deviation",
-    "power_bound",
-    "predicted_floor_sgda",
-    "primal_gap",
-    "regularize",
     "run",
     "sample_instance",
-    "save_instance",
     "spectral_report",
-    "stochastic_grad",
-    "validate",
-    "write_trajectory_csv",
 ]

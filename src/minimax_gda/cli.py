@@ -5,8 +5,8 @@ Subcommands: ``generate`` (random or adversarial instances), ``inspect``
 CSV), ``sweep`` (ratio sweeps to CSV), ``verify`` (certification suites to
 JSON).
 
-Exit codes: 0 completed (an expected divergence still exits 0), 1 usage or
-validation error, 2 verification failure, 3 numerical failure.  Output
+Exit codes: 0 completed (an expected divergence still exits 0), 1 usage,
+validation or file error, 2 verification failure, 3 numerical failure.  Output
 files are written atomically (temp file + rename); relative output paths
 resolve against ``$MINIMAX_GDA_OUTDIR`` when it is set.
 """
@@ -75,17 +75,6 @@ def _write_atomic(path, writer):
             os.unlink(tmp)
         raise
     return path
-
-
-def _load(path):
-    try:
-        return prob.load_instance(path)
-    except FileNotFoundError as exc:
-        raise _CliExit(EXIT_USAGE, f"instance file not found: {exc}") from exc
-
-
-def _scheme(name):
-    return dyn.Scheme(name)
 
 
 def build_parser():
@@ -168,8 +157,7 @@ def cmd_generate(args):
         schur_margin=args.schur_margin,
         mu_x_zero=args.mu_x_zero,
     )
-    path = _write_atomic(args.out, lambda fh: (
-        json.dump(prob.to_json_dict(problem), fh, indent=1), fh.write("\n")))
+    path = _write_atomic(args.out, lambda fh: prob.write_instance(problem, fh))
     dc = prob.derive_constants(problem)
     kx = "inf" if math.isinf(dc.kappa_x) else f"{dc.kappa_x:.6g}"
     print(f"wrote {path}")
@@ -191,7 +179,7 @@ def _sanitize(obj):
 
 
 def cmd_inspect(args):
-    problem = _load(args.instance)
+    problem = prob.load_instance(args.instance)
     report_val = prob.validate(problem)
     if not report_val.ok:
         raise _CliExit(
@@ -199,11 +187,10 @@ def cmd_inspect(args):
             "instance fails validation clauses: "
             + ", ".join(report_val.failed_clauses()),
         )
-    scheme = _scheme(args.scheme)
     eta_x = args.eta_x
     if eta_x is None:
-        eta_x, _ = dyn.default_stepsizes(problem.L, args.ratio, scheme)
-    report = spec.spectral_report(problem, args.ratio, eta_x, scheme)
+        eta_x, _ = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
+    report = spec.spectral_report(problem, args.ratio, eta_x, args.scheme)
     verdict = spec.classify_ratio(args.ratio, report.kappa)
     payload = spec.report_to_json_dict(report)
     payload["ratio_class"] = verdict.value
@@ -215,9 +202,8 @@ def cmd_inspect(args):
 
 
 def cmd_run(args):
-    problem = _load(args.instance)
-    scheme = _scheme(args.scheme)
-    eta_x, eta_y = dyn.default_stepsizes(problem.L, args.ratio, scheme)
+    problem = prob.load_instance(args.instance)
+    eta_x, eta_y = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
     algorithm = dyn.Algorithm(args.algorithm)
     noise = None
     if algorithm is dyn.Algorithm.SGDA:
@@ -246,7 +232,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    problem = _load(args.instance)
+    problem = prob.load_instance(args.instance)
     ratios = args.ratios
     if ratios is None:
         kappa = prob.derive_constants(problem).kappa
@@ -258,7 +244,7 @@ def cmd_sweep(args):
         max_iters=args.max_iters,
         target_eps=args.eps,
         algorithms=tuple(dyn.Algorithm(a) for a in args.algorithms),
-        scheme=_scheme(args.scheme),
+        scheme=dyn.Scheme(args.scheme),
         seeds=tuple(range(args.seeds)),
         noise=noise,
     )
@@ -306,7 +292,8 @@ def main(argv=None):
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
+        # OSError: an unreadable instance or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalFailureError, GenerationFailureError) as exc:

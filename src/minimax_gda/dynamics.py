@@ -143,37 +143,12 @@ def build_M(problem, r):
     return np.block([[-problem.C, -problem.B], [r * problem.B.T, -r * problem.A]])
 
 
-def build_M_delta(problem, r, delta):
-    """Dynamics matrix of the delta-regularized instance: the top-left block
-    is ``-C - delta*I``.  Equals ``build_M`` at delta=0."""
-    if delta < 0:
-        raise InvalidInputError("delta must be >= 0")
-    M = build_M(problem, r)
-    M[: problem.n, : problem.n] -= delta * np.eye(problem.n)
-    return M
-
-
 def make_oracle(problem, noise=None):
     """Gradient oracle ``oracle(z, rng) -> (gx, gy)`` for a quadratic or
-    non-quadratic instance, exact or mini-batch noisy."""
-    nonquad = isinstance(problem, prob.NonQuadraticProblem)
-    if noise is None or noise.sigma == 0.0:
-        if nonquad:
-            return lambda z, rng=None: prob.nonquad_grad(problem, z)
-        return lambda z, rng=None: prob.grad(problem, z)
-    if nonquad:
-        base = problem
-
-        def oracle(z, rng):
-            gx, gy = prob.nonquad_grad(base, z)
-            n, m = base.base.n, base.base.m
-            scale = noise.sigma / math.sqrt(noise.batch)
-            gx = gx + rng.standard_normal(n) * (scale / math.sqrt(n))
-            gy = gy + rng.standard_normal(m) * (scale / math.sqrt(m))
-            return gx, gy
-
-        return oracle
-    return lambda z, rng: prob.stochastic_grad(problem, z, noise, rng)
+    non-quadratic instance: ``stochastic_grad`` under ``noise``, or the
+    exact gradient (drawing nothing from ``rng``) when ``noise`` is None."""
+    noise = prob.NoiseModel(0.0) if noise is None else noise
+    return lambda z, rng=None: prob.stochastic_grad(problem, z, noise, rng)
 
 
 def gda_step(oracle, z, eta_x, eta_y, rng=None):
@@ -506,20 +481,13 @@ def estimate_rate(trajectory, window=None):
     return float(math.exp(slope))
 
 
-def write_trajectory_csv(trajectory, path_or_file):
+def write_trajectory_csv(trajectory, fh):
     """Write ``iter,distance,primal_gap`` rows (RFC-4180, 17 significant
-    digits; the gap column is empty when not recorded)."""
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "distance", "primal_gap"])
-        gaps = trajectory.primal_gaps
-        for i, (k, dist) in enumerate(zip(trajectory.iters, trajectory.distances)):
-            gap = "" if gaps is None else f"{gaps[i]:.17g}"
-            writer.writerow([int(k), f"{dist:.17g}", gap])
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+    digits; the gap column is empty when not recorded) to the open text
+    file ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(["iter", "distance", "primal_gap"])
+    gaps = trajectory.primal_gaps
+    for i, (k, dist) in enumerate(zip(trajectory.iters, trajectory.distances)):
+        gap = "" if gaps is None else f"{gaps[i]:.17g}"
+        writer.writerow([int(k), f"{dist:.17g}", gap])

@@ -23,15 +23,7 @@ class NotPositiveDefiniteError(InvalidInputError):
 
 
 class NumericalFailureError(MinimaxGdaError, RuntimeError):
-    """An iterative kernel failed to converge.
-
-    ``partial`` carries whatever partial results were available at the
-    point of failure (may be ``None``).
-    """
-
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """An iterative kernel failed to converge."""
 
 
 class InvalidStateError(MinimaxGdaError, RuntimeError):
@@ -56,7 +48,3 @@ class CertificateFailureError(MinimaxGdaError, RuntimeError):
     def __init__(self, msg, cell=None):
         super().__init__(msg)
         self.cell = cell
-
-
-class VerificationFailureError(MinimaxGdaError, RuntimeError):
-    """An acceptance/verification suite failed a hard assertion."""

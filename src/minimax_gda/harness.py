@@ -9,6 +9,7 @@ order, so identical inputs produce identical outputs byte for byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +23,11 @@ from .errors import (CertificateFailureError, InsufficientDataError,
                      InvalidInputError, MinimaxGdaError)
 
 _EPS_NEVER = 1e-300  # target_eps that effectively disables the convergence stop
+# stop distance and minimum budget of the convergent r = 2*kappa control runs
+# of the divergence certificate
+_CONTROL_EPS = 1e-6
+_CONTROL_MAX_ITERS = 200_000
+_TAIL_FRACTION = 0.2  # share of an SGDA floor run averaged as its steady state
 
 
 def _fmt(x):
@@ -80,13 +86,12 @@ class SweepCell:
 class SweepResult:
     cells: tuple
 
-    def cell(self, ratio, seed=None, algorithm=None):
+    def cell(self, ratio):
+        """The first cell at ``ratio``."""
         for c in self.cells:
-            if c.ratio == ratio and (seed is None or c.seed == seed) and (
-                algorithm is None or c.algorithm == algorithm
-            ):
+            if c.ratio == ratio:
                 return c
-        raise KeyError((ratio, seed, algorithm))
+        raise KeyError(ratio)
 
 
 SWEEP_CSV_HEADER = [
@@ -95,26 +100,18 @@ SWEEP_CSV_HEADER = [
 ]
 
 
-def write_sweep_csv(result, path_or_file):
+def write_sweep_csv(result, fh):
     """One RFC-4180 row per (ratio, seed, algorithm) cell, 17 significant
-    digits, missing values empty."""
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for c in result.cells:
-            writer.writerow([
-                _fmt(c.ratio), c.seed, c.algorithm, c.status,
-                _fmt(c.measured_rate), _fmt(c.rho),
-                "" if c.iters_to_eps is None else c.iters_to_eps,
-                _fmt(c.final_distance), _fmt(c.final_gap),
-            ])
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+    digits, missing values empty, written to the open text file ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(SWEEP_CSV_HEADER)
+    for c in result.cells:
+        writer.writerow([
+            _fmt(c.ratio), c.seed, c.algorithm, c.status,
+            _fmt(c.measured_rate), _fmt(c.rho),
+            "" if c.iters_to_eps is None else c.iters_to_eps,
+            _fmt(c.final_distance), _fmt(c.final_gap),
+        ])
 
 
 def _cell_from_run(ratio, seed, algorithm, traj, rho):
@@ -139,9 +136,10 @@ def _cell_from_run(ratio, seed, algorithm, traj, rho):
 
 def ratio_sweep(sweep_spec):
     """Run every (ratio, seed, algorithm) cell and collect status, fitted
-    rate, the spectral-radius prediction and terminal measures.  A failing
-    cell is recorded with status ``error: <ExceptionType>: <message>`` and
-    the sweep continues."""
+    rate, the spectral-radius prediction and terminal measures.  A cell
+    that raises a library error (:class:`MinimaxGdaError`) is recorded with
+    status ``error: <ExceptionType>: <message>`` and the sweep continues;
+    any other exception propagates."""
     problem = sweep_spec.problem
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
@@ -155,15 +153,9 @@ def ratio_sweep(sweep_spec):
         except MinimaxGdaError:
             radii[r] = (None, None)
 
-    cells = [
-        (r, seed, alg)
-        for r in sweep_spec.ratios
-        for seed in sweep_spec.seeds
-        for alg in sweep_spec.algorithms
-    ]
-
-    def execute(cell):
-        r, seed, alg = cell
+    cells = []
+    for r, seed, alg in itertools.product(
+            sweep_spec.ratios, sweep_spec.seeds, sweep_spec.algorithms):
         try:
             eta_x, eta_y = dyn.default_stepsizes(base.L, r, sweep_spec.scheme)
             noise = sweep_spec.noise if alg is not dyn.Algorithm.GDA else None
@@ -178,15 +170,14 @@ def ratio_sweep(sweep_spec):
             )
             traj = dyn.run(problem, config)
             rho = radii[r][1 if alg is dyn.Algorithm.EG else 0]
-            return _cell_from_run(r, seed, alg, traj, rho)
-        except Exception as exc:
-            return SweepCell(
+            cells.append(_cell_from_run(r, seed, alg, traj, rho))
+        except MinimaxGdaError as exc:
+            cells.append(SweepCell(
                 ratio=r, seed=seed, algorithm=alg.value,
                 status=f"error: {type(exc).__name__}: {exc}", measured_rate=None,
                 rho=None, iters_to_eps=None, final_distance=math.nan, final_gap=None,
-            )
-
-    return SweepResult(cells=tuple(execute(c) for c in cells))
+            ))
+    return SweepResult(cells=tuple(cells))
 
 
 # --- divergence certification ----------------------------------------------
@@ -244,7 +235,7 @@ def _power_norm_course(problem, r, eta_x, max_iters):
 
 
 def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
-                           ratios=None, control_eps=1e-6, control_max_iters=200_000):
+                           ratios=None):
     """Certify that GDA never converges on the hard threshold instance at
     ratios up to kappa, for every stepsize in the grid.
 
@@ -260,7 +251,6 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
         for kappa in kappa_list:
             if kappa < 2:
                 raise InvalidInputError("the threshold theorem needs kappa >= 2")
-            mu = L / kappa
             grid = (
                 np.asarray(eta_grid, dtype=float)
                 if eta_grid is not None
@@ -271,25 +261,21 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
             rvals = ratios if ratios is not None else (kappa / 2.0, float(kappa))
             for r in rvals:
                 for eta_x in grid:
-                    specs.append((L, kappa, mu, float(r), float(eta_x)))
+                    specs.append((L, kappa, float(r), float(eta_x)))
 
-    def execute(cell_spec):
-        L, kappa, mu, r, eta_x = cell_spec
-        problem = prob.hard_ratio_instance(L, mu)
+    cells = []
+    for L, kappa, r, eta_x in specs:
+        problem = prob.hard_ratio_instance(L, L / kappa)
         outcome, min_norm, final_norm = _power_norm_course(problem, r, eta_x, max_iters)
-        if outcome == "diverged":
-            return CertificateCell(L, kappa, r, eta_x, "diverged", min_norm, final_norm)
         if outcome == "ran" and min_norm >= 1.0 - 1e-9:
-            return CertificateCell(
-                L, kappa, r, eta_x, "non_contracting", min_norm, final_norm
+            outcome = "non_contracting"
+        elif outcome != "diverged":
+            raise CertificateFailureError(
+                f"cell (L={L}, kappa={kappa}, r={r}, eta_x={eta_x:.3e}) contracted: "
+                f"min transition-power norm {min_norm:.6g} < 1",
+                cell=(L, kappa, r, eta_x),
             )
-        raise CertificateFailureError(
-            f"cell (L={L}, kappa={kappa}, r={r}, eta_x={eta_x:.3e}) contracted: "
-            f"min transition-power norm {min_norm:.6g} < 1",
-            cell=(L, kappa, r, eta_x),
-        )
-
-    cells = tuple(execute(s) for s in specs)
+        cells.append(CertificateCell(L, kappa, r, eta_x, outcome, min_norm, final_norm))
 
     controls = []
     for L in L_list:
@@ -300,8 +286,8 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
             eta_x, eta_y = dyn.default_stepsizes(L, r, dyn.Scheme.QUARTER)
             config = dyn.SolverConfig(
                 algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
-                max_iters=max(max_iters, control_max_iters),
-                target_eps=control_eps, record_primal_gaps=False,
+                max_iters=max(max_iters, _CONTROL_MAX_ITERS),
+                target_eps=_CONTROL_EPS, record_primal_gaps=False,
             )
             traj = dyn.run(problem, config)
             if traj.status.kind is not dyn.StatusKind.CONVERGED:
@@ -312,7 +298,7 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
                 )
             controls.append((L, kappa, r, str(traj.status)))
 
-    return DivergenceCertificate(cells=cells, controls=tuple(controls))
+    return DivergenceCertificate(cells=tuple(cells), controls=tuple(controls))
 
 
 # --- rate lower bound -------------------------------------------------------
@@ -327,7 +313,7 @@ class RateLowerBoundReport:
     passed: bool
 
 
-def rate_lower_bound_check(L, mu, mu_x, r, max_iters=1000, init_scale=1.0):
+def rate_lower_bound_check(L, mu, mu_x, r, max_iters=1000):
     """Run exact GDA on the rate-lower-bound instance from the slow
     eigendirection and verify the per-step contraction equals the
     closed-form eigenvalue ``s1`` of the transition matrix, which sits at or
@@ -358,7 +344,7 @@ def rate_lower_bound_check(L, mu, mu_x, r, max_iters=1000, init_scale=1.0):
         algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
         max_iters=max_iters, target_eps=_EPS_NEVER, record_primal_gaps=False,
     )
-    traj = dyn.run(problem, config, z0=problem.z_star + init_scale * v)
+    traj = dyn.run(problem, config, z0=problem.z_star + v)
 
     d = traj.distances
     steps = d[1:] / d[:-1]
@@ -396,14 +382,13 @@ class SgdaFloorReport:
     basis_cond: float
 
 
-def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None,
-                     scheme=dyn.Scheme.QUARTER, tail_fraction=0.2):
+def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
     """Measure the SGDA steady-state mean-square distance against its proved
-    bound across batch sizes.
+    bound across batch sizes, under the quarter stepsizes.
 
     The budget is sized (unless given) so the deterministic envelope
     ``C_P * rho1^k`` has decayed to 0.1% of the smallest predicted RMS floor
-    before the tail window (the last ``tail_fraction`` of iterations)
+    before the tail window (the last 20% of iterations, ``_TAIL_FRACTION``)
     begins; if it has not, the report is ``inconclusive`` rather than
     failed.  Passing requires the tail mean square to sit below the bound at
     every batch size and the log-log slope against the batch size to be
@@ -416,8 +401,8 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None,
         raise InvalidInputError("the floor bound needs mu_x > 0")
     if sigma < 0:
         raise InvalidInputError("sigma must be nonnegative")
-    eta_x, eta_y = dyn.default_stepsizes(problem.L, r, scheme)
-    rep = spec.spectral_report(problem, r, eta_x, scheme)
+    eta_x, eta_y = dyn.default_stepsizes(problem.L, r)
+    rep = spec.spectral_report(problem, r, eta_x)
     if rep.rho1 >= 1.0 or rep.basis_cond is None:
         raise InvalidInputError(
             "instance/ratio does not contract (rho1 >= 1) or has no usable "
@@ -435,31 +420,25 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None,
         math.ceil(math.log(target / (rep.basis_cond * d0)) / math.log(rep.rho1))
     )
     if max_iters is None:
-        max_iters = int(math.ceil(decay_iters / (1.0 - tail_fraction))) + 10
+        max_iters = int(math.ceil(decay_iters / (1.0 - _TAIL_FRACTION))) + 10
     floor_rms = math.sqrt(min(bounds.values())) if sigma > 0 else math.sqrt(precision_ms)
-    conclusive = rep.basis_cond * d0 * rep.rho1 ** ((1.0 - tail_fraction) * max_iters) \
-        <= 0.1 * floor_rms
+    tail_start = (1.0 - _TAIL_FRACTION) * max_iters
+    conclusive = rep.basis_cond * d0 * rep.rho1 ** tail_start <= 0.1 * floor_rms
 
-    cells = [(S, seed) for S in batch_list for seed in seeds]
-
-    def execute(cell):
-        S, seed = cell
-        config = dyn.SolverConfig(
-            algorithm=dyn.Algorithm.SGDA, eta_x=eta_x, eta_y=eta_y,
-            max_iters=max_iters, target_eps=_EPS_NEVER,
-            noise=prob.NoiseModel(sigma=sigma, batch=S), seed=seed,
-            record_primal_gaps=False,
-        )
-        traj = dyn.run(problem, config)
-        tail = traj.distances[traj.iters >= (1.0 - tail_fraction) * max_iters]
-        return S, float(np.mean(np.square(tail)))
-
-    tail_ms = {}
-    counts = {}
-    for S, ms in map(execute, cells):
-        tail_ms[S] = tail_ms.get(S, 0.0) + ms
-        counts[S] = counts.get(S, 0) + 1
-    floors = {S: tail_ms[S] / counts[S] for S in batch_list}
+    floors = {}  # batch -> tail mean square, averaged over the seeds
+    for S in batch_list:
+        total = 0.0
+        for seed in seeds:
+            config = dyn.SolverConfig(
+                algorithm=dyn.Algorithm.SGDA, eta_x=eta_x, eta_y=eta_y,
+                max_iters=max_iters, target_eps=_EPS_NEVER,
+                noise=prob.NoiseModel(sigma=sigma, batch=S), seed=seed,
+                record_primal_gaps=False,
+            )
+            traj = dyn.run(problem, config)
+            tail = traj.distances[traj.iters >= tail_start]
+            total += float(np.mean(np.square(tail)))
+        floors[S] = total / len(seeds)
 
     ceiling = precision_ms if sigma == 0 else 0.0
     points = tuple(
@@ -501,14 +480,13 @@ class MuxZeroReport:
     gap_ok: bool
 
 
-def mux_zero_run(problem, eps, R=None, r=None, scheme=dyn.Scheme.QUARTER,
-                 seed=0, z0=None, max_iters=None):
+def mux_zero_run(problem, eps, R=None, seed=0, z0=None):
     """Solve a ``mu_x = 0`` instance to primal gap ``eps`` through ridge
     regularization.
 
     Adds ``delta = eps / R^2`` to the primal curvature (R defaults to
-    ``2*|x0 - x*| + 1``), runs GDA with the quarter stepsizes until the
-    distance to the regularized optimum falls to
+    ``2*|x0 - x*| + 1``), runs GDA at ``r = 2*kappa`` with the quarter
+    stepsizes until the distance to the regularized optimum falls to
     ``eps / (4*sqrt((kappa+1)*L))`` (small enough that the quadratic primal
     bound brings the gap below ``eps``), then reports the unregularized
     primal gap at the terminal point.
@@ -521,7 +499,7 @@ def mux_zero_run(problem, eps, R=None, r=None, scheme=dyn.Scheme.QUARTER,
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     kappa = dc.kappa
-    r = 2.0 * kappa if r is None else float(r)
+    r = 2.0 * kappa
     if z0 is None:
         z0 = dyn.default_initial_point(problem, seed)
     z0 = np.asarray(z0, dtype=float)
@@ -534,18 +512,17 @@ def mux_zero_run(problem, eps, R=None, r=None, scheme=dyn.Scheme.QUARTER,
             "eps must be small enough that delta <= L"
         )
     regularized = prob.regularize(problem, delta)
-    eta_x, eta_y = dyn.default_stepsizes(problem.L, r, scheme)
+    eta_x, eta_y = dyn.default_stepsizes(problem.L, r)
     stop_distance = eps / (4.0 * math.sqrt((kappa + 1.0) * problem.L))
 
-    if max_iters is None:
-        rep = spec.spectral_report(regularized, r, eta_x, scheme)
-        d0 = float(np.linalg.norm(z0 - regularized.z_star))
-        predicted = rep.predicted_iters(stop_distance, initial_distance=max(d0, stop_distance))
-        if not math.isfinite(predicted):
-            raise InvalidInputError(
-                "regularized dynamics do not contract; cannot size the budget"
-            )
-        max_iters = int(3 * predicted) + 1000
+    rep = spec.spectral_report(regularized, r, eta_x)
+    d0 = float(np.linalg.norm(z0 - regularized.z_star))
+    predicted = rep.predicted_iters(stop_distance, initial_distance=max(d0, stop_distance))
+    if not math.isfinite(predicted):
+        raise InvalidInputError(
+            "regularized dynamics do not contract; cannot size the budget"
+        )
+    max_iters = int(3 * predicted) + 1000
 
     config = dyn.SolverConfig(
         algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
@@ -577,20 +554,17 @@ class NonquadSweepResult:
     threshold: dict  # ratio -> mu_x / (8 * C_P) of the base instance
 
 
-def nonquad_sweep(nq, ratios, max_iters, target_eps=None,
-                  scheme=dyn.Scheme.HALF, seeds=(0,)):
+def nonquad_sweep(nq, ratios, max_iters, scheme=dyn.Scheme.HALF, seeds=(0,)):
     """GDA sweep over the logistic-perturbed family.
 
     Convergence is measured by the exact gradient norm (the perturbed
-    optimum is not known in closed form), with the target defaulting to
-    ``1e-6 * L``.  Each ratio is annotated with whether the nearly-quadratic
-    condition ``delta_r(r) <= mu_x / (8 * C_P)`` holds for the base
-    instance, i.e. whether the cell carries the local linear-rate
-    guarantee (proved for the half stepsize scheme).
+    optimum is not known in closed form), with the target ``1e-6 * L``.
+    Each ratio is annotated with whether the nearly-quadratic condition
+    ``delta_r(r) <= mu_x / (8 * C_P)`` holds for the base instance, i.e.
+    whether the cell carries the local linear-rate guarantee (proved for
+    the half stepsize scheme).
     """
     base = nq.base
-    if target_eps is None:
-        target_eps = 1e-6 * base.L
     dc = prob.derive_constants(base)
     dev = prob.nonquad_hessian_deviation(nq)
 
@@ -608,7 +582,7 @@ def nonquad_sweep(nq, ratios, max_iters, target_eps=None,
 
     sweep_spec = ExperimentSpec(
         problem=nq, ratios=tuple(ratios), max_iters=max_iters,
-        target_eps=target_eps, algorithms=(dyn.Algorithm.GDA,),
+        target_eps=1e-6 * base.L, algorithms=(dyn.Algorithm.GDA,),
         scheme=scheme, seeds=tuple(seeds),
     )
     sweep = ratio_sweep(sweep_spec)

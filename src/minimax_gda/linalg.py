@@ -57,28 +57,21 @@ def sym_eig(S):
     return w, V
 
 
-def general_eig(M, want_vectors=True):
-    """Eigenvalues (and right eigenvectors) of a general real square matrix.
+def general_eig(M):
+    """Eigenvalues and right eigenvectors of a general real square matrix.
 
     Returns ``(w, V)`` with ``w`` complex, sorted by (real, imag), and ``V``
-    the matching eigenvector columns (``M @ V = V @ diag(w)``), or ``V=None``
-    when ``want_vectors`` is false or the vectors are unavailable.  Complex
+    the matching eigenvector columns (``M @ V = V @ diag(w)``).  Complex
     eigenvalues of a real input come in conjugate pairs.
     """
     M = _as_square(M, "M")
     try:
-        if want_vectors:
-            w, V = np.linalg.eig(M)
-        else:
-            w, V = np.linalg.eigvals(M), None
+        w, V = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"QR iteration failed to converge: {exc}") from exc
     w = np.asarray(w, dtype=complex)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    if V is not None:
-        V = np.asarray(V, dtype=complex)[:, order]
-    return w, V
+    return w[order], np.asarray(V, dtype=complex)[:, order]
 
 
 def spectral_norm(M):

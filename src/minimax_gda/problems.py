@@ -36,8 +36,8 @@ from .errors import (
 VALIDATION_RTOL = 1e-9  # clause tolerance, relative to L
 
 
-def _readonly(a, dtype=float):
-    a = np.array(a, dtype=dtype)
+def _readonly(a):
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -270,7 +270,8 @@ def grad(problem, z):
 
 
 def stochastic_grad(problem, z, noise, rng):
-    """Mini-batch gradient: ``grad(z)`` plus the average of ``batch`` i.i.d.
+    """Mini-batch gradient: the exact gradient (``grad``, or ``nonquad_grad``
+    for a :class:`NonQuadraticProblem`) plus the average of ``batch`` i.i.d.
     isotropic Gaussian perturbations per block.
 
     Each per-sample perturbation has total variance ``sigma**2`` per block
@@ -280,10 +281,11 @@ def stochastic_grad(problem, z, noise, rng):
     block), x block first, so runs are reproducible given the generator
     state.
     """
-    gx, gy = grad(problem, z)
+    exact = nonquad_grad if isinstance(problem, NonQuadraticProblem) else grad
+    gx, gy = exact(problem, z)
     if noise.sigma == 0.0:
         return gx, gy
-    n, m = problem.n, problem.m
+    n, m = len(gx), len(gy)
     scale = noise.sigma / math.sqrt(noise.batch)
     gx = gx + rng.standard_normal(n) * (scale / math.sqrt(n))
     gy = gy + rng.standard_normal(m) * (scale / math.sqrt(m))
@@ -514,10 +516,15 @@ def from_json_dict(data):
         raise InvalidInputError(f"malformed instance data: {exc}") from exc
 
 
+def write_instance(problem, fh):
+    """Write the instance JSON to the open text file ``fh``."""
+    json.dump(to_json_dict(problem), fh, indent=1)
+    fh.write("\n")
+
+
 def save_instance(problem, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(problem), fh, indent=1)
-        fh.write("\n")
+        write_instance(problem, fh)
 
 
 def load_instance(path):

@@ -44,6 +44,14 @@ class LemmaCheck:
     margin: float  # min over eigenvalues of (bound - value); inf when vacuous
 
 
+def _is_eg(algorithm):
+    """Whether ``algorithm`` (an ``Algorithm`` or its name) is EG."""
+    try:
+        return dynamics.Algorithm(algorithm) is dynamics.Algorithm.EG
+    except ValueError:
+        raise InvalidInputError(f"unknown algorithm {algorithm!r}") from None
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray  # complex eigenvalues of M
@@ -64,13 +72,15 @@ class SpectralReport:
     kappa: float
     kappa_x: float
 
-    def predicted_iters(self, eps, initial_distance=1.0, algorithm="gda", s=None):
-        """Smallest T with ``s * C_P * T^(s-1) * rho^(T-s+1) * d0 <= eps``.
+    def predicted_iters(self, eps, initial_distance=1.0, algorithm="gda"):
+        """Smallest T with ``s * C_P * T^(s-1) * rho^(T-s+1) * d0 <= eps``,
+        with ``s = s_assumed``.
 
-        Uses ``rho1`` for GDA and ``rho2`` for EG; ``inf`` when the radius
-        is >= 1 or the basis condition number is unavailable."""
-        rho = self.rho2 if str(algorithm).lower() == "eg" else self.rho1
-        s = self.s_assumed if s is None else s
+        Uses ``rho1`` for GDA and ``rho2`` for EG (``algorithm`` is an
+        :class:`~minimax_gda.dynamics.Algorithm` or its name); ``inf`` when
+        the radius is >= 1 or the basis condition number is unavailable."""
+        rho = self.rho2 if _is_eg(algorithm) else self.rho1
+        s = self.s_assumed
         if rho >= 1.0 or self.basis_cond is None:
             return math.inf
         if initial_distance <= eps:
@@ -94,7 +104,7 @@ class SpectralReport:
         inf when a single modulus remains."""
         lam = self.eigenvalues
         t = 1.0 + self.eta_x * lam
-        if str(algorithm).lower() == "eg":
+        if _is_eg(algorithm):
             t = t + (self.eta_x * lam) ** 2
         mods = np.sort(np.abs(t))[::-1]
         rest = mods[mods < mods[0] * (1.0 - 1e-12)]
@@ -125,23 +135,17 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     rho1 = float(np.max(np.abs(t1)))
     rho2 = float(np.max(np.abs(t2)))
 
-    diagonalizable = False
-    basis_cond = None
-    if V is not None:
-        try:
-            cond = linalg.cond_2(V)
-        except SingularMatrixError:
-            cond = math.inf
-        if cond <= DIAGONALIZABLE_COND_CAP:
-            diagonalizable = True
-            basis_cond = cond
+    try:
+        cond = linalg.cond_2(V)
+    except SingularMatrixError:
+        cond = math.inf
+    diagonalizable = cond <= DIAGONALIZABLE_COND_CAP
+    basis_cond = cond if diagonalizable else None
 
     c = scheme.rate_constant
     rho_bound = 1.0 if math.isinf(dc.kappa_x) else 1.0 - 1.0 / (c * r * dc.kappa_x)
 
-    checks = check_lemma_spectral(
-        _EigContext(lam, M_norm), problem.L, problem.mu, dc.mu_x, r
-    )
+    checks = check_lemma_spectral(lam, M_norm, problem.L, problem.mu, dc.mu_x, r)
     return SpectralReport(
         eigenvalues=lam,
         rho1=rho1,
@@ -163,13 +167,7 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     )
 
 
-@dataclass(frozen=True)
-class _EigContext:
-    eigenvalues: np.ndarray
-    M_norm: float
-
-
-def check_lemma_spectral(report, L, mu, mu_x, r):
+def check_lemma_spectral(eigenvalues, M_norm, L, mu, mu_x, r):
     """The five structural properties of the spectrum of M, each returned as
     (applicable, passed, margin):
 
@@ -181,13 +179,12 @@ def check_lemma_spectral(report, L, mu, mu_x, r):
       5. every real part is strictly negative.
 
     Items 2, 4 and 5 are proved for r > kappa (and 5 needs mu_x > 0); they
-    report not-applicable otherwise.  ``report`` may be a full
-    :class:`SpectralReport` or anything exposing ``eigenvalues`` and
-    ``M_norm``.  Margins are (bound - value), so nonnegative means satisfied;
-    each item passes when its margin is >= -1e-8 * |M|_2.
+    report not-applicable otherwise.  ``eigenvalues`` are those of M and
+    ``M_norm`` is ``|M|_2``.  Margins are (bound - value), so nonnegative
+    means satisfied; each item passes when its margin is >= -1e-8 * |M|_2.
     """
-    lam = np.asarray(report.eigenvalues, dtype=complex)
-    M_norm = float(report.M_norm)
+    lam = np.asarray(eigenvalues, dtype=complex)
+    M_norm = float(M_norm)
     tol = LEMMA_CHECK_RTOL * M_norm
     kappa = L / mu
     re, im = lam.real, lam.imag

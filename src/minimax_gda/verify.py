@@ -21,8 +21,6 @@ from . import problems as prob
 from . import spectral as spec
 from .errors import CertificateFailureError, GenerationFailureError, InvalidInputError
 
-SUITE_NAMES = ("spectral", "lower-bounds", "rates", "sgda-floor", "mux-zero", "all")
-
 
 @dataclass
 class CheckResult:
@@ -88,24 +86,28 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, n=4, m=4,
     return out
 
 
+# dominant-modulus gap above which a rate-check cell counts as well separated
+WELL_SEPARATED_GAP = 1e-3
+
+
 def _ratio_set(kappa):
     return (2.0 * kappa, 4.0 * kappa, 2.0 * kappa ** 2)
 
 
 # --- criterion 2 + 8: spectral suite ----------------------------------------
 
-def check_spectral_bound(corpus, scheme=dyn.Scheme.QUARTER):
+def check_spectral_bound(corpus):
     """Radii of both transitions stay below ``1 - 1/(64 r kappa_x) + 1e-9``
     and all five spectrum checks pass, over the corpus and the three
-    reference ratios."""
+    reference ratios, under the quarter stepsizes."""
     worst_margin = math.inf
     failures = []
     cells = 0
     for seed, p in corpus:
         dc = prob.derive_constants(p)
         for r in _ratio_set(dc.kappa):
-            eta_x, _ = dyn.default_stepsizes(p.L, r, scheme)
-            rep = spec.spectral_report(p, r, eta_x, scheme)
+            eta_x, _ = dyn.default_stepsizes(p.L, r)
+            rep = spec.spectral_report(p, r, eta_x)
             cells += 1
             margin = rep.rho_bound + 1e-9 - max(rep.rho1, rep.rho2)
             worst_margin = min(worst_margin, margin)
@@ -123,17 +125,6 @@ def check_spectral_bound(corpus, scheme=dyn.Scheme.QUARTER):
         details={"cells": cells, "worst_radius_margin": worst_margin,
                  "failures": failures[:10]},
     )
-
-
-def _det_cofactor(M):
-    n = M.shape[0]
-    if n == 1:
-        return M[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * M[0, j] * _det_cofactor(minor)
-    return total
 
 
 def _closed_form_2x2(M):
@@ -194,17 +185,6 @@ def check_eigensolver_oracle(corpus, rng):
     )
 
 
-def verify_spectral(seed=0, budget=1.0):
-    t0 = time.perf_counter()
-    count = max(10, round(100 * budget))
-    corpus = corpus_instances(count, start_seed=seed)
-    checks = [
-        check_spectral_bound(corpus),
-        check_eigensolver_oracle(corpus, np.random.default_rng(seed + 1)),
-    ]
-    return SuiteResult("spectral", checks, time.perf_counter() - t0)
-
-
 # --- criterion 1 + 4: lower-bound suite --------------------------------------
 
 def check_ratio_threshold(kappas=(2.0, 8.0, 64.0), max_iters=100_000,
@@ -256,23 +236,12 @@ def check_rate_lower_bound(L=2.0, mu=1.0, mu_x=0.1, r=4.0, max_iters=1000):
     )
 
 
-def verify_lower_bounds(seed=0, budget=1.0):
-    t0 = time.perf_counter()
-    max_iters = max(10_000, round(100_000 * budget))
-    checks = [
-        check_ratio_threshold(max_iters=max_iters),
-        check_rate_lower_bound(),
-    ]
-    return SuiteResult("lower-bounds", checks, time.perf_counter() - t0)
-
-
 # --- criterion 3 + 5 + 9: rate suite -----------------------------------------
 
-def check_rate_matches_prediction(corpus, max_iters=40_000, gap_min=1e-3,
-                                  scheme=dyn.Scheme.QUARTER):
+def check_rate_matches_prediction(corpus, max_iters=40_000):
     """Measured exact-oracle GDA/EG contraction obeys the proved rate bound
     and the fitted per-step rate matches the transition spectral radius to
-    1e-3.
+    1e-3, under the quarter stepsizes.
 
     The rate bound is enforced as the trajectory envelope
     ``d_k <= C_P * (1 - 1/(c r kappa_x))^k * d_0`` at every recorded step,
@@ -282,65 +251,55 @@ def check_rate_matches_prediction(corpus, max_iters=40_000, gap_min=1e-3,
     itself, while the basis condition number absorbs the swing exactly.  The
     transition radius itself must also sit below the bound.  The fit-vs-rho
     match is asserted on every diagonalizable cell, which subsumes the
-    well-separated subset (gap above ``gap_min``): when the top moduli are
-    nearly tied the fit necessarily lands between them.
+    well-separated subset (gap above ``WELL_SEPARATED_GAP``): when the top
+    moduli are nearly tied the fit necessarily lands between them.
     """
-    cells = []
+    cells = matched = separated = 0
+    passed = True
+    worst_match = 0.0
+    worst_env = -math.inf
     for seed, p in corpus:
         kappa = prob.derive_constants(p).kappa
         for r in _ratio_set(kappa):
             for alg in (dyn.Algorithm.GDA, dyn.Algorithm.EG):
-                cells.append((seed, p, r, alg))
-
-    def execute(cell):
-        seed, p, r, alg = cell
-        eta_x, eta_y = dyn.default_stepsizes(p.L, r, scheme)
-        rep = spec.spectral_report(p, r, eta_x, scheme)
-        config = dyn.SolverConfig(
-            algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=max_iters,
-            target_eps=harness._EPS_NEVER, seed=seed, record_primal_gaps=False,
-        )
-        traj = dyn.run(p, config)
-        rate = dyn.estimate_rate(traj)
-        rho = rep.rho2 if alg is dyn.Algorithm.EG else rep.rho1
-        gap = rep.dominant_modulus_gap(alg.value)
-        radius_ok = rho <= rep.rho_bound + 1e-9
-
-        matched = rep.diagonalizable
-        if matched:
-            # envelope check in log space: ln d_k - ln(C_P rho_bound^k d_0);
-            # slack grows with k since the radius itself is only certified to
-            # sit within 1e-9 of the bound
-            log_env = (
-                math.log(rep.basis_cond)
-                + traj.iters * math.log(rep.rho_bound)
-                + math.log(traj.distances[0])
-            )
-            with np.errstate(divide="ignore"):
-                envelope_excess = float(np.max(np.log(traj.distances) - log_env))
-            envelope_ok = envelope_excess <= 1e-6 + max_iters * 1e-9
-        else:
-            envelope_excess = None
-            envelope_ok = True
-        match_ok = (not matched) or abs(rate - rho) <= 1e-3
-        return (radius_ok and envelope_ok, matched, match_ok,
-                abs(rate - rho) if matched else None, gap > gap_min,
-                envelope_excess)
-
-    results = [execute(c) for c in cells]
-    n_matched = sum(1 for r_ in results if r_[1])
-    n_separated = sum(1 for r_ in results if r_[1] and r_[4])
-    worst_match = max((r_[3] for r_ in results if r_[3] is not None), default=0.0)
-    worst_env = max((r_[5] for r_ in results if r_[5] is not None), default=-math.inf)
-    passed = all(r_[0] and r_[2] for r_ in results) and n_matched > 0
+                cells += 1
+                eta_x, eta_y = dyn.default_stepsizes(p.L, r)
+                rep = spec.spectral_report(p, r, eta_x)
+                config = dyn.SolverConfig(
+                    algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=max_iters,
+                    target_eps=harness._EPS_NEVER, seed=seed,
+                    record_primal_gaps=False,
+                )
+                traj = dyn.run(p, config)
+                rate = dyn.estimate_rate(traj)
+                rho = rep.rho2 if alg is dyn.Algorithm.EG else rep.rho1
+                passed &= rho <= rep.rho_bound + 1e-9
+                if not rep.diagonalizable:
+                    continue
+                # envelope check in log space: ln d_k - ln(C_P rho_bound^k d_0);
+                # slack grows with k since the radius itself is only certified
+                # to sit within 1e-9 of the bound
+                log_env = (
+                    math.log(rep.basis_cond)
+                    + traj.iters * math.log(rep.rho_bound)
+                    + math.log(traj.distances[0])
+                )
+                with np.errstate(divide="ignore"):
+                    excess = float(np.max(np.log(traj.distances) - log_env))
+                worst_env = max(worst_env, excess)
+                passed &= excess <= 1e-6 + max_iters * 1e-9
+                matched += 1
+                separated += rep.dominant_modulus_gap(alg) > WELL_SEPARATED_GAP
+                worst_match = max(worst_match, abs(rate - rho))
+                passed &= abs(rate - rho) <= 1e-3
     return CheckResult(
         criterion=3,
         name="rate_matches_prediction",
-        passed=passed,
+        passed=passed and matched > 0,
         details={
-            "cells": len(results),
-            "rate_checked_against_rho": n_matched,
-            "well_separated_cells": n_separated,
+            "cells": cells,
+            "rate_checked_against_rho": matched,
+            "well_separated_cells": separated,
             "worst_match_error": worst_match,
             "worst_envelope_log_excess": worst_env,
         },
@@ -359,11 +318,11 @@ def check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0, eps=1e-6,
     corpus = corpus_instances(count, start_seed=seed, L=L, mu=mu,
                               min_mu_x=min_mu_x)
 
-    def execute(item):
-        inst_seed, p = item
-        iters = {}
+    ok = []  # per-instance iteration ratio, when both runs converged
+    for inst_seed, p in corpus:
+        steps = []
         for r in (2.0 * kappa, 2.0 * kappa ** 2):
-            eta_x, eta_y = dyn.default_stepsizes(L, r, dyn.Scheme.QUARTER)
+            eta_x, eta_y = dyn.default_stepsizes(L, r)
             config = dyn.SolverConfig(
                 algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
                 max_iters=max_iters, target_eps=eps, seed=inst_seed,
@@ -371,13 +330,11 @@ def check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0, eps=1e-6,
             )
             traj = dyn.run(p, config)
             if traj.status.kind is not dyn.StatusKind.CONVERGED:
-                return None
-            iters[r] = traj.status.step
-        return iters[2.0 * kappa ** 2] / iters[2.0 * kappa]
-
-    ratios = [execute(item) for item in corpus]
-    ok = [r_ for r_ in ratios if r_ is not None]
-    passed = len(ok) == len(ratios) and all(
+                break
+            steps.append(traj.status.step)
+        else:
+            ok.append(steps[1] / steps[0])
+    passed = len(ok) == len(corpus) and all(
         kappa / 3.0 <= r_ <= 3.0 * kappa for r_ in ok
     )
     return CheckResult(
@@ -386,7 +343,7 @@ def check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0, eps=1e-6,
         passed=passed,
         details={
             "kappa": kappa,
-            "instances": len(ratios),
+            "instances": len(corpus),
             "iteration_ratios": ok,
             "window": [kappa / 3.0, 3.0 * kappa],
         },
@@ -439,19 +396,6 @@ def check_nearly_quadratic(seed=0, L=2.0, mu=1.0, max_iters=200_000):
     )
 
 
-def verify_rates(seed=0, budget=1.0):
-    t0 = time.perf_counter()
-    count = max(10, round(100 * budget))
-    max_iters = max(5_000, round(40_000 * budget))
-    corpus = corpus_instances(count, start_seed=seed)
-    checks = [
-        check_rate_matches_prediction(corpus, max_iters=max_iters),
-        check_complexity_scaling(seed=seed, count=max(3, round(10 * budget))),
-        check_nearly_quadratic(seed=seed),
-    ]
-    return SuiteResult("rates", checks, time.perf_counter() - t0)
-
-
 # --- criterion 6: SGDA floor --------------------------------------------------
 
 def check_sgda_floor(seed=0, sigma=1.0, batches=(16, 64, 256, 1024), n_seeds=32):
@@ -478,13 +422,6 @@ def check_sgda_floor(seed=0, sigma=1.0, batches=(16, 64, 256, 1024), n_seeds=32)
             ],
         },
     )
-
-
-def verify_sgda_floor(seed=0, budget=1.0):
-    t0 = time.perf_counter()
-    n_seeds = max(4, round(32 * budget))
-    checks = [check_sgda_floor(seed=seed, n_seeds=n_seeds)]
-    return SuiteResult("sgda-floor", checks, time.perf_counter() - t0)
 
 
 # --- criterion 7: mu_x = 0 -----------------------------------------------------
@@ -522,30 +459,50 @@ def check_mux_zero(seed=0, eps_values=(1e-1, 1e-2), L=2.0, mu=1.0, n=2, m=2):
     )
 
 
-def verify_mux_zero(seed=0, budget=1.0):
-    t0 = time.perf_counter()
-    checks = [check_mux_zero(seed=seed)]
-    return SuiteResult("mux-zero", checks, time.perf_counter() - t0)
-
-
 # --- dispatch ------------------------------------------------------------------
 
+def _spectral_checks(seed, budget):
+    corpus = corpus_instances(max(10, round(100 * budget)), start_seed=seed)
+    return [
+        check_spectral_bound(corpus),
+        check_eigensolver_oracle(corpus, np.random.default_rng(seed + 1)),
+    ]
+
+
+def _rate_checks(seed, budget):
+    corpus = corpus_instances(max(10, round(100 * budget)), start_seed=seed)
+    return [
+        check_rate_matches_prediction(corpus, max_iters=max(5_000, round(40_000 * budget))),
+        check_complexity_scaling(seed=seed, count=max(3, round(10 * budget))),
+        check_nearly_quadratic(seed=seed),
+    ]
+
+
+# suite name -> function that runs its checks for (seed, budget)
 _SUITES = {
-    "spectral": verify_spectral,
-    "lower-bounds": verify_lower_bounds,
-    "rates": verify_rates,
-    "sgda-floor": verify_sgda_floor,
-    "mux-zero": verify_mux_zero,
+    "spectral": _spectral_checks,
+    "lower-bounds": lambda seed, budget: [
+        check_ratio_threshold(max_iters=max(10_000, round(100_000 * budget))),
+        check_rate_lower_bound(),
+    ],
+    "rates": _rate_checks,
+    "sgda-floor": lambda seed, budget: [
+        check_sgda_floor(seed=seed, n_seeds=max(4, round(32 * budget))),
+    ],
+    "mux-zero": lambda seed, budget: [check_mux_zero(seed=seed)],
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def verify_suite(name, seed=0, budget=1.0):
-    """Run one named suite, or all of them."""
-    if name == "all":
-        results = [fn(seed=seed, budget=budget) for fn in _SUITES.values()]
-        return results
-    if name not in _SUITES:
+    """Run one named suite, or all of them, and time each suite."""
+    if name not in SUITE_NAMES:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return [_SUITES[name](seed=seed, budget=budget)]
+    results = []
+    for suite in (_SUITES if name == "all" else (name,)):
+        t0 = time.perf_counter()
+        checks = _SUITES[suite](seed, budget)
+        results.append(SuiteResult(suite, checks, time.perf_counter() - t0))
+    return results

@@ -88,6 +88,16 @@ class TestInspect:
         assert code == 1
         assert "error" in err.lower() or "cannot parse" in err
 
+    def test_directory_instance_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "inspect", str(tmp_path), "-r", "2")
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_missing_instance_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "inspect", str(tmp_path / "no.json"), "-r", "2")
+        assert code == 1
+        assert err.startswith("error: ") and "no.json" in err
+
     def test_invalid_instance_names_clauses(self, tmp_path, capsys):
         p = prob.QuadraticProblem(
             A=np.diag([0.5, 2.0]), B=np.zeros((2, 2)), C=np.zeros((2, 2)),
@@ -190,6 +200,18 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "everything")
         assert code == 1
+
+
+class TestOutputErrors:
+    def test_output_under_a_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(
+            capsys, "generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1",
+            "--seed", "1", "-o", str(blocker / "x.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestOutDir:

@@ -55,17 +55,12 @@ class TestBuildM:
         ])
         assert np.allclose(np.sort(lam.real), np.sort(expected), atol=1e-9)
 
-    def test_delta_zero_identity(self, small_instance):
-        assert np.array_equal(
-            dyn.build_M_delta(small_instance, 2.0, 0.0),
-            dyn.build_M(small_instance, 2.0),
-        )
-
     def test_delta_shifts_top_left(self, small_instance):
         n = small_instance.n
         M0 = dyn.build_M(small_instance, 2.0)
-        M1 = dyn.build_M_delta(small_instance, 2.0, 0.3)
+        M1 = dyn.build_M(prob.regularize(small_instance, 0.3), 2.0)
         assert np.allclose(M1[:n, :n], M0[:n, :n] - 0.3 * np.eye(n))
+        assert np.array_equal(M1[:n, n:], M0[:n, n:])
         assert np.array_equal(M1[n:, :], M0[n:, :])
 
 
@@ -140,6 +135,25 @@ class TestSteppers:
         T_mat = np.eye(2) + ex * M + (ex * M) @ (ex * M)
         z1 = dyn.eg_step(oracle, np.array([1.0, 0.0]), ex, 4 * ex)
         assert np.allclose(z1, T_mat @ [1.0, 0.0], atol=1e-15)
+
+    def test_noisy_nonquad_oracle_noise(self, reference_instance, rng):
+        # the non-quadratic oracle adds the quadratic oracle's noise: same
+        # scale, same draws, x block first
+        base = reference_instance
+        nq = prob.NonQuadraticProblem(base=base, a=1.3, b=rng.standard_normal(base.n))
+        noise = prob.NoiseModel(sigma=2.0, batch=4)
+        oracle = dyn.make_oracle(nq, noise)
+        for z in (base.z_star + rng.standard_normal(base.dim),
+                  np.concatenate([nq.b, rng.standard_normal(base.m)])):
+            gx, gy = oracle(z, np.random.default_rng(5))
+            sx, sy = prob.stochastic_grad(base, z, noise, np.random.default_rng(5))
+            ex, ey = prob.nonquad_grad(nq, z)
+            bx, by = prob.grad(base, z)
+            scale = np.abs(np.concatenate([gx, sx, ex, bx])).max()
+            np.testing.assert_allclose(gx - ex, sx - bx, rtol=0, atol=1e-14 * scale)
+            assert np.array_equal(gy - ey, sy - by)
+        # at x = b the perturbation's gradient vanishes: both oracles agree exactly
+        assert np.array_equal(gx, sx)
 
 
 class TestRun:
@@ -613,6 +627,7 @@ class TestTrajectoryCsv:
     def test_crlf_line_endings(self, reference_instance, tmp_path):
         traj = dyn.run(reference_instance, config(T=5, eta_x=1e-5, r=2.0))
         path = tmp_path / "traj.csv"
-        dyn.write_trajectory_csv(traj, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            dyn.write_trajectory_csv(traj, fh)
         raw = path.read_bytes()
         assert b"\r\n" in raw

@@ -88,6 +88,15 @@ class TestRatioSweep:
         cell = harness.ratio_sweep(sweep_spec).cells[0]
         assert cell.status.startswith("error: InvalidInputError: ")
 
+    def test_non_library_error_propagates(self, small_instance, monkeypatch):
+        def broken_run(problem, config, z0=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dyn, "run", broken_run)
+        dc = prob.derive_constants(small_instance)
+        with pytest.raises(RuntimeError, match="boom"):
+            harness.ratio_sweep(basic_spec(small_instance, [2 * dc.kappa], T=100))
+
     def test_below_threshold_ratio_sometimes_diverges(self):
         # sampling with mu_x computed after the fact (possibly zero) finds
         # cells that diverge at r = kappa/2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -78,6 +79,32 @@ class TestSpectralReport:
         assert T > 0
         assert spec.power_bound(T, 1, rep.basis_cond, rep.rho1) <= 1e-6
         assert spec.power_bound(T - 1, 1, rep.basis_cond, rep.rho1) > 1e-6
+
+    def test_predicted_iters_overflow_is_inf(self, reference_instance):
+        # a radius one ulp below 1 needs more than 2**62 steps to reach 1e-300
+        dc = prob.derive_constants(reference_instance)
+        r = 2 * dc.kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        slow = dataclasses.replace(rep, rho1=np.nextafter(1.0, 0.0))
+        assert slow.predicted_iters(1e-300) == math.inf
+
+    def test_eg_selector_accepts_enum_and_name(self, reference_instance):
+        dc = prob.derive_constants(reference_instance)
+        r = 2 * dc.kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        EG = dyn.Algorithm.EG
+        assert rep.predicted_iters(1e-6, algorithm=EG) == \
+            rep.predicted_iters(1e-6, algorithm="eg")
+        assert rep.dominant_modulus_gap(EG) == rep.dominant_modulus_gap("eg")
+        # the EG answers differ from the GDA ones, so a wrong selector shows
+        assert rep.predicted_iters(1e-6, algorithm=EG) != rep.predicted_iters(1e-6)
+        assert rep.dominant_modulus_gap(EG) != rep.dominant_modulus_gap("gda")
+        with pytest.raises(InvalidInputError):
+            rep.dominant_modulus_gap("adam")
+        with pytest.raises(InvalidInputError):
+            rep.predicted_iters(1e-6, algorithm="adam")
 
     def test_report_json_stable_names(self):
         p = prob.hard_rate_instance(2.0, 1.0, 1.0)

@@ -41,11 +41,6 @@ class TestSuiteDispatch:
 
 
 class TestOracleHelpers:
-    def test_cofactor_determinant(self, rng):
-        for n in (1, 2, 3, 4):
-            M = rng.standard_normal((n, n))
-            assert verify._det_cofactor(M) == pytest.approx(np.linalg.det(M), rel=1e-10)
-
     def test_closed_form_2x2(self):
         M = np.array([[2.0, -2.0], [4.0, -2.0]])
         lam = verify._closed_form_2x2(M)
