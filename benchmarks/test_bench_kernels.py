@@ -1,0 +1,76 @@
+"""Per-call timings of the kernels on the instance -> spectral path.
+
+Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
+(4x4 and 64x64), the dynamics matrix, one sampled instance (alone, and with
+its derived constants as the corpus scan of ``verify.corpus_instances`` does
+it), and one ``spectral_report`` at n = m = 4, 16 and 32.  These are not part
+of the test suite; run them from the root of a checkout with
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-json=bench.json
+
+and read the per-call medians in microseconds from the JSON's ``stats``.
+Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to compare two trees.
+"""
+
+import numpy as np
+import pytest
+
+from minimax_gda import dynamics as dyn
+from minimax_gda import linalg
+from minimax_gda import problems as prob
+from minimax_gda import spectral as spec
+
+L, MU = 100.0, 1.0
+
+
+def _spd(n):
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    A = (Q * np.linspace(MU, L, n)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def _instance(dim):
+    # the certify-spectral shapes: the 4x4 corpus family, primal-convex above
+    if dim == 4:
+        return prob.sample_instance(4, 4, L, MU, 0)
+    return prob.sample_instance(dim, dim, L, MU, 0, primal_convex=True, schur_margin=1.0)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_spectral_norm(benchmark, n):
+    M = np.random.default_rng(n).standard_normal((n, n))
+    benchmark(linalg.spectral_norm, M)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_solve_spd(benchmark, n):
+    A = _spd(n)
+    b = np.random.default_rng(n + 1).standard_normal((n, n))
+    benchmark(linalg.solve_spd, A, b.T)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_sym_eig(benchmark, n):
+    benchmark(linalg.sym_eig, _spd(n))
+
+
+@pytest.mark.parametrize("dim", [4, 32])
+def test_build_M(benchmark, dim):
+    benchmark(dyn.build_M, _instance(dim), 2.0 * L / MU)
+
+
+def test_sample_instance(benchmark):
+    benchmark(prob.sample_instance, 4, 4, L, MU, 0)
+
+
+def test_corpus_scan_step(benchmark):
+    # one seed of the corpus scan: draw, validate and derive mu_x
+    benchmark(lambda: prob.derive_constants(prob.sample_instance(4, 4, L, MU, 0)).mu_x)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 32])
+def test_spectral_report(benchmark, dim):
+    p = _instance(dim)
+    r = 2.0 * prob.derive_constants(p).kappa
+    eta_x, _ = dyn.default_stepsizes(p.L, r)
+    benchmark(spec.spectral_report, p, r, eta_x)

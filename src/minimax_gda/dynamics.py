@@ -140,7 +140,11 @@ def build_M(problem, r):
     """Block dynamics matrix [[-C, -B], [r*B', -r*A]] of shape (n+m, n+m)."""
     if r <= 0:
         raise InvalidInputError("r must be positive")
-    return np.block([[-problem.C, -problem.B], [r * problem.B.T, -r * problem.A]])
+    n = problem.n
+    M = np.empty((problem.dim, problem.dim))
+    M[:n, :n], M[:n, n:] = -problem.C, -problem.B
+    M[n:, :n], M[n:, n:] = r * problem.B.T, -r * problem.A
+    return M
 
 
 def make_oracle(problem, noise=None):

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels for small matrices (dimension up to ~64).
 
 Matrices are plain ``numpy.ndarray`` in row-major order.  The kernels wrap
-LAPACK (via numpy/scipy) and add the input checking and error taxonomy the
-rest of the package relies on.  All functions are pure: inputs are never
-mutated, so concurrent use is safe.
+LAPACK (``numpy.linalg``; ``potrf``/``potrs`` called directly, as scipy's
+``cho_factor``/``cho_solve`` cost more than the work at these sizes) and add
+the input checking and error taxonomy the rest of the package relies on.
+All functions are pure: inputs are never mutated, so concurrent use is safe.
 
 Tolerances are relative to the input norm with an absolute floor of 1e-14.
 """
@@ -11,7 +12,7 @@ Tolerances are relative to the input norm with an absolute floor of 1e-14.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     InvalidInputError,
@@ -21,13 +22,14 @@ from .errors import (
 )
 
 ABS_FLOOR = 1e-14
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return M
 
@@ -79,12 +81,13 @@ def spectral_norm(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInputError("matrix has non-finite entries")
     if M.size == 0:
         return 0.0
     try:
-        return float(np.linalg.norm(M, 2))
+        # the SVD that np.linalg.norm(M, 2) runs, without its axis handling
+        return float(np.linalg.svd(M, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
 
@@ -92,8 +95,10 @@ def spectral_norm(M):
 def solve_spd(A, b):
     """Solve ``A x = b`` for symmetric positive-definite ``A`` via Cholesky.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.  Raises
-    :class:`NotPositiveDefiniteError` when a Cholesky pivot is not positive.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  Factors
+    ``(A + A')/2`` with LAPACK ``potrf`` (lower) and solves with ``potrs``.
+    Raises :class:`NotPositiveDefiniteError` when a Cholesky pivot is not
+    positive, :class:`InvalidInputError` when ``b`` is non-finite.
     """
     A = _as_square(A, "A")
     _check_symmetric(A, 1e-12, "A")
@@ -102,13 +107,18 @@ def solve_spd(A, b):
         raise InvalidInputError(
             f"right-hand side length {b.shape[0]} does not match A ({A.shape[0]})"
         )
-    try:
-        factor = scipy.linalg.cho_factor(0.5 * (A + A.T), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    if not np.isfinite(b).all():
+        raise InvalidInputError("right-hand side has non-finite entries")
+    S = 0.5 * (A + A.T)
+    if not np.isfinite(S).all():
+        raise InvalidInputError("A has entries too large to symmetrize")
+    factor, info = _POTRF(S, lower=1, clean=0)
+    if info > 0:
         raise NotPositiveDefiniteError(
-            f"Cholesky factorization failed (matrix not positive definite): {exc}"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, b)
+            "Cholesky factorization failed (matrix not positive definite): "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return _POTRS(factor, b, lower=1)[0]
 
 
 def cond_2(P):
@@ -118,7 +128,7 @@ def cond_2(P):
     P = np.asarray(P)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvalidInputError(f"P must be square, got shape {P.shape}")
-    if not np.all(np.isfinite(P.real)) or not np.all(np.isfinite(P.imag)):
+    if not np.isfinite(P).all():
         raise InvalidInputError("P has non-finite entries")
     try:
         sigma = np.linalg.svd(P, compute_uv=False)

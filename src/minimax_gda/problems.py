@@ -72,7 +72,7 @@ class QuadraticProblem:
         if not (self.L > 0 and self.mu > 0):
             raise InvalidInputError("L and mu must be positive")
         for name, val in (("A", A), ("B", B), ("C", C), ("x_star", x_star), ("y_star", y_star)):
-            if not np.all(np.isfinite(val)):
+            if not np.isfinite(val).all():
                 raise InvalidInputError(f"{name} has non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -198,7 +198,8 @@ def validate(problem, require_primal_convex=False):
     A clause passes when its margin is >= ``-1e-9 * L``.  The Schur
     complement PSD clause is only enforced when ``require_primal_convex``
     is set; ``schur_min`` is always reported (NaN when A is not positive
-    definite).
+    definite).  It is taken from :func:`derive_constants`, so the Schur
+    complement is formed and eigensolved once per instance and cached.
     """
     L, mu = problem.L, problem.mu
     tol = VALIDATION_RTOL * L
@@ -214,8 +215,7 @@ def validate(problem, require_primal_convex=False):
 
     schur_min = math.nan
     if eigs_A[0] > 0:
-        schur = problem.C + problem.B @ linalg.solve_spd(problem.A, problem.B.T)
-        schur_min = float(linalg.sym_eig(schur)[0][0])
+        schur_min = derive_constants(problem).schur_min
     if require_primal_convex:
         passed = (not math.isnan(schur_min)) and schur_min >= -tol
         clauses.append(ClauseCheck("schur_psd", schur_min, passed))

@@ -470,9 +470,10 @@ def _spectral_checks(seed, budget):
 
 
 def _rate_checks(seed, budget):
+    # budget shrinks the corpus only: shorter runs cannot fit rho to 1e-3
     corpus = corpus_instances(max(10, round(100 * budget)), start_seed=seed)
     return [
-        check_rate_matches_prediction(corpus, max_iters=max(5_000, round(40_000 * budget))),
+        check_rate_matches_prediction(corpus),
         check_complexity_scaling(seed=seed, count=max(3, round(10 * budget))),
         check_nearly_quadratic(seed=seed),
     ]

@@ -183,6 +183,18 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["suites"][0]["suite"] == "mux-zero"
 
+    def test_small_budget_rates_suite_passes(self, capsys):
+        # the budget shrinks the corpus but not the rate-match runs, which
+        # need about 40k steps to fit rho to the 1e-3 the check asserts
+        code, stdout, _ = run_cli(
+            capsys, "verify", "rates", "--budget", "0.15", "--seed", "0",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        checks = {c["name"]: c for c in payload["suites"][0]["checks"]}
+        assert all(c["passed"] for c in checks.values())
+        assert checks["rate_matches_prediction"]["details"]["worst_match_error"] <= 1e-3
+
     def test_corrupted_rate_constant_fails_spectral(self, capsys, monkeypatch):
         # mutation check: corrupting the proved constant tightens the bound
         # past the actual radii, and the suite must catch it
