@@ -85,13 +85,13 @@ class SolverConfig:
     record_primal_gaps: bool = True
 
     def __post_init__(self):
-        if self.eta_x <= 0 or self.eta_y <= 0:
-            raise InvalidInputError("stepsizes must be positive")
+        if not (0 < self.eta_x < math.inf and 0 < self.eta_y < math.inf):
+            raise InvalidInputError("stepsizes must be positive and finite")
         if self.max_iters < 0:
             raise InvalidInputError("max_iters must be >= 0")
-        if self.target_eps <= 0:
-            raise InvalidInputError("target_eps must be positive")
-        if self.divergence_factor <= 1:
+        if not 0 < self.target_eps < math.inf:
+            raise InvalidInputError("target_eps must be positive and finite")
+        if not self.divergence_factor > 1:
             raise InvalidInputError("divergence_factor must exceed 1")
         if self.algorithm is Algorithm.SGDA and self.noise is None:
             raise InvalidInputError("SGDA requires a noise model")
@@ -129,8 +129,8 @@ class Trajectory:
 
 def default_stepsizes(L, r, scheme=Scheme.QUARTER):
     """The proved stepsize pair for smoothness ``L`` and ratio ``r``."""
-    if L <= 0 or r <= 0:
-        raise InvalidInputError("L and r must be positive")
+    if not (0 < L < math.inf and 0 < r < math.inf):
+        raise InvalidInputError("L and r must be positive and finite")
     scheme = Scheme(scheme)
     eta_y = 1.0 / (4.0 * L) if scheme is Scheme.QUARTER else 1.0 / (2.0 * L)
     return eta_y / r, eta_y

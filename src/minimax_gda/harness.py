@@ -1,6 +1,6 @@
-"""Experiment drivers: ratio sweeps, divergence certification, rate
-lower-bound checks, SGDA noise-floor scaling, regularized runs for the
-``mu_x = 0`` case, and sweeps over the non-quadratic family.
+"""Multi-cell experiment drivers: ratio sweeps (quadratic or non-quadratic
+instances) with their CSV writer, the divergence certificate, and the SGDA
+noise-floor sweep.  Single-run criteria live in :mod:`minimax_gda.verify`.
 
 Cells within a sweep are independent and run one after another in input
 order, so identical inputs produce identical outputs byte for byte.
@@ -301,67 +301,6 @@ def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
     return DivergenceCertificate(cells=tuple(cells), controls=tuple(controls))
 
 
-# --- rate lower bound -------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateLowerBoundReport:
-    s1: float
-    lower_bound: float  # 1 - mu_x / (r L) = 1 - 1/(r kappa_x)
-    max_step_deviation: float
-    total_decay_rel_error: float
-    iterations: int
-    passed: bool
-
-
-def rate_lower_bound_check(L, mu, mu_x, r, max_iters=1000):
-    """Run exact GDA on the rate-lower-bound instance from the slow
-    eigendirection and verify the per-step contraction equals the
-    closed-form eigenvalue ``s1`` of the transition matrix, which sits at or
-    above ``1 - 1/(r*kappa_x)``.
-
-    Requires ``r >= 2*kappa`` (the proved stepsize regime) and a real slow
-    eigenvalue, i.e. ``(mu*r - L)^2 >= 4*r*mu*mu_x``.
-    """
-    kappa = L / mu
-    if r < 2.0 * kappa:
-        raise InvalidInputError(f"requires r >= 2*kappa = {2 * kappa:.6g}, got {r:.6g}")
-    disc = (mu * r - L) ** 2 - 4.0 * r * mu * mu_x
-    if disc < 0:
-        raise InvalidInputError(
-            "eigenvalues are complex: requires (mu*r - L)^2 >= 4*r*mu*mu_x, "
-            f"got {(mu * r - L) ** 2:.6g} < {4 * r * mu * mu_x:.6g}"
-        )
-    problem = prob.hard_rate_instance(L, mu, mu_x)
-    eta_x, eta_y = dyn.default_stepsizes(L, r, dyn.Scheme.QUARTER)
-
-    lam1 = 0.5 * (-(mu * r - L) + math.sqrt(disc))
-    s1 = 1.0 + eta_x * lam1
-    b = problem.B[0, 0]
-    v = np.array([b, L - lam1])
-    v /= np.linalg.norm(v)
-
-    config = dyn.SolverConfig(
-        algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
-        max_iters=max_iters, target_eps=_EPS_NEVER, record_primal_gaps=False,
-    )
-    traj = dyn.run(problem, config, z0=problem.z_star + v)
-
-    d = traj.distances
-    steps = d[1:] / d[:-1]
-    max_dev = float(np.max(np.abs(steps - s1)))
-    total_rel = abs(d[-1] / (d[0] * s1 ** (len(d) - 1)) - 1.0)
-    lower = 1.0 - mu_x / (r * L)
-    passed = (0.0 <= lower <= s1 + 1e-12) and (s1 <= 1.0 + 1e-12) and max_dev <= 1e-10
-    return RateLowerBoundReport(
-        s1=s1,
-        lower_bound=lower,
-        max_step_deviation=max_dev,
-        total_decay_rel_error=float(total_rel),
-        iterations=len(d) - 1,
-        passed=passed,
-    )
-
-
 # --- SGDA noise floor -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -464,128 +403,4 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
     return SgdaFloorReport(
         points=points, slope=slope, status=status, max_iters=max_iters,
         rho1=rep.rho1, basis_cond=rep.basis_cond,
-    )
-
-
-# --- regularized runs for mu_x = 0 ------------------------------------------
-
-@dataclass(frozen=True)
-class MuxZeroReport:
-    delta: float
-    radius_estimate: float
-    stop_distance: float
-    iterations: int
-    converged: bool
-    final_gap: float
-    gap_ok: bool
-
-
-def mux_zero_run(problem, eps, R=None, seed=0, z0=None):
-    """Solve a ``mu_x = 0`` instance to primal gap ``eps`` through ridge
-    regularization.
-
-    Adds ``delta = eps / R^2`` to the primal curvature (R defaults to
-    ``2*|x0 - x*| + 1``), runs GDA at ``r = 2*kappa`` with the quarter
-    stepsizes until the distance to the regularized optimum falls to
-    ``eps / (4*sqrt((kappa+1)*L))`` (small enough that the quadratic primal
-    bound brings the gap below ``eps``), then reports the unregularized
-    primal gap at the terminal point.
-    """
-    dc = prob.derive_constants(problem)
-    if dc.mu_x != 0.0:
-        raise InvalidInputError(
-            f"requires mu_x = 0 (within tolerance), got mu_x={dc.mu_x:.6g}"
-        )
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    kappa = dc.kappa
-    r = 2.0 * kappa
-    if z0 is None:
-        z0 = dyn.default_initial_point(problem, seed)
-    z0 = np.asarray(z0, dtype=float)
-    if R is None:
-        R = 2.0 * float(np.linalg.norm(z0[: problem.n] - problem.x_star)) + 1.0
-    delta = eps / R ** 2
-    if delta > problem.L:
-        raise InvalidInputError(
-            f"delta = eps/R^2 = {delta:.6g} exceeds L = {problem.L:.6g}; "
-            "eps must be small enough that delta <= L"
-        )
-    regularized = prob.regularize(problem, delta)
-    eta_x, eta_y = dyn.default_stepsizes(problem.L, r)
-    stop_distance = eps / (4.0 * math.sqrt((kappa + 1.0) * problem.L))
-
-    rep = spec.spectral_report(regularized, r, eta_x)
-    d0 = float(np.linalg.norm(z0 - regularized.z_star))
-    predicted = rep.predicted_iters(stop_distance, initial_distance=max(d0, stop_distance))
-    if not math.isfinite(predicted):
-        raise InvalidInputError(
-            "regularized dynamics do not contract; cannot size the budget"
-        )
-    max_iters = int(3 * predicted) + 1000
-
-    config = dyn.SolverConfig(
-        algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
-        max_iters=max_iters, target_eps=stop_distance, seed=seed,
-        record_primal_gaps=False,
-    )
-    traj = dyn.run(regularized, config, z0=z0)
-    converged = traj.status.kind is dyn.StatusKind.CONVERGED
-    iterations = traj.status.step if converged else max_iters
-    final_gap = prob.primal_gap(problem, traj.final_z[: problem.n])
-    return MuxZeroReport(
-        delta=delta,
-        radius_estimate=R,
-        stop_distance=stop_distance,
-        iterations=int(iterations),
-        converged=converged,
-        final_gap=final_gap,
-        gap_ok=converged and final_gap <= eps,
-    )
-
-
-# --- non-quadratic sweeps ----------------------------------------------------
-
-@dataclass(frozen=True)
-class NonquadSweepResult:
-    sweep: SweepResult
-    guaranteed: dict  # ratio -> whether the nearly-quadratic condition holds
-    deviation: dict  # ratio -> combined Hessian deviation at that ratio
-    threshold: dict  # ratio -> mu_x / (8 * C_P) of the base instance
-
-
-def nonquad_sweep(nq, ratios, max_iters, scheme=dyn.Scheme.HALF, seeds=(0,)):
-    """GDA sweep over the logistic-perturbed family.
-
-    Convergence is measured by the exact gradient norm (the perturbed
-    optimum is not known in closed form), with the target ``1e-6 * L``.
-    Each ratio is annotated with whether the nearly-quadratic condition
-    ``delta_r(r) <= mu_x / (8 * C_P)`` holds for the base instance, i.e.
-    whether the cell carries the local linear-rate guarantee (proved for
-    the half stepsize scheme).
-    """
-    base = nq.base
-    dc = prob.derive_constants(base)
-    dev = prob.nonquad_hessian_deviation(nq)
-
-    guaranteed, deviation, threshold = {}, {}, {}
-    for r in ratios:
-        eta_x, _ = dyn.default_stepsizes(base.L, r, scheme)
-        rep = spec.spectral_report(base, r, eta_x, scheme)
-        deviation[r] = dev.delta_r(r)
-        if rep.basis_cond is None or dc.mu_x <= 0:
-            threshold[r] = 0.0
-            guaranteed[r] = False
-        else:
-            threshold[r] = dc.mu_x / (8.0 * rep.basis_cond)
-            guaranteed[r] = deviation[r] <= threshold[r]
-
-    sweep_spec = ExperimentSpec(
-        problem=nq, ratios=tuple(ratios), max_iters=max_iters,
-        target_eps=1e-6 * base.L, algorithms=(dyn.Algorithm.GDA,),
-        scheme=scheme, seeds=tuple(seeds),
-    )
-    sweep = ratio_sweep(sweep_spec)
-    return NonquadSweepResult(
-        sweep=sweep, guaranteed=guaranteed, deviation=deviation, threshold=threshold
     )

@@ -143,8 +143,8 @@ class NoiseModel:
     batch: int = 1
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidInputError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidInputError("sigma must be nonnegative and finite")
         if int(self.batch) != self.batch or self.batch < 1:
             raise InvalidInputError("batch must be an integer >= 1")
         object.__setattr__(self, "sigma", float(self.sigma))
@@ -293,7 +293,8 @@ def stochastic_grad(problem, z, noise, rng):
 
 
 def primal_gap(problem, x, constants=None):
-    """Primal suboptimality ``1/2 (x-x*)' schur (x-x*)`` (>= 0).
+    """Primal suboptimality ``1/2 (x-x*)' schur (x-x*)`` (>= 0), or ``inf``
+    for a non-finite ``x``.
 
     Requires a PSD Schur complement; raises :class:`InvalidStateError`
     when it is indefinite beyond tolerance."""
@@ -306,6 +307,8 @@ def primal_gap(problem, x, constants=None):
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise InvalidInputError(f"x must have length n={problem.n}")
+    if not np.isfinite(x).all():
+        return math.inf
     d = x - problem.x_star
     return max(0.0, 0.5 * float(d @ (dc.schur @ d)))
 
@@ -349,12 +352,12 @@ def sample_instance(
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be >= 1")
-    if not (L > mu > 0):
-        raise InvalidInputError("need L > mu > 0")
+    if not (math.inf > L > mu > 0):
+        raise InvalidInputError("need finite L > mu > 0")
     if not (0 <= beta <= 1) or not (0 <= gamma <= 1):
         raise InvalidInputError("beta and gamma must lie in [0, 1]")
-    if schur_margin < 0:
-        raise InvalidInputError("schur_margin must be >= 0")
+    if not 0 <= schur_margin < math.inf:
+        raise InvalidInputError("schur_margin must be finite and >= 0")
     if primal_convex and mu_x_zero:
         raise InvalidInputError("primal_convex and mu_x_zero are mutually exclusive")
     rng = np.random.default_rng(rng)

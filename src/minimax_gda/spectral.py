@@ -122,8 +122,8 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     ``basis_cond`` is absent and power-bound evaluations need a
     caller-supplied Jordan block size.
     """
-    if r <= 0 or eta_x <= 0:
-        raise InvalidInputError("r and eta_x must be positive")
+    if not (0 < r < math.inf and 0 < eta_x < math.inf):
+        raise InvalidInputError("r and eta_x must be positive and finite")
     scheme = dynamics.Scheme(scheme)
     dc = prob.derive_constants(problem)
     M = dynamics.build_M(problem, r)
@@ -266,46 +266,6 @@ def predicted_floor_sgda(r, kappa_x, basis_cond, sigma, L, batch):
     if min(r, kappa_x, basis_cond, L, batch) <= 0 or sigma < 0:
         raise InvalidInputError("all floor parameters must be positive (sigma >= 0)")
     return 8.0 * r * kappa_x * basis_cond ** 2 * sigma ** 2 / (L ** 2 * batch)
-
-
-@dataclass(frozen=True)
-class ComplexityTable:
-    """Gradient-complexity scalings (constants and log factors suppressed)
-    for the two reference ratio choices.  The stochastic column carries the
-    ``sigma^2`` factor; row ratios are independent of it."""
-
-    gda_pos_r2k: float
-    gda_zero_r2k: float
-    sgda_r2k: float
-    gda_pos_r2k2: float
-    gda_zero_r2k2: float
-    sgda_r2k2: float
-    ratio_gda_pos: float
-    ratio_gda_zero: float
-    ratio_sgda: float
-
-
-def complexity_table(kappa, kappa_x, eps, sigma):
-    """Scaling table comparing ``r = 2*kappa`` with ``r = 2*kappa^2``:
-    deterministic columns ``kappa*kappa_x`` vs ``kappa^2*kappa_x`` (strongly
-    convex primal) and ``kappa/eps`` vs ``kappa^2/eps`` (merely convex);
-    stochastic column ``kappa^2*kappa_x^2*sigma^2/eps^2`` vs ``kappa^4*...``."""
-    if min(kappa, kappa_x, eps, sigma) <= 0:
-        raise InvalidInputError("all inputs must be positive")
-    gda_pos = kappa * kappa_x
-    gda_zero = kappa / eps
-    sgda = (kappa * kappa_x * sigma / eps) ** 2
-    return ComplexityTable(
-        gda_pos_r2k=gda_pos,
-        gda_zero_r2k=gda_zero,
-        sgda_r2k=sgda,
-        gda_pos_r2k2=kappa * gda_pos,
-        gda_zero_r2k2=kappa * gda_zero,
-        sgda_r2k2=kappa ** 2 * sgda,
-        ratio_gda_pos=kappa,
-        ratio_gda_zero=kappa,
-        ratio_sgda=kappa ** 2,
-    )
 
 
 def report_to_json_dict(report):

@@ -214,6 +214,33 @@ class TestVerify:
         assert code == 1
 
 
+class TestNonFiniteInput:
+    # each value passes a range check written as "x <= 0"; all must exit 1
+    # with one error line and no output file
+    @pytest.mark.parametrize("args", [
+        ("run", "{inst}", "-r", "nan"),
+        ("run", "{inst}", "-r", "200", "--eps", "nan"),
+        ("run", "{inst}", "--algorithm", "sgda", "--sigma", "nan", "-r", "200"),
+        ("verify", "mux-zero", "--budget", "nan"),
+        ("verify", "mux-zero", "--budget", "inf"),
+        ("generate", "-n", "2", "-m", "2", "-L", "inf", "--mu", "1", "--seed", "1"),
+        ("generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1", "--seed", "1",
+         "--primal-convex", "--schur-margin", "nan"),
+        ("inspect", "{inst}", "-r", "200", "--eta-x", "nan"),
+    ], ids=["run-r", "run-eps", "run-sigma", "verify-budget-nan",
+            "verify-budget-inf", "generate-L", "generate-schur-margin",
+            "inspect-eta-x"])
+    def test_rejected(self, args, instance_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(inst=instance_file) for a in args]
+        if argv[0] != "verify":
+            argv += ["-o", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestOutputErrors:
     def test_output_under_a_file_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "file"

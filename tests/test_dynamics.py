@@ -338,6 +338,14 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             dyn.SolverConfig(algorithm=GDA, eta_x=-1e-3, eta_y=2e-3,
                              max_iters=10, target_eps=1e-6)
+        # NaN and inf pass a check written as "x <= 0"
+        for bad in ({"eta_x": math.nan}, {"eta_x": math.inf}, {"eta_y": math.inf},
+                    {"target_eps": math.nan}, {"target_eps": math.inf},
+                    {"divergence_factor": math.nan}):
+            kw = dict(algorithm=GDA, eta_x=1e-3, eta_y=2e-3, max_iters=10,
+                      target_eps=1e-6)
+            with pytest.raises(InvalidInputError):
+                dyn.SolverConfig(**{**kw, **bad})
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow classifies a divergence

@@ -136,27 +136,6 @@ class TestDivergenceCertificate:
             harness.divergence_certificate([2.0], [1.5], max_iters=100)
 
 
-class TestRateLowerBound:
-    def test_criterion_parameters(self):
-        report = harness.rate_lower_bound_check(2.0, 1.0, 0.1, 4.0)
-        assert report.passed
-        assert report.s1 == pytest.approx(1 - (1 - 0.5 * math.sqrt(2.4)) / 32, abs=1e-12)
-        assert report.s1 == pytest.approx(0.99296, abs=1e-5)
-        assert report.lower_bound == pytest.approx(0.9875)
-        assert report.s1 >= report.lower_bound
-        assert report.max_step_deviation <= 1e-10
-        assert report.total_decay_rel_error <= 1e-12
-
-    def test_complex_parameters_rejected(self):
-        # (mu*r - L)^2 < 4 r mu mu_x
-        with pytest.raises(InvalidInputError):
-            harness.rate_lower_bound_check(2.0, 1.0, 1.0, 4.0)
-
-    def test_small_ratio_rejected(self):
-        with pytest.raises(InvalidInputError):
-            harness.rate_lower_bound_check(2.0, 1.0, 0.1, 3.0)
-
-
 @pytest.fixture(scope="module")
 def floor_instance():
     seed = 0
@@ -165,11 +144,6 @@ def floor_instance():
         if 10.0 < prob.derive_constants(p).mu_x < 60.0:
             return p
         seed += 1
-
-
-@pytest.fixture(scope="module")
-def flat_instance():
-    return prob.sample_instance(2, 2, 2.0, 1.0, 0, mu_x_zero=True)
 
 
 class TestSgdaFloor:
@@ -207,64 +181,3 @@ class TestSgdaFloor:
         with pytest.raises(InvalidInputError):
             harness.sgda_floor_sweep(p, r=4.0, sigma=1.0,
                                      batch_list=(16,), seeds=range(2))
-
-
-class TestMuxZero:
-    def test_gap_below_eps(self, flat_instance):
-        report = harness.mux_zero_run(flat_instance, 1e-2, seed=0)
-        assert report.converged
-        assert report.gap_ok
-        assert report.final_gap <= 1e-2
-        assert report.delta == pytest.approx(1e-2 / report.radius_estimate ** 2)
-
-    def test_iterations_scale_with_eps(self, flat_instance):
-        r1 = harness.mux_zero_run(flat_instance, 1e-1, seed=0)
-        r2 = harness.mux_zero_run(flat_instance, 1e-2, seed=0)
-        growth = r2.iterations / r1.iterations
-        assert 5.0 <= growth <= 20.0
-
-    def test_start_at_optimum_converges_immediately(self, flat_instance):
-        report = harness.mux_zero_run(flat_instance, 1e-2, seed=0,
-                                      z0=flat_instance.z_star)
-        assert report.iterations == 0 and report.converged
-
-    def test_delta_above_L_rejected(self, flat_instance):
-        # huge eps forces delta = eps/R^2 > L
-        with pytest.raises(InvalidInputError):
-            harness.mux_zero_run(flat_instance, 1e9, R=1.0)
-
-    def test_positive_mu_x_rejected(self, small_instance):
-        with pytest.raises(InvalidInputError):
-            harness.mux_zero_run(small_instance, 1e-2)
-
-
-class TestNonquadSweep:
-    def test_guaranteed_cell_converges(self, small_instance, rng):
-        dc = prob.derive_constants(small_instance)
-        r = 2 * dc.kappa
-        eta_x, _ = dyn.default_stepsizes(small_instance.L, r, dyn.Scheme.HALF)
-        rep = spec.spectral_report(small_instance, r, eta_x, dyn.Scheme.HALF)
-        threshold = dc.mu_x / (8 * rep.basis_cond)
-        a = 0.99 * math.sqrt(2 * small_instance.n * threshold / small_instance.L)
-        nq = prob.NonQuadraticProblem(base=small_instance, a=a,
-                                      b=rng.standard_normal(small_instance.n))
-        result = harness.nonquad_sweep(nq, ratios=(r,), max_iters=500_000)
-        assert result.guaranteed[r]
-        assert result.deviation[r] <= result.threshold[r]
-        cell = result.sweep.cells[0]
-        assert cell.status == "converged"
-        assert cell.final_distance <= 1e-6 * small_instance.L
-        assert cell.final_gap is None  # gradient-norm metric has no gap column
-
-    def test_zero_perturbation_matches_quadratic(self, small_instance, rng):
-        # a = 0 degenerates the oracle to the base instance exactly
-        nq = prob.NonQuadraticProblem(base=small_instance, a=0.0,
-                                      b=np.zeros(small_instance.n))
-        for _ in range(5):
-            z = small_instance.z_star + rng.standard_normal(small_instance.dim)
-            gx, gy = prob.nonquad_grad(nq, z)
-            bx, by = prob.grad(small_instance, z)
-            assert np.array_equal(gx, bx) and np.array_equal(gy, by)
-        dc = prob.derive_constants(small_instance)
-        result = harness.nonquad_sweep(nq, ratios=(2 * dc.kappa,), max_iters=300_000)
-        assert result.sweep.cells[0].status == "converged"

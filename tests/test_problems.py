@@ -185,6 +185,13 @@ class TestPrimalGap:
         with pytest.raises(InvalidStateError):
             prob.primal_gap(p, np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_infinitely_far(self, reference_instance, bad):
+        # max(0, nan) is 0: a blown-up iterate must not read as optimal
+        x = reference_instance.x_star.copy()
+        x[-1] = bad
+        assert prob.primal_gap(reference_instance, x) == math.inf
+
 
 class TestSampleInstance:
     def test_passes_validate_and_seeds_reproduce(self):

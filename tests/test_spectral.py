@@ -212,21 +212,6 @@ class TestPredictedFloor:
         assert val == pytest.approx(0.01125)
 
 
-class TestComplexityTable:
-    def test_ratios(self):
-        t = spec.complexity_table(kappa=20.0, kappa_x=5.0, eps=1e-3, sigma=1.0)
-        assert t.ratio_gda_pos == pytest.approx(20.0)
-        assert t.ratio_gda_zero == pytest.approx(20.0)
-        assert t.ratio_sgda == pytest.approx(400.0)
-        assert t.gda_pos_r2k2 / t.gda_pos_r2k == pytest.approx(20.0)
-        assert t.gda_zero_r2k2 / t.gda_zero_r2k == pytest.approx(20.0)
-        assert t.sgda_r2k2 / t.sgda_r2k == pytest.approx(400.0)
-
-    def test_kappa_one_degenerates(self):
-        t = spec.complexity_table(kappa=1.0, kappa_x=3.0, eps=1e-2, sigma=0.5)
-        assert t.ratio_gda_pos == t.ratio_gda_zero == t.ratio_sgda == 1.0
-
-
 class TestBoundOnCorpus:
     def test_radius_bound_three_ratios(self):
         for p in corpus(15):
