@@ -40,11 +40,5 @@ class GenerationFailureError(MinimaxGdaError, RuntimeError):
 
 
 class CertificateFailureError(MinimaxGdaError, RuntimeError):
-    """A certification sweep found a cell contradicting the claimed behavior.
-
-    ``cell`` names the offending configuration.
-    """
-
-    def __init__(self, msg, cell=None):
-        super().__init__(msg)
-        self.cell = cell
+    """A certification sweep found a cell contradicting the claimed behavior;
+    the message names the offending configuration."""

@@ -1,6 +1,7 @@
 """Multi-cell experiment drivers: ratio sweeps (quadratic or non-quadratic
-instances) with their CSV writer, the divergence certificate, and the SGDA
-noise-floor sweep.  Single-run criteria live in :mod:`minimax_gda.verify`.
+instances) with their CSV writer, the one-kappa divergence certificate
+(criterion 1), and the SGDA noise-floor sweep at a positive noise level
+(criterion 6).  Single-run criteria live in :mod:`minimax_gda.verify`.
 
 Cells within a sweep are independent and run one after another in input
 order, so identical inputs produce identical outputs byte for byte.
@@ -63,6 +64,9 @@ class ExperimentSpec:
         if len(self.seeds) == 0:
             raise InvalidInputError("need at least one seed")
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        for r in self.ratios:
+            if not 0 < r < math.inf:
+                raise InvalidInputError(f"ratios must be positive and finite, got {r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(
             self, "algorithms", tuple(dyn.Algorithm(a) for a in self.algorithms)
@@ -139,7 +143,9 @@ def ratio_sweep(sweep_spec):
     rate, the spectral-radius prediction and terminal measures.  A cell
     that raises a library error (:class:`MinimaxGdaError`) is recorded with
     status ``error: <ExceptionType>: <message>`` and the sweep continues;
-    any other exception propagates."""
+    any other exception propagates.  A ratio that is not positive and
+    finite never reaches a cell: :class:`ExperimentSpec` rejects it with
+    :class:`InvalidInputError` before any cell runs."""
     problem = sweep_spec.problem
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
@@ -183,26 +189,17 @@ def ratio_sweep(sweep_spec):
 # --- divergence certification ----------------------------------------------
 
 @dataclass(frozen=True)
-class CertificateCell:
-    L: float
-    kappa: float
-    r: float
-    eta_x: float
-    outcome: str  # "diverged" | "non_contracting"
-    min_power_norm: float
-    final_power_norm: float
-
-
-@dataclass(frozen=True)
 class DivergenceCertificate:
-    cells: tuple
-    controls: tuple  # (L, kappa, r, status) for the r = 2*kappa control runs
+    cells: tuple  # outcome per (r, eta_x) cell: "diverged" | "non_contracting"
+    controls: tuple  # (status,) of the r = 2*kappa control run
 
 
 def _power_norm_course(problem, r, eta_x, max_iters):
-    """GDA trajectories from every basis offset around the optimum.
+    """Minimum over the budget of the root-sum-square of the GDA
+    trajectories from every basis offset around the optimum, or ``None``
+    when one of them diverges.
 
-    Their root-sum-square at step k equals the Frobenius norm of the k-th
+    That root-sum-square at step k equals the Frobenius norm of the k-th
     transition-matrix power, which is lower-bounded by the spectral radius
     power and therefore never falls below 1 on a non-convergent cell,
     whereas it decays through 1 whenever the dynamics contract.  A single
@@ -225,80 +222,61 @@ def _power_norm_course(problem, r, eta_x, max_iters):
         e[i] = 1.0
         traj = dyn.run(problem, config, z0=problem.z_star + e)
         if traj.status.kind is dyn.StatusKind.DIVERGED:
-            return "diverged", math.nan, math.inf
+            return None
         if traj.status.kind is dyn.StatusKind.CONVERGED:
             # a basis trajectory reaching the optimum is itself contraction
-            return "contracted", 0.0, 0.0
+            return 0.0
         courses.append(traj.distances)
-    rss = np.sqrt(np.sum(np.square(np.stack(courses)), axis=0))
-    return "ran", float(rss.min()), float(rss[-1])
+    return float(np.sqrt(np.sum(np.square(np.stack(courses)), axis=0)).min())
 
 
-def divergence_certificate(L_list, kappa_list, eta_grid=None, max_iters=100_000,
-                           ratios=None):
-    """Certify that GDA never converges on the hard threshold instance at
-    ratios up to kappa, for every stepsize in the grid.
+def divergence_certificate(kappa, eta_grid, max_iters=100_000, ratios=None):
+    """Certify that GDA never converges on the hard threshold instance
+    ``hard_ratio_instance(kappa, 1.0)`` at the ratios (default ``kappa/2``
+    and ``kappa``), for every stepsize ``eta_x`` in the grid.
 
-    Each (L, kappa, r, eta_x) cell passes when the run blows past the
-    divergence factor or when the transition-power norm stays at or above 1
+    Each (r, eta_x) cell passes when the run blows past the divergence
+    factor or when the transition-power norm stays at or above 1
     throughout the budget; any contracting cell raises
-    :class:`CertificateFailureError` naming the cell.  Control cells at
-    ``r = 2*kappa`` with the quarter stepsizes must converge (they get their
+    :class:`CertificateFailureError` naming the cell.  A control run at
+    ``r = 2*kappa`` with the quarter stepsizes must converge (it gets its
     own budget: one control run is cheap next to the grid).
     """
-    specs = []
-    for L in L_list:
-        for kappa in kappa_list:
-            if kappa < 2:
-                raise InvalidInputError("the threshold theorem needs kappa >= 2")
-            grid = (
-                np.asarray(eta_grid, dtype=float)
-                if eta_grid is not None
-                else np.logspace(math.log10(1e-6 / L), math.log10(1.0 / L), 12)
-            )
-            if len(grid) < 12:
-                raise InvalidInputError("need at least 12 stepsizes in the grid")
-            rvals = ratios if ratios is not None else (kappa / 2.0, float(kappa))
-            for r in rvals:
-                for eta_x in grid:
-                    specs.append((L, kappa, float(r), float(eta_x)))
+    if not kappa >= 2:
+        raise InvalidInputError("the threshold theorem needs kappa >= 2")
+    grid = np.asarray(eta_grid, dtype=float).tolist()
+    if len(grid) < 12:
+        raise InvalidInputError("need at least 12 stepsizes in the grid")
+    if ratios is None:
+        ratios = (kappa / 2.0, kappa)
+    problem = prob.hard_ratio_instance(kappa, 1.0)
 
     cells = []
-    for L, kappa, r, eta_x in specs:
-        problem = prob.hard_ratio_instance(L, L / kappa)
-        outcome, min_norm, final_norm = _power_norm_course(problem, r, eta_x, max_iters)
-        if outcome == "ran" and min_norm >= 1.0 - 1e-9:
-            outcome = "non_contracting"
-        elif outcome != "diverged":
+    for r, eta_x in itertools.product(map(float, ratios), grid):
+        min_norm = _power_norm_course(problem, r, eta_x, max_iters)
+        if min_norm is None:
+            cells.append("diverged")
+        elif not min_norm >= 1.0 - 1e-9:
             raise CertificateFailureError(
-                f"cell (L={L}, kappa={kappa}, r={r}, eta_x={eta_x:.3e}) contracted: "
-                f"min transition-power norm {min_norm:.6g} < 1",
-                cell=(L, kappa, r, eta_x),
+                f"cell (kappa={kappa}, r={r}, eta_x={eta_x:.3e}) contracted: "
+                f"min transition-power norm {min_norm:.6g} < 1"
             )
-        cells.append(CertificateCell(L, kappa, r, eta_x, outcome, min_norm, final_norm))
+        else:
+            cells.append("non_contracting")
 
-    controls = []
-    for L in L_list:
-        for kappa in kappa_list:
-            mu = L / kappa
-            problem = prob.hard_ratio_instance(L, mu)
-            r = 2.0 * kappa
-            eta_x, eta_y = dyn.default_stepsizes(L, r, dyn.Scheme.QUARTER)
-            config = dyn.SolverConfig(
-                algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
-                max_iters=max(max_iters, _CONTROL_MAX_ITERS),
-                target_eps=_CONTROL_EPS, record_primal_gaps=False,
-            )
-            traj = dyn.run(problem, config)
-            if traj.status.kind is not dyn.StatusKind.CONVERGED:
-                raise CertificateFailureError(
-                    f"control cell (L={L}, kappa={kappa}, r={r}) failed to "
-                    f"converge: {traj.status}",
-                    cell=(L, kappa, r),
-                )
-            controls.append((L, kappa, r, str(traj.status)))
-
-    return DivergenceCertificate(cells=tuple(cells), controls=tuple(controls))
+    r = 2.0 * kappa
+    eta_x, eta_y = dyn.default_stepsizes(kappa, r, dyn.Scheme.QUARTER)
+    config = dyn.SolverConfig(
+        algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
+        max_iters=max(max_iters, _CONTROL_MAX_ITERS),
+        target_eps=_CONTROL_EPS, record_primal_gaps=False,
+    )
+    traj = dyn.run(problem, config)
+    if traj.status.kind is not dyn.StatusKind.CONVERGED:
+        raise CertificateFailureError(
+            f"control cell (kappa={kappa}, r={r}) failed to converge: {traj.status}"
+        )
+    return DivergenceCertificate(cells=tuple(cells), controls=(str(traj.status),))
 
 
 # --- SGDA noise floor -------------------------------------------------------
@@ -317,29 +295,26 @@ class SgdaFloorReport:
     slope: float  # log-log slope of the floor against the batch size
     status: str  # "pass" | "fail" | "inconclusive"
     max_iters: int
-    rho1: float
-    basis_cond: float
 
 
 def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
     """Measure the SGDA steady-state mean-square distance against its proved
-    bound across batch sizes, under the quarter stepsizes.
+    bound across batch sizes, under the quarter stepsizes, at noise level
+    ``0 < sigma < inf``.
 
     The budget is sized (unless given) so the deterministic envelope
-    ``C_P * rho1^k`` has decayed to 0.1% of the smallest predicted RMS floor
-    before the tail window (the last 20% of iterations, ``_TAIL_FRACTION``)
-    begins; if it has not, the report is ``inconclusive`` rather than
-    failed.  Passing requires the tail mean square to sit below the bound at
-    every batch size and the log-log slope against the batch size to be
-    -1 +- 0.15.  With ``sigma = 0`` the noise path degenerates: the bound is
-    zero, the slope is undefined, and passing means every tail settles at
-    numerical precision.
+    ``C_P * rho1^k`` from the unit initial offset has decayed to 0.1% of
+    the smallest predicted RMS floor before the tail window (the last 20%
+    of iterations, ``_TAIL_FRACTION``) begins; if it has not, the report is
+    ``inconclusive`` rather than failed.  Passing requires the tail mean
+    square to sit below the bound at every batch size and the log-log slope
+    against the batch size to be -1 +- 0.15.
     """
     dc = prob.derive_constants(problem)
     if dc.mu_x <= 0:
         raise InvalidInputError("the floor bound needs mu_x > 0")
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
+    if not 0 < sigma < math.inf:
+        raise InvalidInputError(f"sigma must be positive and finite, got {sigma}")
     eta_x, eta_y = dyn.default_stepsizes(problem.L, r)
     rep = spec.spectral_report(problem, r, eta_x)
     if rep.rho1 >= 1.0 or rep.basis_cond is None:
@@ -352,17 +327,14 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
         for S in batch_list
     }
 
-    d0 = 1.0  # default initialization is a unit offset
-    precision_ms = (1e-10 * d0) ** 2
-    target = 1e-3 * math.sqrt(min(bounds.values())) if sigma > 0 else 1e-14 * d0
-    decay_iters = int(
-        math.ceil(math.log(target / (rep.basis_cond * d0)) / math.log(rep.rho1))
-    )
+    floor_rms = math.sqrt(min(bounds.values()))
     if max_iters is None:
+        decay_iters = int(math.ceil(
+            math.log(1e-3 * floor_rms / rep.basis_cond) / math.log(rep.rho1)
+        ))
         max_iters = int(math.ceil(decay_iters / (1.0 - _TAIL_FRACTION))) + 10
-    floor_rms = math.sqrt(min(bounds.values())) if sigma > 0 else math.sqrt(precision_ms)
     tail_start = (1.0 - _TAIL_FRACTION) * max_iters
-    conclusive = rep.basis_cond * d0 * rep.rho1 ** tail_start <= 0.1 * floor_rms
+    conclusive = rep.basis_cond * rep.rho1 ** tail_start <= 0.1 * floor_rms
 
     floors = {}  # batch -> tail mean square, averaged over the seeds
     for S in batch_list:
@@ -379,28 +351,19 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
             total += float(np.mean(np.square(tail)))
         floors[S] = total / len(seeds)
 
-    ceiling = precision_ms if sigma == 0 else 0.0
     points = tuple(
         FloorPoint(batch=S, floor_ms=floors[S], bound=bounds[S],
-                   within_bound=floors[S] <= max(bounds[S], ceiling))
+                   within_bound=floors[S] <= bounds[S])
         for S in batch_list
     )
-    if sigma > 0:
-        slope = float(np.polyfit(
-            np.log(list(batch_list)),
-            np.log([floors[S] for S in batch_list]), 1,
-        )[0])
-        slope_ok = abs(slope + 1.0) <= 0.15
-    else:
-        slope = math.nan
-        slope_ok = True
+    slope = float(np.polyfit(
+        np.log(list(batch_list)), np.log([floors[S] for S in batch_list]), 1,
+    )[0])
     if not conclusive:
         status = "inconclusive"
-    elif all(p.within_bound for p in points) and slope_ok:
+    elif all(p.within_bound for p in points) and abs(slope + 1.0) <= 0.15:
         status = "pass"
     else:
         status = "fail"
-    return SgdaFloorReport(
-        points=points, slope=slope, status=status, max_iters=max_iters,
-        rho1=rep.rho1, basis_cond=rep.basis_cond,
-    )
+    return SgdaFloorReport(points=points, slope=slope, status=status,
+                           max_iters=max_iters)

@@ -196,17 +196,13 @@ def check_ratio_threshold(kappas=(2.0, 8.0, 64.0), max_iters=100_000,
     try:
         for kappa in kappas:
             cert = harness.divergence_certificate(
-                [float(kappa)], [float(kappa)], eta_grid=grid,
-                max_iters=max_iters,
-            )
+                float(kappa), grid, max_iters=max_iters)
             outcomes.append({
                 "kappa": kappa,
                 "cells": len(cert.cells),
-                "diverged": sum(c.outcome == "diverged" for c in cert.cells),
-                "non_contracting": sum(
-                    c.outcome == "non_contracting" for c in cert.cells
-                ),
-                "control": cert.controls[0][3],
+                "diverged": cert.cells.count("diverged"),
+                "non_contracting": cert.cells.count("non_contracting"),
+                "control": cert.controls[0],
             })
         passed = True
         failure = None

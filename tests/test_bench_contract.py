@@ -1,11 +1,12 @@
 """The benchmark's per-layer tracer wraps library functions by name from
 outside (``perfbench/tracing.py``).  A name the library drops is reported
-there as missing and its metrics read zero, so this test fails instead."""
+there as missing and its metrics read zero, and a result shape it reads
+that changes breaks its counters, so these tests fail instead."""
 
 import importlib.util
 from pathlib import Path
 
-from minimax_gda import dynamics, harness, spectral
+from minimax_gda import dynamics, harness, spectral, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +31,16 @@ def test_every_traced_name_exists():
         probe.restore()
     assert missing == set()
     assert (dynamics.run, spectral.spectral_report, harness.ratio_sweep) == originals
+
+
+def test_tracer_reads_certificate_and_floor_shapes():
+    # 24 certificate cells and 1 control for kappa = 2, plus 2 batches x 1
+    # seed of the floor sweep
+    tracer = _load_tracing().Tracer()
+    try:
+        assert set(tracer.install()) == set()
+        verify.check_ratio_threshold(kappas=(2.0,), max_iters=2_000)
+        verify.check_sgda_floor(batches=(16, 64), n_seeds=1)
+    finally:
+        tracer.restore()
+    assert tracer.count["harness.cells"] == 27

@@ -97,6 +97,11 @@ class TestRatioSweep:
         with pytest.raises(RuntimeError, match="boom"):
             harness.ratio_sweep(basic_spec(small_instance, [2 * dc.kappa], T=100))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_ratio_rejected_before_any_cell(self, small_instance, bad):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            basic_spec(small_instance, [8.0, bad], T=100)
+
     def test_below_threshold_ratio_sometimes_diverges(self):
         # sampling with mu_x computed after the fact (possibly zero) finds
         # cells that diverge at r = kappa/2
@@ -116,24 +121,25 @@ class TestRatioSweep:
 class TestDivergenceCertificate:
     def test_hard_instance_certified(self):
         cert = harness.divergence_certificate(
-            [2.0], [2.0], eta_grid=np.logspace(-6, math.log10(0.5), 12),
-            max_iters=3_000,
+            2.0, np.logspace(-6, math.log10(0.5), 12), max_iters=3_000,
         )
         assert len(cert.cells) == 24
-        assert all(c.outcome in ("diverged", "non_contracting") for c in cert.cells)
-        assert cert.controls[0][3].startswith("converged")
+        assert set(cert.cells) <= {"diverged", "non_contracting"}
+        assert len(cert.controls) == 1
+        assert cert.controls[0].startswith("converged")
 
     def test_convergent_cell_raises(self):
         # forcing the certified grid onto a proved-convergent ratio must fail
-        with pytest.raises(CertificateFailureError):
+        with pytest.raises(CertificateFailureError, match=r"r=4\.0,"):
             harness.divergence_certificate(
-                [2.0], [2.0], eta_grid=np.logspace(-3, -1, 12),
-                max_iters=20_000, ratios=(4.0,),
+                2.0, np.logspace(-3, -1, 12), max_iters=20_000, ratios=(4.0,),
             )
 
     def test_kappa_below_two_rejected(self):
-        with pytest.raises(InvalidInputError):
-            harness.divergence_certificate([2.0], [1.5], max_iters=100)
+        for kappa in (1.5, math.nan):
+            with pytest.raises(InvalidInputError):
+                harness.divergence_certificate(
+                    kappa, np.logspace(-6, math.log10(0.5), 12), max_iters=100)
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +164,14 @@ class TestSgdaFloor:
         # quadrupling the batch twice halves the RMS floor twice (+-15%)
         assert report.slope == pytest.approx(-1.0, abs=0.15)
 
-    def test_sigma_zero_floor_at_precision(self, floor_instance):
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_not_positive_finite_rejected(self, floor_instance, sigma):
         dc = prob.derive_constants(floor_instance)
-        report = harness.sgda_floor_sweep(
-            floor_instance, r=2 * dc.kappa, sigma=0.0,
-            batch_list=(16, 64), seeds=range(2),
-        )
-        assert report.status == "pass"
-        assert all(p.floor_ms <= 1e-20 for p in report.points)
-        assert math.isnan(report.slope)
+        with pytest.raises(InvalidInputError, match="sigma"):
+            harness.sgda_floor_sweep(
+                floor_instance, r=2 * dc.kappa, sigma=sigma,
+                batch_list=(16, 64), seeds=range(2),
+            )
 
     def test_short_budget_inconclusive(self, floor_instance):
         dc = prob.derive_constants(floor_instance)
