@@ -180,12 +180,10 @@ def _sanitize(obj):
 
 def cmd_inspect(args):
     problem = prob.load_instance(args.instance)
-    report_val = prob.validate(problem)
-    if not report_val.ok:
+    failed = prob.validate(problem)
+    if failed:
         raise _CliExit(
-            EXIT_USAGE,
-            "instance fails validation clauses: "
-            + ", ".join(report_val.failed_clauses()),
+            EXIT_USAGE, "instance fails validation clauses: " + ", ".join(failed),
         )
     eta_x = args.eta_x
     if eta_x is None:
@@ -261,17 +259,11 @@ def cmd_verify(args):
         "passed": all(r.passed for r in results),
         "inconclusive": any(r.inconclusive for r in results),
     }
-    text = json.dumps(_sanitize(payload), indent=1, default=_json_default)
+    text = json.dumps(_sanitize(payload), indent=1)
     print(text)
     if args.out:
         _write_atomic(args.out, lambda fh: (fh.write(text), fh.write("\n")))
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAIL
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
 
 
 _COMMANDS = {

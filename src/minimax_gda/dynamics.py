@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -91,6 +92,8 @@ class SolverConfig:
             raise InvalidInputError("max_iters must be >= 0")
         if not 0 < self.target_eps < math.inf:
             raise InvalidInputError("target_eps must be positive and finite")
+        if isinstance(self.seed, numbers.Integral) and self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.divergence_factor > 1:
             raise InvalidInputError("divergence_factor must exceed 1")
         if self.algorithm is Algorithm.SGDA and self.noise is None:
@@ -436,25 +439,20 @@ def _run_oracle(problem, config, z0):
         k += 1
 
 
-def estimate_rate(trajectory, window=None):
+def estimate_rate(trajectory):
     """Geometric per-step contraction factor fitted to a trajectory.
 
     Least-squares slope of log(distance) against the iteration index over
-    the window (default: the trailing half of the recorded points),
-    exponentiated.  Points at or below ``1e3 * eps_machine`` times the
-    initial distance are excluded, and a trailing plateau (e.g. an SGDA
-    noise floor, detected as trailing blocks whose average log-decrement
-    collapses relative to the decaying part) is trimmed.  Raises
-    :class:`InsufficientDataError` with fewer than 10 usable points.
+    the trailing half of the recorded points, exponentiated.  Points at or
+    below ``1e3 * eps_machine`` times the initial distance are excluded,
+    and a trailing plateau (e.g. an SGDA noise floor, detected as trailing
+    blocks whose average log-decrement collapses relative to the decaying
+    part) is trimmed.  Raises :class:`InsufficientDataError` with fewer
+    than 10 usable points.
     """
     d = np.asarray(trajectory.distances, dtype=float)
     it = np.asarray(trajectory.iters, dtype=float)
-    if window is None:
-        start, end = len(d) // 2, len(d)
-    else:
-        start, end = window
-    d = d[start:end]
-    it = it[start:end]
+    d, it = d[len(d) // 2:], it[len(d) // 2:]
 
     floor = 1e3 * np.finfo(float).eps * (trajectory.distances[0] if len(trajectory.distances) else 0.0)
     usable = np.isfinite(d) & (d > max(floor, 0.0))

@@ -67,6 +67,12 @@ class ExperimentSpec:
         for r in self.ratios:
             if not 0 < r < math.inf:
                 raise InvalidInputError(f"ratios must be positive and finite, got {r}")
+        if not self.max_iters >= 0:
+            raise InvalidInputError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not 0 < self.target_eps < math.inf:
+            raise InvalidInputError(
+                f"target_eps must be positive and finite, got {self.target_eps}"
+            )
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(
             self, "algorithms", tuple(dyn.Algorithm(a) for a in self.algorithms)
@@ -89,13 +95,6 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepResult:
     cells: tuple
-
-    def cell(self, ratio):
-        """The first cell at ``ratio``."""
-        for c in self.cells:
-            if c.ratio == ratio:
-                return c
-        raise KeyError(ratio)
 
 
 SWEEP_CSV_HEADER = [
@@ -144,7 +143,8 @@ def ratio_sweep(sweep_spec):
     that raises a library error (:class:`MinimaxGdaError`) is recorded with
     status ``error: <ExceptionType>: <message>`` and the sweep continues;
     any other exception propagates.  A ratio that is not positive and
-    finite never reaches a cell: :class:`ExperimentSpec` rejects it with
+    finite, a negative ``max_iters`` or a ``target_eps`` outside (0, inf)
+    never reaches a cell: :class:`ExperimentSpec` rejects it with
     :class:`InvalidInputError` before any cell runs."""
     problem = sweep_spec.problem
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
@@ -329,9 +329,7 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
 
     floor_rms = math.sqrt(min(bounds.values()))
     if max_iters is None:
-        decay_iters = int(math.ceil(
-            math.log(1e-3 * floor_rms / rep.basis_cond) / math.log(rep.rho1)
-        ))
+        decay_iters = rep.predicted_iters(1e-3 * floor_rms)
         max_iters = int(math.ceil(decay_iters / (1.0 - _TAIL_FRACTION))) + 10
     tail_start = (1.0 - _TAIL_FRACTION) * max_iters
     conclusive = rep.basis_cond * rep.rho1 ** tail_start <= 0.1 * floor_rms

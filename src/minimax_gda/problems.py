@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,23 +118,6 @@ class DerivedConstants:
 
 
 @dataclass(frozen=True)
-class ClauseCheck:
-    name: str
-    margin: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    clauses: tuple
-    schur_min: float
-    ok: bool
-
-    def failed_clauses(self):
-        return [c.name for c in self.clauses if not c.passed]
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Mini-batch gradient noise: per-sample root-variance ``sigma`` and
     batch size ``batch``; each gradient block receives zero-mean noise with
@@ -193,38 +177,29 @@ class NonQuadraticProblem:
 
 
 def validate(problem, require_primal_convex=False):
-    """Check each clause of the instance contract and report signed margins.
+    """Names of the failed clauses of the instance contract, in the order
+    ``A_lower``, ``A_upper``, ``B_norm``, ``C_norm``, ``schur_psd``; empty
+    when the instance is valid.
 
-    A clause passes when its margin is >= ``-1e-9 * L``.  The Schur
-    complement PSD clause is only enforced when ``require_primal_convex``
-    is set; ``schur_min`` is always reported (NaN when A is not positive
-    definite).  It is taken from :func:`derive_constants`, so the Schur
-    complement is formed and eigensolved once per instance and cached.
+    A clause fails when its signed margin (bound minus value) is below
+    ``-1e-9 * L``.  The Schur complement PSD clause is only checked when
+    ``require_primal_convex`` is set, from the cached
+    :func:`derive_constants`, and always fails when A is not positive
+    definite.
     """
     L, mu = problem.L, problem.mu
-    tol = VALIDATION_RTOL * L
     eigs_A, _ = linalg.sym_eig(problem.A)
-    clauses = [
-        ClauseCheck("A_lower", float(eigs_A[0] - mu), eigs_A[0] - mu >= -tol),
-        ClauseCheck("A_upper", float(L - eigs_A[-1]), L - eigs_A[-1] >= -tol),
-    ]
-    b_margin = L - linalg.spectral_norm(problem.B)
-    c_margin = L - linalg.spectral_norm(problem.C)
-    clauses.append(ClauseCheck("B_norm", float(b_margin), b_margin >= -tol))
-    clauses.append(ClauseCheck("C_norm", float(c_margin), c_margin >= -tol))
-
-    schur_min = math.nan
-    if eigs_A[0] > 0:
-        schur_min = derive_constants(problem).schur_min
+    margins = {
+        "A_lower": eigs_A[0] - mu,
+        "A_upper": L - eigs_A[-1],
+        "B_norm": L - linalg.spectral_norm(problem.B),
+        "C_norm": L - linalg.spectral_norm(problem.C),
+    }
     if require_primal_convex:
-        passed = (not math.isnan(schur_min)) and schur_min >= -tol
-        clauses.append(ClauseCheck("schur_psd", schur_min, passed))
-
-    return ValidationReport(
-        clauses=tuple(clauses),
-        schur_min=schur_min,
-        ok=all(c.passed for c in clauses),
-    )
+        margins["schur_psd"] = (derive_constants(problem).schur_min
+                                if eigs_A[0] > 0 else -math.inf)
+    tol = VALIDATION_RTOL * L
+    return tuple(name for name, margin in margins.items() if not margin >= -tol)
 
 
 def _compute_constants(problem):
@@ -347,11 +322,14 @@ def sample_instance(
     builds ``C = W D W' - B A^-1 B'`` with diagonal PSD ``D`` having exactly
     one zero entry, shrinking ``beta`` as needed, so ``mu_x`` is exactly 0.
     Retries up to ``max_retries`` times before raising
-    :class:`GenerationFailureError`.  Identical arguments give identical
+    :class:`GenerationFailureError`.  ``rng`` is a nonnegative integer seed
+    or a ``numpy.random.Generator``; identical arguments give identical
     instances.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be >= 1")
+    if isinstance(rng, numbers.Integral) and rng < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {rng}")
     if not (math.inf > L > mu > 0):
         raise InvalidInputError("need finite L > mu > 0")
     if not (0 <= beta <= 1) or not (0 <= gamma <= 1):
@@ -399,7 +377,7 @@ def sample_instance(
         problem = QuadraticProblem(
             A=A, B=B, C=C, x_star=np.zeros(n), y_star=np.zeros(m), L=L, mu=mu
         )
-        if validate(problem, require_primal_convex=primal_convex or mu_x_zero).ok:
+        if not validate(problem, require_primal_convex=primal_convex or mu_x_zero):
             return problem
 
     raise GenerationFailureError(

@@ -62,7 +62,6 @@ class SpectralReport:
     lemma_checks: tuple
     diagonalizable: bool
     basis_cond: Optional[float]  # condition number of the eigenvector basis
-    s_assumed: int
     M_norm: float
     r: float
     eta_x: float
@@ -72,31 +71,21 @@ class SpectralReport:
     kappa: float
     kappa_x: float
 
-    def predicted_iters(self, eps, initial_distance=1.0, algorithm="gda"):
-        """Smallest T with ``s * C_P * T^(s-1) * rho^(T-s+1) * d0 <= eps``,
-        with ``s = s_assumed``.
+    def predicted_iters(self, eps, initial_distance=1.0):
+        """Smallest T with ``C_P * rho1^T * d0 <= eps``, in closed form:
+        ``ceil(ln(eps / (C_P * d0)) / ln rho1)``.
 
-        Uses ``rho1`` for GDA and ``rho2`` for EG (``algorithm`` is an
-        :class:`~minimax_gda.dynamics.Algorithm` or its name); ``inf`` when
-        the radius is >= 1 or the basis condition number is unavailable."""
-        rho = self.rho2 if _is_eg(algorithm) else self.rho1
-        s = self.s_assumed
-        if rho >= 1.0 or self.basis_cond is None:
+        0 when ``d0 <= eps``; ``inf`` when ``rho1 >= 1``, when the basis
+        condition number is unavailable, or when T would exceed ``2**62``."""
+        if self.rho1 >= 1.0 or self.basis_cond is None:
             return math.inf
         if initial_distance <= eps:
             return 0
-        lo, hi = s - 1, max(s, 2)
-        while power_bound(hi, s, self.basis_cond, rho) * initial_distance > eps:
-            hi *= 2
-            if hi > 2 ** 62:
-                return math.inf
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid >= s - 1 and power_bound(mid, s, self.basis_cond, rho) * initial_distance <= eps:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        if self.rho1 == 0.0:
+            return 1
+        steps = (math.log(eps / (self.basis_cond * initial_distance))
+                 / math.log(self.rho1))
+        return math.ceil(steps) if steps <= 2 ** 62 else math.inf
 
     def dominant_modulus_gap(self, algorithm="gda"):
         """Gap between the largest and second-largest *distinct*
@@ -119,8 +108,7 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
 
     The basis is declared usable (``diagonalizable``) when the eigensolver
     returns vectors whose condition number is at most 1e8; otherwise
-    ``basis_cond`` is absent and power-bound evaluations need a
-    caller-supplied Jordan block size.
+    ``basis_cond`` is absent and no iteration count is predicted.
     """
     if not (0 < r < math.inf and 0 < eta_x < math.inf):
         raise InvalidInputError("r and eta_x must be positive and finite")
@@ -155,7 +143,6 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
         lemma_checks=checks,
         diagonalizable=diagonalizable,
         basis_cond=basis_cond,
-        s_assumed=1,
         M_norm=M_norm,
         r=float(r),
         eta_x=float(eta_x),
@@ -231,21 +218,6 @@ def check_lemma_spectral(eigenvalues, M_norm, L, mu, mu_x, r):
     return tuple(checks)
 
 
-def power_bound(k, s, basis_cond, rho):
-    """Matrix-power norm bound ``s * C_P * k^(s-1) * rho^(k-s+1)`` for a
-    transition matrix with spectral radius ``rho``, basis condition number
-    ``C_P`` and largest Jordan block of size ``s``."""
-    if not (0.0 < rho < 1.0):
-        raise InvalidInputError(f"rho must lie in (0, 1), got {rho:.6g}")
-    if s < 1 or int(s) != s:
-        raise InvalidInputError("s must be an integer >= 1")
-    if basis_cond < 1.0:
-        raise InvalidInputError("basis condition number is at least 1")
-    if k < s - 1:
-        raise InvalidInputError(f"k must be >= s-1 = {s - 1}")
-    return s * basis_cond * float(k) ** (s - 1) * rho ** (k - s + 1)
-
-
 def classify_ratio(r, kappa):
     """Where a stepsize ratio falls relative to the convergence threshold:
     at or below ``kappa`` divergence is certified on the hard instance, at or
@@ -289,7 +261,7 @@ def report_to_json_dict(report):
         ],
         "diagonalizable": report.diagonalizable,
         "basis_cond": report.basis_cond,
-        "s_assumed": report.s_assumed,
+        "s_assumed": 1,  # the envelope C_P * rho^k assumes no Jordan block
         "M_norm": report.M_norm,
         "r": report.r,
         "eta_x": report.eta_x,

@@ -64,9 +64,9 @@ class SuiteResult:
         }
 
 
-def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, n=4, m=4,
-                     min_mu_x=1e-3, max_mu_x=None):
-    """Seeded 4x4-style instances filtered to ``mu_x`` above (and optionally
+def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
+                     max_mu_x=None):
+    """Seeded 4x4 instances filtered to ``mu_x`` above (and optionally
     below) a threshold; scans seeds in order so the corpus is reproducible."""
     out = []
     seed = start_seed
@@ -77,7 +77,7 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, n=4, m=4,
                 f"scanned {scanned} seeds but found only {len(out)} instances "
                 f"with mu_x > {min_mu_x}"
             )
-        p = prob.sample_instance(n, m, L, mu, seed)
+        p = prob.sample_instance(4, 4, L, mu, seed)
         mu_x = prob.derive_constants(p).mu_x
         if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
             out.append((seed, p))

@@ -45,7 +45,7 @@ class TestGenerate:
         assert out.exists()
         assert "kappa=100" in stdout
         loaded = prob.load_instance(out)
-        assert prob.validate(loaded).ok
+        assert prob.validate(loaded) == ()
 
     def test_same_seed_identical_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -238,6 +238,31 @@ class TestNonFiniteInput:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestRejectedBeforeWork:
+    # a negative seed used to end in a numpy traceback, and a bad sweep
+    # budget or target in an all-error CSV with exit 0
+    @pytest.mark.parametrize("args", [
+        ("generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1", "--seed", "-1"),
+        ("run", "{inst}", "-r", "200", "--seed", "-1"),
+        ("verify", "mux-zero", "--seed", "-1", "--budget", "0.1"),
+        ("verify", "spectral", "--seed", "-1", "--budget", "0.1"),
+        ("sweep", "{inst}", "--ratios", "200", "-T", "-5"),
+        ("sweep", "{inst}", "--ratios", "200", "--eps", "nan"),
+        ("sweep", "{inst}", "--ratios", "200", "--eps", "0"),
+    ], ids=["generate-seed", "run-seed", "verify-mux-zero-seed",
+            "verify-spectral-seed", "sweep-T", "sweep-eps-nan", "sweep-eps-0"])
+    def test_exits_one(self, args, instance_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(inst=instance_file) for a in args]
+        if argv[0] != "verify":
+            argv += ["-o", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert stdout == ""
         assert not out.exists()
 
 

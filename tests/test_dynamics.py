@@ -591,17 +591,18 @@ class TestEstimateRate:
         rho = 0.99
         k = np.arange(3000)
         signal = rho ** k + 1e-8
-        traj = synthetic_trajectory(signal)
-        # fit over the full window; the flat tail must be discarded
-        rate = dyn.estimate_rate(traj, window=(0, len(signal)))
+        # the fit reads the trailing half, which is the whole decaying
+        # signal; its flat tail must be discarded
+        traj = synthetic_trajectory(np.concatenate([np.ones(len(signal)), signal]))
+        rate = dyn.estimate_rate(traj)
         assert rate == pytest.approx(rho, abs=5e-3)
 
     def test_machine_floor_excluded(self):
         rho = 0.5
         signal = np.maximum(rho ** np.arange(200), 1e-280)
         signal[120:] = 1e-280
-        traj = synthetic_trajectory(signal)
-        rate = dyn.estimate_rate(traj, window=(0, 200))
+        traj = synthetic_trajectory(np.concatenate([np.ones(len(signal)), signal]))
+        rate = dyn.estimate_rate(traj)
         assert rate == pytest.approx(rho, abs=5e-3)
 
     def test_insufficient_data(self):

@@ -53,8 +53,7 @@ class TestRatioSweep:
         result = harness.ratio_sweep(
             basic_spec(small_instance, [2 * dc.kappa, 2 * dc.kappa ** 2], T=2_000_000)
         )
-        fast = result.cell(2 * dc.kappa)
-        slow = result.cell(2 * dc.kappa ** 2)
+        fast, slow = result.cells
         assert fast.status == slow.status == "converged"
         assert slow.iters_to_eps > fast.iters_to_eps
 
@@ -65,7 +64,7 @@ class TestRatioSweep:
         rep = spec.spectral_report(small_instance, r, eta_x)
         assert rep.diagonalizable
         result = harness.ratio_sweep(basic_spec(small_instance, [r], T=2_000_000))
-        cell = result.cell(r)
+        cell, = result.cells
         predicted = math.log(1e-6 / rep.basis_cond) / math.log(rep.rho1)
         assert predicted / 3 <= cell.iters_to_eps <= predicted * 3
 
@@ -101,6 +100,15 @@ class TestRatioSweep:
     def test_bad_ratio_rejected_before_any_cell(self, small_instance, bad):
         with pytest.raises(InvalidInputError, match="positive and finite"):
             basic_spec(small_instance, [8.0, bad], T=100)
+
+    def test_negative_max_iters_rejected_before_any_cell(self, small_instance):
+        with pytest.raises(InvalidInputError, match="max_iters"):
+            basic_spec(small_instance, [8.0], T=-5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_target_eps_rejected_before_any_cell(self, small_instance, bad):
+        with pytest.raises(InvalidInputError, match="target_eps"):
+            basic_spec(small_instance, [8.0], T=100, eps=bad)
 
     def test_below_threshold_ratio_sometimes_diverges(self):
         # sampling with mu_x computed after the fact (possibly zero) finds

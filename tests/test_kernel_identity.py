@@ -169,19 +169,20 @@ class TestValidateSchurIdentity:
     def test_schur_min_equals_direct_eigensolve(self, n, m, seed, family):
         kw = {family: True} if family != "random" else {}
         base = prob.sample_instance(n, m, 100.0, 1.0, seed, **kw)
-        # a fresh instance, so validate itself fills the derived-constant cache
+        # a fresh instance, so validating the Schur clause fills the
+        # derived-constant cache
         p = prob.QuadraticProblem(base.A, base.B, base.C, base.x_star,
                                   base.y_star, base.L, base.mu)
         direct = float(linalg.sym_eig(p.C + p.B @ linalg.solve_spd(p.A, p.B.T))[0][0])
-        assert prob.validate(p).schur_min == direct
+        failed = prob.validate(p, require_primal_convex=True)
         assert prob.derive_constants(p).schur_min == direct
+        psd = direct >= -prob.VALIDATION_RTOL * p.L
+        assert failed == (() if psd else ("schur_psd",))
 
-    def test_not_positive_definite_A_reports_nan(self):
+    def test_not_positive_definite_A_fails_schur_clause(self):
         p = prob.QuadraticProblem(A=[[-1.0]], B=[[0.5]], C=[[1.0]], x_star=[0.0],
                                   y_star=[0.0], L=2.0, mu=1.0)
-        report = prob.validate(p, require_primal_convex=True)
-        assert np.isnan(report.schur_min)
-        assert report.failed_clauses() == ["A_lower", "schur_psd"]
+        assert prob.validate(p, require_primal_convex=True) == ("A_lower", "schur_psd")
 
 
 class TestFactorisationCount:
@@ -199,6 +200,6 @@ class TestFactorisationCount:
         p = prob.sample_instance(4, 4, 100.0, 1.0, seed)
         prob.derive_constants(p)
         assert calls == {"solve_spd": 1, "sym_eig": 2}
-        # validating again reuses the cached Schur complement
-        prob.validate(p)
+        # validating again eigensolves A only; the Schur complement is cached
+        prob.validate(p, require_primal_convex=True)
         assert calls == {"solve_spd": 1, "sym_eig": 3}

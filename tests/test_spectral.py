@@ -1,13 +1,18 @@
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
+from minimax_gda import harness
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
+from minimax_gda import verify
 from minimax_gda.errors import InvalidInputError
 
 QUARTER = dyn.Scheme.QUARTER
@@ -77,8 +82,8 @@ class TestSpectralReport:
         rep = spec.spectral_report(reference_instance, r, eta_x)
         T = rep.predicted_iters(1e-6, initial_distance=1.0)
         assert T > 0
-        assert spec.power_bound(T, 1, rep.basis_cond, rep.rho1) <= 1e-6
-        assert spec.power_bound(T - 1, 1, rep.basis_cond, rep.rho1) > 1e-6
+        assert rep.basis_cond * rep.rho1 ** T <= 1e-6
+        assert rep.basis_cond * rep.rho1 ** (T - 1) > 1e-6
 
     def test_predicted_iters_overflow_is_inf(self, reference_instance):
         # a radius one ulp below 1 needs more than 2**62 steps to reach 1e-300
@@ -88,6 +93,8 @@ class TestSpectralReport:
         rep = spec.spectral_report(reference_instance, r, eta_x)
         slow = dataclasses.replace(rep, rho1=np.nextafter(1.0, 0.0))
         assert slow.predicted_iters(1e-300) == math.inf
+        # a looser target still fits below 2**62 steps
+        assert slow.predicted_iters(1e-6) < 2 ** 62
 
     def test_eg_selector_accepts_enum_and_name(self, reference_instance):
         dc = prob.derive_constants(reference_instance)
@@ -95,16 +102,11 @@ class TestSpectralReport:
         eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
         rep = spec.spectral_report(reference_instance, r, eta_x)
         EG = dyn.Algorithm.EG
-        assert rep.predicted_iters(1e-6, algorithm=EG) == \
-            rep.predicted_iters(1e-6, algorithm="eg")
         assert rep.dominant_modulus_gap(EG) == rep.dominant_modulus_gap("eg")
-        # the EG answers differ from the GDA ones, so a wrong selector shows
-        assert rep.predicted_iters(1e-6, algorithm=EG) != rep.predicted_iters(1e-6)
+        # the EG answer differs from the GDA one, so a wrong selector shows
         assert rep.dominant_modulus_gap(EG) != rep.dominant_modulus_gap("gda")
         with pytest.raises(InvalidInputError):
             rep.dominant_modulus_gap("adam")
-        with pytest.raises(InvalidInputError):
-            rep.predicted_iters(1e-6, algorithm="adam")
 
     def test_report_json_stable_names(self):
         p = prob.hard_rate_instance(2.0, 1.0, 1.0)
@@ -116,6 +118,33 @@ class TestSpectralReport:
         assert payload["eigenvalues"][0] == [
             pytest.approx(-1.0), pytest.approx(-math.sqrt(3)),
         ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(list(dyn.Scheme)), st.sampled_from([0.5, 2.0, 8.0]))
+    def test_report_json_round_trip_bit_exact(self, n, m, seed, scheme, factor):
+        def bits(x):
+            return None if x is None else np.float64(x).tobytes()
+
+        p = prob.sample_instance(n, m, 100.0, 1.0, seed)
+        r = factor * prob.derive_constants(p).kappa
+        eta_x, _ = dyn.default_stepsizes(p.L, r, scheme)
+        rep = spec.spectral_report(p, r, eta_x, scheme)
+        payload = json.loads(json.dumps(spec.report_to_json_dict(rep), indent=1))
+        lam = rep.eigenvalues
+        assert (np.asarray(payload["eigenvalues"], dtype=float).tobytes()
+                == np.column_stack([lam.real, lam.imag]).tobytes())
+        for key in ("rho1", "rho2", "rho_bound", "basis_cond", "M_norm", "r",
+                    "eta_x", "L", "mu", "mu_x", "kappa"):
+            assert bits(payload[key]) == bits(getattr(rep, key)), key
+        kappa_x = None if math.isinf(rep.kappa_x) else rep.kappa_x
+        assert bits(payload["kappa_x"]) == bits(kappa_x)
+        assert payload["rate_constant"] == rep.rate_constant
+        assert payload["diagonalizable"] is rep.diagonalizable
+        assert payload["s_assumed"] == 1
+        for c, d in zip(rep.lemma_checks, payload["lemma_checks"], strict=True):
+            assert (d["item"], d["applicable"], d["passed"]) == (c.item, c.applicable, c.passed)
+            assert bits(d["margin"]) == bits(c.margin if math.isfinite(c.margin) else None)
 
 
 class TestLemmaChecks:
@@ -167,26 +196,103 @@ class TestLemmaChecks:
 
 
 class TestPowerBound:
+    """The envelope ``C_P * rho1^k * d0`` behind ``predicted_iters``."""
+
+    @staticmethod
+    def _report(basis_cond, rho1):
+        p = prob.hard_rate_instance(2.0, 1.0, 1.0)
+        rep = spec.spectral_report(p, 4.0, 1.0 / 32)
+        return dataclasses.replace(rep, basis_cond=basis_cond, rho1=rho1)
+
     def test_diagonalizable_case(self):
-        assert spec.power_bound(10, 1, 3.0, 0.9) == pytest.approx(3.0 * 0.9 ** 10)
-
-    def test_jordan_case_value(self):
-        assert spec.power_bound(10, 2, 1.0, 0.9) == pytest.approx(2 * 10 * 0.9 ** 9)
-        assert spec.power_bound(10, 2, 1.0, 0.9) == pytest.approx(7.7484, abs=1e-4)
-
-    def test_jordan_block_power_oracle(self):
-        rho = 0.9
-        J = np.array([[rho, 1.0], [0.0, rho]])
-        P = np.eye(2)
-        for k in range(2, 201):
-            norm = np.linalg.norm(np.linalg.matrix_power(J, k), 2)
-            assert norm <= spec.power_bound(k, 2, 1.0, rho) * (1 + 1e-12)
+        rep = self._report(3.0, 0.9)
+        assert rep.predicted_iters(3.0 * 0.9 ** 20 * (1 + 1e-9)) == 20
+        assert rep.predicted_iters(3.0 * 0.9 ** 20 * (1 - 1e-9)) == 21
 
     def test_invalid_rho(self):
-        with pytest.raises(InvalidInputError):
-            spec.power_bound(10, 1, 1.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            spec.power_bound(0, 2, 1.0, 0.9)
+        assert self._report(3.0, 1.0).predicted_iters(1e-6) == math.inf
+        assert self._report(None, 0.9).predicted_iters(1e-6) == math.inf
+
+    def test_zero_radius_takes_one_step(self):
+        # M = -4 I and eta_x = 1/4: one GDA step lands on the optimum
+        p = prob.QuadraticProblem(A=[[1.0]], B=[[0.0]], C=[[4.0]], x_star=[0.0],
+                                  y_star=[0.0], L=4.0, mu=1.0)
+        rep = spec.spectral_report(p, 4.0, 0.25)
+        assert rep.rho1 == 0.0 and rep.basis_cond == 1.0
+        assert rep.predicted_iters(1e-6) == 1
+
+    def test_start_within_eps_takes_no_steps(self):
+        rep = self._report(3.0, 0.9)
+        assert rep.predicted_iters(1e-3, initial_distance=1e-3) == 0
+        assert rep.predicted_iters(1e-3, initial_distance=1e-4) == 0
+        # C_P > 1 still needs steps when d0 is just above eps
+        assert rep.predicted_iters(1e-3, initial_distance=1.01e-3) > 0
+
+
+def _bisection_iters(rep, eps, initial_distance):
+    """The doubling-and-bisection search the closed form replaced: the
+    smallest T >= 1 with ``C_P * rho1^T * d0 <= eps`` (0 when d0 <= eps)."""
+    rho, cond = rep.rho1, rep.basis_cond
+    if rho >= 1.0 or cond is None:
+        return math.inf
+    if initial_distance <= eps:
+        return 0
+    lo, hi = 0, 2
+    while cond * rho ** hi * initial_distance > eps:
+        hi *= 2
+        if hi > 2 ** 62:
+            return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cond * rho ** mid * initial_distance <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_reports():
+    """Reports for 20 corpus instances, each at r = 2k, 8k and 2k^2."""
+    reports = []
+    for p in corpus(20):
+        kappa = prob.derive_constants(p).kappa
+        for r in (2 * kappa, 8 * kappa, 2 * kappa ** 2):
+            reports.append(spec.spectral_report(p, r, dyn.default_stepsizes(p.L, r)[0]))
+    return tuple(reports)
+
+
+class TestClosedFormMatchesBisection:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 59), st.floats(1e-12, 0.1), st.floats(1e-3, 1e3))
+    def test_within_one_step_on_corpus(self, cell, eps, d0):
+        rep = _corpus_reports()[cell]
+        closed = rep.predicted_iters(eps, initial_distance=d0)
+        reference = _bisection_iters(rep, eps, d0)
+        assert math.isfinite(closed) == math.isfinite(reference)
+        if math.isfinite(reference):
+            assert abs(closed - reference) <= 1
+
+    def test_exact_on_criterion_6_and_7_instances(self, monkeypatch):
+        # every budget criteria 6 and 7 size from the envelope, recorded
+        # from the drivers themselves
+        calls = []
+        closed_form = spec.SpectralReport.predicted_iters
+
+        def recorded(rep, eps, initial_distance=1.0):
+            calls.append((rep, eps, initial_distance))
+            return closed_form(rep, eps, initial_distance)
+
+        monkeypatch.setattr(spec.SpectralReport, "predicted_iters", recorded)
+        floor_inst = verify.corpus_instances(
+            1, start_seed=0, min_mu_x=10.0, max_mu_x=60.0)[0][1]
+        r = 2.0 * prob.derive_constants(floor_inst).kappa
+        harness.sgda_floor_sweep(floor_inst, r, 1.0, (16, 64, 256, 1024), (0,))
+        for seed in range(6):
+            verify.check_mux_zero(seed=seed)
+        assert len(calls) == 1 + 6 * 2
+        for rep, eps, d0 in calls:
+            assert closed_form(rep, eps, d0) == _bisection_iters(rep, eps, d0)
 
 
 class TestClassifyRatio:
