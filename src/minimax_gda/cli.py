@@ -236,17 +236,10 @@ def cmd_sweep(args):
         kappa = prob.derive_constants(problem).kappa
         ratios = harness.default_ratio_set(kappa)
     noise = prob.NoiseModel(args.sigma, args.batch) if args.sigma is not None else None
-    sweep_spec = harness.ExperimentSpec(
-        problem=problem,
-        ratios=tuple(ratios),
-        max_iters=args.max_iters,
-        target_eps=args.eps,
-        algorithms=tuple(dyn.Algorithm(a) for a in args.algorithms),
-        scheme=dyn.Scheme(args.scheme),
-        seeds=tuple(range(args.seeds)),
-        noise=noise,
+    result = harness.ratio_sweep(
+        problem, ratios, args.max_iters, args.eps, algorithms=args.algorithms,
+        scheme=args.scheme, seeds=range(args.seeds), noise=noise,
     )
-    result = harness.ratio_sweep(sweep_spec)
     path = _write_atomic(args.out, lambda fh: harness.write_sweep_csv(result, fh))
     print(f"wrote {path} ({len(result.cells)} cells)")
     return EXIT_OK

@@ -28,6 +28,8 @@ _EPS_NEVER = 1e-300  # target_eps that effectively disables the convergence stop
 # of the divergence certificate
 _CONTROL_EPS = 1e-6
 _CONTROL_MAX_ITERS = 200_000
+# stepsizes eta_x of the divergence certificate's grid
+_ETA_GRID = np.logspace(math.log10(1e-6), math.log10(0.5), 12)
 _TAIL_FRACTION = 0.2  # share of an SGDA floor run averaged as its steady state
 
 
@@ -45,38 +47,6 @@ def default_ratio_set(kappa):
     """The four reference ratios: below threshold, proved optimal, a slower
     proved choice, and the quadratic-in-kappa choice."""
     return (kappa / 2.0, 2.0 * kappa, 8.0 * kappa, 2.0 * kappa ** 2)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    problem: object  # QuadraticProblem or NonQuadraticProblem
-    ratios: tuple
-    max_iters: int
-    target_eps: float
-    algorithms: tuple = (dyn.Algorithm.GDA,)
-    scheme: dyn.Scheme = dyn.Scheme.QUARTER
-    seeds: tuple = (0,)
-    noise: Optional[prob.NoiseModel] = None
-
-    def __post_init__(self):
-        if len(self.ratios) == 0:
-            raise InvalidInputError("need at least one ratio")
-        if len(self.seeds) == 0:
-            raise InvalidInputError("need at least one seed")
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        for r in self.ratios:
-            if not 0 < r < math.inf:
-                raise InvalidInputError(f"ratios must be positive and finite, got {r}")
-        if not self.max_iters >= 0:
-            raise InvalidInputError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not 0 < self.target_eps < math.inf:
-            raise InvalidInputError(
-                f"target_eps must be positive and finite, got {self.target_eps}"
-            )
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(
-            self, "algorithms", tuple(dyn.Algorithm(a) for a in self.algorithms)
-        )
 
 
 @dataclass(frozen=True)
@@ -137,41 +107,57 @@ def _cell_from_run(ratio, seed, algorithm, traj, rho):
     )
 
 
-def ratio_sweep(sweep_spec):
-    """Run every (ratio, seed, algorithm) cell and collect status, fitted
-    rate, the spectral-radius prediction and terminal measures.  A cell
-    that raises a library error (:class:`MinimaxGdaError`) is recorded with
-    status ``error: <ExceptionType>: <message>`` and the sweep continues;
-    any other exception propagates.  A ratio that is not positive and
-    finite, a negative ``max_iters`` or a ``target_eps`` outside (0, inf)
-    never reaches a cell: :class:`ExperimentSpec` rejects it with
-    :class:`InvalidInputError` before any cell runs."""
-    problem = sweep_spec.problem
+def ratio_sweep(problem, ratios, max_iters, target_eps,
+                algorithms=(dyn.Algorithm.GDA,), scheme=dyn.Scheme.QUARTER,
+                seeds=(0,), noise=None):
+    """Run every (ratio, seed, algorithm) cell of a quadratic or
+    non-quadratic ``problem`` and collect status, fitted rate, the
+    spectral-radius prediction and terminal measures.  ``noise`` applies to
+    the SGDA and EG cells.  A cell that raises a library error
+    (:class:`MinimaxGdaError`) is recorded with status
+    ``error: <ExceptionType>: <message>`` and the sweep continues; any other
+    exception propagates.  No ratio or seed, a ratio that is not positive
+    and finite, a negative ``max_iters`` or a ``target_eps`` outside
+    (0, inf) raises :class:`InvalidInputError` before any cell runs."""
+    if len(ratios) == 0:
+        raise InvalidInputError("need at least one ratio")
+    if len(seeds) == 0:
+        raise InvalidInputError("need at least one seed")
+    ratios = tuple(float(r) for r in ratios)
+    for r in ratios:
+        if not 0 < r < math.inf:
+            raise InvalidInputError(f"ratios must be positive and finite, got {r}")
+    if not max_iters >= 0:
+        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0 < target_eps < math.inf:
+        raise InvalidInputError(
+            f"target_eps must be positive and finite, got {target_eps}"
+        )
+    seeds = tuple(int(s) for s in seeds)
+    algorithms = tuple(dyn.Algorithm(a) for a in algorithms)
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
 
     radii = {}
-    for r in sweep_spec.ratios:
-        eta_x, _ = dyn.default_stepsizes(base.L, r, sweep_spec.scheme)
+    for r in ratios:
+        eta_x, _ = dyn.default_stepsizes(base.L, r, scheme)
         try:
-            rep = spec.spectral_report(base, r, eta_x, sweep_spec.scheme)
+            rep = spec.spectral_report(base, r, eta_x, scheme)
             radii[r] = (rep.rho1, rep.rho2)
         except MinimaxGdaError:
             radii[r] = (None, None)
 
     cells = []
-    for r, seed, alg in itertools.product(
-            sweep_spec.ratios, sweep_spec.seeds, sweep_spec.algorithms):
+    for r, seed, alg in itertools.product(ratios, seeds, algorithms):
         try:
-            eta_x, eta_y = dyn.default_stepsizes(base.L, r, sweep_spec.scheme)
-            noise = sweep_spec.noise if alg is not dyn.Algorithm.GDA else None
+            eta_x, eta_y = dyn.default_stepsizes(base.L, r, scheme)
             config = dyn.SolverConfig(
                 algorithm=alg,
                 eta_x=eta_x,
                 eta_y=eta_y,
-                max_iters=sweep_spec.max_iters,
-                target_eps=sweep_spec.target_eps,
-                noise=noise,
+                max_iters=max_iters,
+                target_eps=target_eps,
+                noise=noise if alg is not dyn.Algorithm.GDA else None,
                 seed=seed,
             )
             traj = dyn.run(problem, config)
@@ -230,10 +216,11 @@ def _power_norm_course(problem, r, eta_x, max_iters):
     return float(np.sqrt(np.sum(np.square(np.stack(courses)), axis=0)).min())
 
 
-def divergence_certificate(kappa, eta_grid, max_iters=100_000, ratios=None):
+def divergence_certificate(kappa, max_iters):
     """Certify that GDA never converges on the hard threshold instance
-    ``hard_ratio_instance(kappa, 1.0)`` at the ratios (default ``kappa/2``
-    and ``kappa``), for every stepsize ``eta_x`` in the grid.
+    ``hard_ratio_instance(kappa, 1.0)`` at the ratios ``kappa/2`` and
+    ``kappa``, for every stepsize ``eta_x`` in the 12-point log grid from
+    1e-6 to 0.5 (``_ETA_GRID``).
 
     Each (r, eta_x) cell passes when the run blows past the divergence
     factor or when the transition-power norm stays at or above 1
@@ -244,15 +231,10 @@ def divergence_certificate(kappa, eta_grid, max_iters=100_000, ratios=None):
     """
     if not kappa >= 2:
         raise InvalidInputError("the threshold theorem needs kappa >= 2")
-    grid = np.asarray(eta_grid, dtype=float).tolist()
-    if len(grid) < 12:
-        raise InvalidInputError("need at least 12 stepsizes in the grid")
-    if ratios is None:
-        ratios = (kappa / 2.0, kappa)
     problem = prob.hard_ratio_instance(kappa, 1.0)
 
     cells = []
-    for r, eta_x in itertools.product(map(float, ratios), grid):
+    for r, eta_x in itertools.product((kappa / 2.0, kappa), _ETA_GRID.tolist()):
         min_norm = _power_norm_course(problem, r, eta_x, max_iters)
         if min_norm is None:
             cells.append("diverged")

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 VALIDATION_RTOL = 1e-9  # clause tolerance, relative to L
+_SAMPLE_ATTEMPTS = 50  # draws sample_instance tries before giving up
 
 
 def _readonly(a):
@@ -267,13 +268,13 @@ def stochastic_grad(problem, z, noise, rng):
     return gx, gy
 
 
-def primal_gap(problem, x, constants=None):
+def primal_gap(problem, x):
     """Primal suboptimality ``1/2 (x-x*)' schur (x-x*)`` (>= 0), or ``inf``
     for a non-finite ``x``.
 
     Requires a PSD Schur complement; raises :class:`InvalidStateError`
     when it is indefinite beyond tolerance."""
-    dc = constants if constants is not None else derive_constants(problem)
+    dc = derive_constants(problem)
     if dc.schur_min < -VALIDATION_RTOL * problem.L:
         raise InvalidStateError(
             f"primal Hessian is indefinite (lambda_min={dc.schur_min:.3e}); "
@@ -308,7 +309,6 @@ def sample_instance(
     primal_convex=False,
     mu_x_zero=False,
     schur_margin=0.0,
-    max_retries=50,
 ):
     """Draw a random valid instance.
 
@@ -321,7 +321,7 @@ def sample_instance(
     smallest eigenvalue >= ``schur_margin`` (>= 0); ``mu_x_zero`` instead
     builds ``C = W D W' - B A^-1 B'`` with diagonal PSD ``D`` having exactly
     one zero entry, shrinking ``beta`` as needed, so ``mu_x`` is exactly 0.
-    Retries up to ``max_retries`` times before raising
+    Makes up to 50 draws before raising
     :class:`GenerationFailureError`.  ``rng`` is a nonnegative integer seed
     or a ``numpy.random.Generator``; identical arguments give identical
     instances.
@@ -341,7 +341,7 @@ def sample_instance(
     rng = np.random.default_rng(rng)
 
     beta_eff = beta
-    for _ in range(max_retries):
+    for _ in range(_SAMPLE_ATTEMPTS):
         lam = rng.uniform(mu, L, size=m)
         lam[0] = mu
         if m >= 2:
@@ -381,7 +381,7 @@ def sample_instance(
             return problem
 
     raise GenerationFailureError(
-        f"failed to generate a valid instance after {max_retries} attempts "
+        f"failed to generate a valid instance after {_SAMPLE_ATTEMPTS} attempts "
         f"(n={n}, m={m}, L={L}, mu={mu}, beta={beta}, gamma={gamma}, "
         f"primal_convex={primal_convex}, mu_x_zero={mu_x_zero})"
     )

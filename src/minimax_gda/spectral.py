@@ -52,6 +52,16 @@ def _is_eg(algorithm):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}") from None
 
 
+def _transition_moduli(lam, eta_x):
+    """Moduli of the GDA (``1 + h``) and EG (``1 + h + h^2``) transition
+    eigenvalues, ``h = eta_x*lam``; one whose computation overflows is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = eta_x * lam
+        t1 = 1.0 + h
+        # fmin turns the nan of an overflowed inf - inf or inf * 0 into inf
+        return np.fmin(np.abs(t1), math.inf), np.fmin(np.abs(t1 + h ** 2), math.inf)
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray  # complex eigenvalues of M
@@ -91,11 +101,8 @@ class SpectralReport:
         """Gap between the largest and second-largest *distinct*
         transition-eigenvalue moduli (a conjugate pair shares one modulus);
         inf when a single modulus remains."""
-        lam = self.eigenvalues
-        t = 1.0 + self.eta_x * lam
-        if _is_eg(algorithm):
-            t = t + (self.eta_x * lam) ** 2
-        mods = np.sort(np.abs(t))[::-1]
+        gda, eg = _transition_moduli(self.eigenvalues, self.eta_x)
+        mods = np.sort(eg if _is_eg(algorithm) else gda)[::-1]
         rest = mods[mods < mods[0] * (1.0 - 1e-12)]
         if len(rest) == 0:
             return math.inf
@@ -118,10 +125,7 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     M_norm = linalg.spectral_norm(M)
     lam, V = linalg.general_eig(M)
 
-    t1 = 1.0 + eta_x * lam
-    t2 = t1 + (eta_x * lam) ** 2
-    rho1 = float(np.max(np.abs(t1)))
-    rho2 = float(np.max(np.abs(t2)))
+    rho1, rho2 = (float(np.max(m)) for m in _transition_moduli(lam, eta_x))
 
     try:
         cond = linalg.cond_2(V)

@@ -30,3 +30,15 @@ def small_instance():
         if prob.derive_constants(p).mu_x > 0.2:
             return p
         seed += 1
+
+
+@pytest.fixture
+def contracting_hard_instance(monkeypatch):
+    """Replace the divergence certificate's hard threshold instance with a
+    convergent one (``C = mu``, ``B = 0``), on which every certificate cell
+    contracts."""
+    def contracting(L, mu):
+        return prob.QuadraticProblem(A=[[mu]], B=[[0.0]], C=[[mu]],
+                                     x_star=[0.0], y_star=[0.0], L=L, mu=mu)
+
+    monkeypatch.setattr(prob, "hard_ratio_instance", contracting)

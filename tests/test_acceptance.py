@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated tolerances and
 within the stated runtime limits.  Run with ``pytest tests/test_acceptance.py
--v -s`` to see one line per criterion; ``minimax-gda verify all`` exercises
-the same checks through the CLI.
+-v -s`` to see one line per criterion; ``minimax-gda verify all`` (budget 1)
+runs the same checks with the same arguments through the CLI, which
+``tests/test_verify.py::TestSuiteDispatch::test_budget_one_runs_acceptance_calls``
+pins.  Each criterion's configuration lives in its ``verify.check_*``; the
+tests below pin the parts of it that ``details`` reports.
 """
 
 import time
@@ -32,11 +35,12 @@ def report_and_assert(criterion, check, elapsed):
 
 def test_criterion_1_ratio_threshold_divergence():
     t0 = time.perf_counter()
-    check = verify.check_ratio_threshold(
-        kappas=(2.0, 8.0, 64.0), max_iters=100_000,
-        grid_lo=1e-6, grid_hi=0.5, grid_size=12,
-    )
-    report_and_assert(1, check, time.perf_counter() - t0)
+    check = verify.check_ratio_threshold(max_iters=100_000)
+    elapsed = time.perf_counter() - t0
+    per_kappa = check.details["per_kappa"]
+    assert [k["kappa"] for k in per_kappa] == [2, 8, 64]
+    assert [k["cells"] for k in per_kappa] == [24, 24, 24]
+    report_and_assert(1, check, elapsed)
 
 
 def test_criterion_2_spectral_radius_bound(corpus):
@@ -57,7 +61,7 @@ def test_criterion_3_linear_rate_matches_prediction(corpus):
 
 def test_criterion_4_tight_rate_lower_bound():
     t0 = time.perf_counter()
-    check = verify.check_rate_lower_bound(L=2.0, mu=1.0, mu_x=0.1, r=4.0)
+    check = verify.check_rate_lower_bound()
     elapsed = time.perf_counter() - t0
     assert check.details["s1"] == pytest.approx(0.99296, abs=1e-5)
     assert check.details["max_step_deviation"] <= 1e-10
@@ -67,18 +71,18 @@ def test_criterion_4_tight_rate_lower_bound():
 
 def test_criterion_5_complexity_table_scaling():
     t0 = time.perf_counter()
-    check = verify.check_complexity_scaling(seed=0, count=10, L=20.0, mu=1.0,
-                                            eps=1e-6)
+    check = verify.check_complexity_scaling(seed=0, count=10)
     elapsed = time.perf_counter() - t0
+    assert check.details["kappa"] == 20
     assert len(check.details["iteration_ratios"]) == 10
     report_and_assert(5, check, elapsed)
 
 
 def test_criterion_6_sgda_noise_floor():
     t0 = time.perf_counter()
-    check = verify.check_sgda_floor(seed=0, sigma=1.0,
-                                    batches=(16, 64, 256, 1024), n_seeds=32)
+    check = verify.check_sgda_floor(seed=0, n_seeds=32)
     elapsed = time.perf_counter() - t0
+    assert [p["batch"] for p in check.details["points"]] == [16, 64, 256, 1024]
     assert not check.inconclusive
     assert check.details["slope"] == pytest.approx(-1.0, abs=0.15)
     report_and_assert(6, check, elapsed)
@@ -86,8 +90,9 @@ def test_criterion_6_sgda_noise_floor():
 
 def test_criterion_7_mux_zero_regularization():
     t0 = time.perf_counter()
-    check = verify.check_mux_zero(seed=0, eps_values=(1e-1, 1e-2))
+    check = verify.check_mux_zero(seed=0)
     elapsed = time.perf_counter() - t0
+    assert list(check.details["runs"]) == ["0.1", "0.01"]
     for run in check.details["runs"].values():
         assert run["gap_ok"]
     for growth in check.details["iteration_growth"]:
@@ -108,7 +113,7 @@ def test_criterion_8_eigensolver_oracle(corpus):
 
 def test_criterion_9_nearly_quadratic_guarantee():
     t0 = time.perf_counter()
-    check = verify.check_nearly_quadratic(seed=0, L=2.0, mu=1.0)
+    check = verify.check_nearly_quadratic(seed=0)
     elapsed = time.perf_counter() - t0
     assert check.details["delta_r"] <= check.details["threshold"]
     assert check.details["final_grad_norm"] <= 1e-6 * 2.0

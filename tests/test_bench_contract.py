@@ -34,13 +34,13 @@ def test_every_traced_name_exists():
 
 
 def test_tracer_reads_certificate_and_floor_shapes():
-    # 24 certificate cells and 1 control for kappa = 2, plus 2 batches x 1
-    # seed of the floor sweep
+    # 24 certificate cells and 1 control for each of kappa = 2, 8, 64, plus
+    # 2 batches x 1 seed of the floor sweep
     tracer = _load_tracing().Tracer()
     try:
         assert set(tracer.install()) == set()
-        verify.check_ratio_threshold(kappas=(2.0,), max_iters=2_000)
+        verify.check_ratio_threshold(max_iters=2_000)
         verify.check_sgda_floor(batches=(16, 64), n_seeds=1)
     finally:
         tracer.restore()
-    assert tracer.count["harness.cells"] == 27
+    assert tracer.count["harness.cells"] == 77

@@ -173,6 +173,37 @@ class TestSweep:
         assert header.startswith("ratio,seed,algorithm,status")
 
 
+class TestOverflowingRadii:
+    """A transition radius whose computation overflows is reported as inf,
+    with no numpy warning (a warning fails the test)."""
+
+    def test_inspect_huge_eta_x(self, instance_file, capsys):
+        code, stdout, err = run_cli(capsys, "inspect", instance_file, "-r", "100",
+                                    "--eta-x", "1e300")
+        assert code == 0 and err == ""
+        payload = json.loads(stdout)
+        assert 1.0 < payload["rho1"] < float("inf")
+        assert payload["rho2"] == "inf"
+
+    def test_inspect_eta_x_near_float_max(self, instance_file, capsys):
+        code, stdout, err = run_cli(capsys, "inspect", instance_file, "-r", "100",
+                                    "--eta-x", "1e308")
+        assert code == 0 and err == ""
+        payload = json.loads(stdout)
+        assert payload["rho1"] == "inf"
+        assert payload["rho2"] == "inf"
+
+    def test_sweep_tiny_ratio(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "tiny.csv"
+        code, _, err = run_cli(capsys, "sweep", instance_file, "--ratios", "1e-300",
+                               "--algorithms", "gda", "eg", "-T", "10",
+                               "-o", str(out))
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[2], r[3]) for r in rows] == [("gda", "diverged"), ("eg", "diverged")]
+        assert rows[1][5] == "inf"
+
+
 class TestVerify:
     def test_mux_zero_suite_passes(self, capsys):
         code, stdout, _ = run_cli(

@@ -378,7 +378,7 @@ def reference_run(problem, config, z0=None):
             iters.append(k)
             dists.append(d)
             if want_gaps:
-                gaps.append(prob.primal_gap(problem, z[:problem.n], dc)
+                gaps.append(prob.primal_gap(problem, z[:problem.n])
                             if finite else math.inf)
         if stop:
             if diverged:
@@ -572,6 +572,20 @@ class TestEstimateRate:
         rho = 0.99
         traj = synthetic_trajectory(rho ** np.arange(400))
         assert dyn.estimate_rate(traj) == pytest.approx(rho, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(20, 5000), st.floats(1e-3, 1e3), st.booleans())
+    def test_geometric_trajectory_rate_exact(self, data, length, d0, growing):
+        # the plateau trim never cuts a purely geometric course; contracting
+        # q keeps at least 10 trailing-half points above the machine floor
+        # and growing q stays finite
+        if growing:
+            lo, hi = 1.005, min(2.0, math.exp(600.0 / (length - 1)))
+        else:
+            lo, hi = max(0.5, math.exp(-25.0 / (length // 2 + 10))), 0.995
+        q = data.draw(st.floats(lo, hi))
+        traj = synthetic_trajectory(d0 * q ** np.arange(length))
+        assert abs(dyn.estimate_rate(traj) - q) <= 1e-12 * abs(1.0 - q)
 
     def test_adversarial_eigen_init_recovers_s1(self):
         L, mu, mu_x, r = 2.0, 1.0, 0.1, 4.0

@@ -226,7 +226,7 @@ class TestSampleInstance:
         # a schur margin beyond the norm budget cannot be met
         with pytest.raises(GenerationFailureError):
             prob.sample_instance(4, 4, 10.0, 1.0, 0, primal_convex=True,
-                                 schur_margin=1e6, max_retries=5)
+                                 schur_margin=1e6)
 
 
 class TestHardInstances:

@@ -302,6 +302,24 @@ class TestClassifyRatio:
         assert spec.classify_ratio(2 * kappa, kappa) is spec.RatioClass.PROVED_CONVERGENT
         assert spec.classify_ratio(1.5 * kappa, kappa) is spec.RatioClass.GAP
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+           st.floats(1e-2, 10.0), st.floats(1.5, 1e3),
+           st.sampled_from(["below", "at", "above", "free"]), st.floats(0.1, 10.0))
+    def test_below_threshold_exactly_when_items_2_and_4_vacuous(
+            self, n, m, seed, mu, kappa, where, factor):
+        # the certified-divergence class and the lemma's r > kappa regime
+        # split the ratios at the same point, ties included
+        p = prob.sample_instance(n, m, kappa * mu, mu, seed)
+        kappa = prob.derive_constants(p).kappa
+        r = {"below": np.nextafter(kappa, 0.0), "at": kappa,
+             "above": np.nextafter(kappa, math.inf), "free": factor * kappa}[where]
+        eta_x, _ = dyn.default_stepsizes(p.L, r)
+        rep = spec.spectral_report(p, r, eta_x)
+        applicable = {c.item: c.applicable for c in rep.lemma_checks}
+        below = spec.classify_ratio(r, rep.kappa) is spec.RatioClass.BELOW_THRESHOLD
+        assert applicable[2] == applicable[4] == (not below)
+
 
 class TestPredictedFloor:
     def test_zero_sigma(self):
