@@ -1,0 +1,56 @@
+"""Per-call timings of the affine engine and of the rate fit.
+
+Layers: one exact GDA and one exact EG ``run`` of 40 000 steps on the first
+certify-rates instance (the first 4x4 corpus instance, dim 8) at r = 2 kappa,
+as criterion 3 runs them; one SGDA run of the same length on the criterion-6
+instance (the noisy path, which keeps its sequential block starts); and one
+``estimate_rate`` call on the 40 001-point GDA trajectory.  Each run case
+stores its step count in ``extra_info["steps"]``, so the per-call median over
+it is microseconds per step.  These are not part of the test suite; run them
+from the root of a checkout with
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_bench_dynamics.py --benchmark-json=bench.json
+
+and read the per-call medians from the JSON's ``stats``.
+"""
+
+import pytest
+
+from minimax_gda import dynamics as dyn
+from minimax_gda import harness
+from minimax_gda import problems as prob
+from minimax_gda import verify
+
+STEPS = 40_000
+
+
+def _config(p, alg, seed, noise=None):
+    eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+    return dyn.SolverConfig(algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=STEPS,
+                            target_eps=harness._EPS_NEVER, noise=noise, seed=seed,
+                            record_primal_gaps=False)
+
+
+def _rates_cell(alg):
+    seed, p = verify.corpus_instances(1)[0]
+    return p, _config(p, alg, seed)
+
+
+@pytest.mark.parametrize("alg", [dyn.Algorithm.GDA, dyn.Algorithm.EG])
+def test_exact_run(benchmark, alg):
+    p, cfg = _rates_cell(alg)
+    benchmark.extra_info["steps"] = STEPS
+    benchmark(dyn.run, p, cfg)
+
+
+def test_sgda_run(benchmark):
+    seed, p = verify.corpus_instances(1, min_mu_x=10.0, max_mu_x=60.0)[0]
+    cfg = _config(p, dyn.Algorithm.SGDA, seed, prob.NoiseModel(sigma=1.0, batch=16))
+    benchmark.extra_info["steps"] = STEPS
+    benchmark(dyn.run, p, cfg)
+
+
+def test_estimate_rate(benchmark):
+    traj = dyn.run(*_rates_cell(dyn.Algorithm.GDA))
+    assert len(traj.distances) == STEPS + 1
+    benchmark(dyn.estimate_rate, traj)

@@ -10,13 +10,16 @@ where
 A mini-batch Gaussian oracle adds ``G xi`` per step, with ``xi`` standard
 normal, so every quadratic run, exact or noisy, is the affine recurrence
 ``w <- T w + G xi`` (``G = 0`` for an exact oracle).  ``run`` advances that
-recurrence a chunk of steps at a time: block starts move by the power
-``T^b``, the states inside each block come from one product with the stack
+recurrence a chunk of steps at a time: the states inside each block of
+``b`` steps come from one product of its start with the stack
 ``T^1..T^b``, and the stop iteration is found from the whole chunk's
-distances at once.  Non-quadratic runs step through the gradient oracle,
-one iteration at a time.  A run owns its RNG (seeded from the config), and
-the noise it draws is the per-step oracle's stream, value for value;
-``gda_step``/``eg_step`` with ``make_oracle`` remain the per-step reference.
+distances at once.  An exact chunk is two products: its block starts come
+from one product with the stack of powers of ``T^b``.  A noisy run moves
+block starts one at a time, adding each block's own noise response.
+Non-quadratic runs step through the gradient oracle, one iteration at a
+time.  A run owns its RNG (seeded from the config), and the noise it draws
+is the per-step oracle's stream, value for value; ``gda_step``/``eg_step``
+with ``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -316,19 +319,19 @@ def _noise_gain(quad, config):
     return np.hstack([config.eta_x * build_M(quad, config.ratio) @ D, D])
 
 
-def _advance(w, steps, T, P, G, rng):
+def _advance(w, steps, T, P, Pb, G, rng):
     """States ``w_1..w_steps`` of ``w_{k+1} = T w_k + G xi_k`` from ``w_0 = w``.
 
-    ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``.  The chunk
-    is cut into blocks of ``b`` steps.  Block starts follow
-    ``s_{i+1} = T^b s_i + r_i``, with ``r_i`` the block's response to its
-    own noise from a zero start; every state in block ``i`` is then
-    ``T^j s_i`` plus that response, from one product with ``P``.
+    ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``, and ``Pb``
+    one of powers of ``T^b``.  Every state in block ``i`` is ``T^j s_i``
+    from the block's start ``s_i``, from one product with ``P``.  An exact
+    run gets ``len(Pb)`` block starts per product with ``Pb``.  A noisy run
+    passes ``Pb = T^b`` alone and adds ``r_i``, block ``i``'s response to
+    its own noise from a zero start, to ``s_{i+1}`` and to the block's states.
     """
     dim = len(w)
     b = P.shape[1] // dim
     nb = -(-steps // b)
-    Tb = P[:, -dim:].T
     R = None  # R[j, i]: block i's response to its own noise after j+1 steps
     if G is not None:
         # the final chunk may end mid-block; the extra draws are never used
@@ -339,12 +342,17 @@ def _advance(w, steps, T, P, G, rng):
         for j in range(1, b):
             np.matmul(R[j - 1], TT, out=R[j])
             R[j] += E[:, j]
-    S = np.empty((nb + 1, dim))
-    S[0] = w
-    for i in range(nb):
-        S[i + 1] = Tb @ S[i]
+    # block starts, len(Pb) of them per product, in a flat buffer with room
+    # for the unused starts the last product computes
+    group = Pb.shape[1] // dim
+    S = np.empty((nb + group) * dim)
+    S[:dim] = w
+    for i in range(0, nb, group):
+        s = S[(i + 1) * dim:(i + 1 + group) * dim]
+        np.matmul(S[i * dim:(i + 1) * dim], Pb, out=s)
         if R is not None:
-            S[i + 1] += R[-1, i]
+            s += R[-1, i]
+    S = S.reshape(-1, dim)[:nb + 1]
     W = (S[:-1] @ P).reshape(nb, b, dim)
     if R is not None:
         W += R.transpose(1, 0, 2)
@@ -386,8 +394,8 @@ def _run_affine(quad, config, w, schur):
             len(d) - 1 if last == max_iters else None)
         end = len(d) if j is None else j + 1
         ks = np.arange(k0, k0 + end)
-        keep = ks % stride == 0
-        if j is not None:
+        keep = slice(None) if stride == 1 else ks % stride == 0
+        if stride > 1 and j is not None:
             keep[j] = True
         gaps = None
         if schur is not None:
@@ -402,8 +410,12 @@ def _run_affine(quad, config, w, schur):
                     None if schur is None else np.concatenate(gap_parts))
         if P is None:
             P = _power_stack(T, min(_BLOCK, max_iters))
-        steps = min(max_iters - last, blocks * P.shape[1] // len(w))
-        W = _advance(W[-1], steps, T, P, G, rng)
+            b = P.shape[1] // len(w)
+            Pb = P[:, -len(w):]  # (T^b)'
+            if G is None:
+                Pb = _power_stack(Pb.T, min(_MAX_BLOCKS, -(-max_iters // b)))
+        steps = min(max_iters - last, blocks * b)
+        W = _advance(W[-1], steps, T, P, Pb, G, rng)
         k0 = last + 1
         blocks = min(2 * blocks, _MAX_BLOCKS)
 
@@ -443,11 +455,12 @@ def estimate_rate(trajectory):
     """Geometric per-step contraction factor fitted to a trajectory.
 
     Least-squares slope of log(distance) against the iteration index over
-    the trailing half of the recorded points, exponentiated.  Points at or
-    below ``1e3 * eps_machine`` times the initial distance are excluded,
-    and a trailing plateau (e.g. an SGDA noise floor, detected as trailing
-    blocks whose average log-decrement collapses relative to the decaying
-    part) is trimmed.  Raises :class:`InsufficientDataError` with fewer
+    the trailing half of the recorded points, in closed form
+    (``fit_slope``), exponentiated.  Points at or below ``1e3 *
+    eps_machine`` times the initial distance are excluded, and a trailing
+    plateau (e.g. an SGDA noise floor, detected as trailing blocks whose
+    average log-decrement collapses relative to the decaying part) is
+    trimmed.  Raises :class:`InsufficientDataError` with fewer
     than 10 usable points.
     """
     d = np.asarray(trajectory.distances, dtype=float)
@@ -479,8 +492,14 @@ def estimate_rate(trajectory):
         raise InsufficientDataError(
             f"need at least 10 usable positive distances, have {len(ld)}"
         )
-    slope = np.polyfit(it, ld, 1)[0]
-    return float(math.exp(slope))
+    return math.exp(fit_slope(it, ld))
+
+
+def fit_slope(t, y):
+    """Least-squares slope of ``y`` against ``t``, in closed form:
+    ``sum((t - mean t)(y - mean y)) / sum((t - mean t)^2)``."""
+    tc = t - t.mean()
+    return float(tc.dot(y - y.mean()) / tc.dot(tc))
 
 
 def write_trajectory_csv(trajectory, fh):

@@ -336,9 +336,8 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds, max_iters=None):
                    within_bound=floors[S] <= bounds[S])
         for S in batch_list
     )
-    slope = float(np.polyfit(
-        np.log(list(batch_list)), np.log([floors[S] for S in batch_list]), 1,
-    )[0])
+    slope = dyn.fit_slope(np.log(list(batch_list)),
+                          np.log([floors[S] for S in batch_list]))
     if not conclusive:
         status = "inconclusive"
     elif all(p.within_bound for p in points) and abs(slope + 1.0) <= 0.15:

@@ -2,10 +2,11 @@ import csv
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
@@ -554,6 +555,47 @@ class TestAffineEngine:
         traj = assert_matches_reference(p, cfg, z0=np.array([1.0, 0.0]))
         assert traj.status.kind is dyn.StatusKind.CONVERGED
 
+    @pytest.mark.parametrize("alg", [GDA, EG])
+    def test_long_exact_run_equals_matrix_power(self, reference_instance, rng, alg):
+        # chunks of 1, 2, ..., 32 blocks end at step 63 b = 4032; every later
+        # chunk takes its 64 block starts from one product with the stack
+        # of powers of T^b, up to (T^b)^64 = T^4096
+        p = reference_instance
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 200.0, QUARTER)
+        steps = 40_000
+        cfg = dyn.SolverConfig(algorithm=alg, eta_x=eta_x, eta_y=eta_y,
+                               max_iters=steps, target_eps=1e-300)
+        z0 = p.z_star + rng.standard_normal(p.dim)
+        traj = dyn.run(p, cfg, z0=z0)
+        M = dyn.build_M(p, eta_y / eta_x)
+        T_mat = np.eye(p.dim) + eta_x * M
+        if alg is EG:
+            T_mat = T_mat + (eta_x * M) @ (eta_x * M)
+        course = matrix_power_course(T_mat, z0 - p.z_star, steps)
+        assert np.array_equal(traj.iters, np.arange(steps + 1))
+        assert np.allclose(traj.distances, np.linalg.norm(course, axis=1), rtol=1e-9)
+        assert np.allclose(traj.final_z - p.z_star, course[-1], rtol=1e-9)
+
+    def test_overflowing_block_powers_keep_exact_zeros(self):
+        # |1 - eta_y| = 3, so (T^64)^k overflows from k = 11 on: full chunks
+        # of 64 blocks advance their block starts ten blocks at a time, and
+        # y = y* must stay exact while the slow descent block converges
+        # after about 27 600 steps
+        p = prob.QuadraticProblem(
+            A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1), x_star=np.zeros(1),
+            y_star=np.zeros(1), L=1.0, mu=0.5)
+        T = dyn._transition_matrix(p, dyn.SolverConfig(
+            algorithm=GDA, eta_x=1e-3, eta_y=4.0, max_iters=1, target_eps=1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Tb = dyn._power_stack(T, dyn._BLOCK)[:, -2:].T
+            assert dyn._power_stack(Tb, dyn._MAX_BLOCKS).shape == (2, 2 * 10)
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=1e-3, eta_y=4.0,
+                               max_iters=40_000, target_eps=1e-12)
+        traj = assert_matches_reference(p, cfg, z0=np.array([1.0, 0.0]))
+        assert traj.status.kind is dyn.StatusKind.CONVERGED
+        assert traj.status.step > 5 * dyn._MAX_BLOCKS * dyn._BLOCK
+        assert traj.final_z[1] == 0.0
+
 
 def synthetic_trajectory(distances, iters=None):
     distances = np.asarray(distances, dtype=float)
@@ -586,6 +628,38 @@ class TestEstimateRate:
         q = data.draw(st.floats(lo, hi))
         traj = synthetic_trajectory(d0 * q ** np.arange(length))
         assert abs(dyn.estimate_rate(traj) - q) <= 1e-12 * abs(1.0 - q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data(), st.one_of(st.integers(20, 2000), st.integers(2000, 40_001)),
+           st.sampled_from(["noisy", "two_mode", "strided"]), st.integers(0, 2 ** 16))
+    def test_fit_equals_polyfit(self, data, length, kind, seed):
+        # non-geometric courses: the closed-form slope must agree with the
+        # Vandermonde least squares of np.polyfit over the window the
+        # estimator fits (trailing half, floor and plateau trims applied)
+        g = np.random.default_rng(seed)
+        iters = np.arange(length, dtype=float)
+        if kind == "strided":
+            stride = data.draw(st.integers(2, 50))
+            iters = iters * stride
+            iters[-1] = iters[-2] + data.draw(st.integers(1, stride - 1))
+        # total log change over the course, within the usable floats
+        slope = data.draw(st.floats(-25.0, 25.0)) / iters[-1]
+        d0 = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        if kind == "two_mode":
+            slope2 = data.draw(st.floats(-25.0, 25.0)) / iters[-1]
+            w = data.draw(st.floats(1e-3, 1e3))
+            dist = d0 * (np.exp(slope * iters) + w * np.exp(slope2 * iters))
+        else:
+            noise = data.draw(st.floats(0.0, 1.0)) * g.standard_normal(length)
+            dist = d0 * np.exp(slope * iters + noise)
+        traj = synthetic_trajectory(dist, iters.astype(np.int64))
+        with mock.patch.object(dyn, "fit_slope", wraps=dyn.fit_slope) as fit:
+            try:
+                rate = dyn.estimate_rate(traj)
+            except InsufficientDataError:
+                assume(False)
+        (it, ld), _ = fit.call_args
+        assert abs(rate - math.exp(np.polyfit(it, ld, 1)[0])) <= 1e-12
 
     def test_adversarial_eigen_init_recovers_s1(self):
         L, mu, mu_x, r = 2.0, 1.0, 0.1, 4.0
