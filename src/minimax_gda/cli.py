@@ -67,6 +67,11 @@ def _write_atomic(path, writer):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates the file 0600 and os.replace keeps that mode; give
+        # it the mode a plain open() would under the current umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             writer(fh)
         os.replace(tmp, path)

@@ -144,8 +144,8 @@ def default_stepsizes(L, r, scheme=Scheme.QUARTER):
 
 def build_M(problem, r):
     """Block dynamics matrix [[-C, -B], [r*B', -r*A]] of shape (n+m, n+m)."""
-    if r <= 0:
-        raise InvalidInputError("r must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidInputError(f"r must be positive and finite, got {r}")
     n = problem.n
     M = np.empty((problem.dim, problem.dim))
     M[:n, :n], M[:n, n:] = -problem.C, -problem.B

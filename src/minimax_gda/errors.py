@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Kept flat and explicit so callers (and the CLI exit-code policy) can
-distinguish bad arguments from numerical breakdowns from failed
-verification.
+distinguish bad arguments from numerical breakdowns.  A failed
+verification is a verdict, not an error: the checks in
+:mod:`minimax_gda.verify` report it in their results.
 """
 
 
@@ -37,8 +38,3 @@ class InsufficientDataError(MinimaxGdaError, ValueError):
 
 class GenerationFailureError(MinimaxGdaError, RuntimeError):
     """Random instance generation exhausted its retry budget."""
-
-
-class CertificateFailureError(MinimaxGdaError, RuntimeError):
-    """A certification sweep found a cell contradicting the claimed behavior;
-    the message names the offending configuration."""

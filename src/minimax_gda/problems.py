@@ -164,11 +164,14 @@ class NonQuadraticProblem:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.a < 0:
-            raise InvalidInputError("a must be nonnegative (0 degenerates to the base)")
+        if not 0 <= self.a < math.inf:
+            raise InvalidInputError(
+                "a must be nonnegative and finite (0 degenerates to the base)")
         b = _readonly(np.atleast_1d(self.b))
         if b.shape != (self.base.n,):
             raise InvalidInputError(f"b must have length n={self.base.n}")
+        if not np.isfinite(b).all():
+            raise InvalidInputError("b must be finite")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", b)
 

@@ -227,8 +227,8 @@ def classify_ratio(r, kappa):
     at or below ``kappa`` divergence is certified on the hard instance, at or
     above ``2*kappa`` convergence is proved, in between only per-instance
     numerics decide."""
-    if r <= 0 or kappa <= 0:
-        raise InvalidInputError("r and kappa must be positive")
+    if not (0 < r < math.inf and 0 < kappa < math.inf):
+        raise InvalidInputError("r and kappa must be positive and finite")
     if r <= kappa:
         return RatioClass.BELOW_THRESHOLD
     if r >= 2.0 * kappa:
@@ -239,8 +239,10 @@ def classify_ratio(r, kappa):
 def predicted_floor_sgda(r, kappa_x, basis_cond, sigma, L, batch):
     """Proved steady-state mean-square distance bound for mini-batch SGDA:
     ``8 * r * kappa_x * C_P^2 * sigma^2 / (L^2 * batch)``."""
-    if min(r, kappa_x, basis_cond, L, batch) <= 0 or sigma < 0:
-        raise InvalidInputError("all floor parameters must be positive (sigma >= 0)")
+    if not (all(0 < v < math.inf for v in (r, kappa_x, basis_cond, L, batch))
+            and 0 <= sigma < math.inf):
+        raise InvalidInputError(
+            "all floor parameters must be positive and finite (sigma >= 0)")
     return 8.0 * r * kappa_x * basis_cond ** 2 * sigma ** 2 / (L ** 2 * batch)
 
 

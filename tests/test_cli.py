@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -307,6 +309,23 @@ class TestOutputErrors:
         )
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["022", "077"])
+    def test_follows_umask(self, tmp_path, capsys, umask, mode):
+        out = tmp_path / "inst.json"
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run_cli(
+                capsys, "generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1",
+                "--seed", "1", "-o", str(out),
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 class TestOutDir:

@@ -64,6 +64,11 @@ class TestBuildM:
         assert np.array_equal(M1[:n, n:], M0[:n, n:])
         assert np.array_equal(M1[n:, :], M0[n:, :])
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_ratio_not_positive_finite_rejected(self, small_instance, r):
+        with pytest.raises(InvalidInputError, match="r must be positive and finite"):
+            dyn.build_M(small_instance, r)
+
 
 class TestDefaultStepsizes:
     def test_quarter_values(self):

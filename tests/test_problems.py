@@ -296,6 +296,18 @@ class TestNonQuadratic:
         rng = np.random.default_rng(seed)
         return prob.NonQuadraticProblem(base=base, a=a, b=rng.standard_normal(base.n))
 
+    @pytest.mark.parametrize("a", [-1.0, math.nan, math.inf])
+    def test_a_not_nonnegative_finite_rejected(self, reference_instance, a):
+        with pytest.raises(InvalidInputError, match="a must be nonnegative and finite"):
+            self._nq(reference_instance, a=a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_rejected(self, reference_instance, bad):
+        b = np.zeros(reference_instance.n)
+        b[-1] = bad
+        with pytest.raises(InvalidInputError, match="b must be finite"):
+            prob.NonQuadraticProblem(base=reference_instance, a=1.0, b=b)
+
     def test_gradient_vanishes_at_centers(self, reference_instance):
         nq = self._nq(reference_instance)
         z = np.concatenate([nq.b, reference_instance.y_star])

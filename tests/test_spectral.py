@@ -302,6 +302,13 @@ class TestClassifyRatio:
         assert spec.classify_ratio(2 * kappa, kappa) is spec.RatioClass.PROVED_CONVERGENT
         assert spec.classify_ratio(1.5 * kappa, kappa) is spec.RatioClass.GAP
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_not_positive_finite_rejected(self, bad):
+        # a NaN would otherwise fall through both comparisons to GAP
+        for r, kappa in ((bad, 7.0), (14.0, bad)):
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                spec.classify_ratio(r, kappa)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
            st.floats(1e-2, 10.0), st.floats(1.5, 1e3),
@@ -329,6 +336,16 @@ class TestPredictedFloor:
         a = spec.predicted_floor_sgda(200, 2, 3, 1.0, 100, 128)
         b = spec.predicted_floor_sgda(200, 2, 3, 1.0, 100, 256)
         assert a == pytest.approx(2 * b)
+
+    @pytest.mark.parametrize("field", ["r", "kappa_x", "basis_cond", "sigma", "L",
+                                       "batch"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_parameter_out_of_range_rejected(self, field, bad):
+        # NaN inputs gave a NaN floor, and batch = inf a zero one
+        args = {"r": 200, "kappa_x": 2, "basis_cond": 3, "sigma": 1.0,
+                "L": 100, "batch": 256, field: bad}
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            spec.predicted_floor_sgda(**args)
 
     def test_arithmetic_example(self):
         val = spec.predicted_floor_sgda(200, 2, 3, 1.0, 100, 256)

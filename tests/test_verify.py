@@ -102,6 +102,45 @@ class TestRatioThreshold:
         assert check.details["failure"].startswith(
             "cell (kappa=2.0, r=1.0, eta_x=3.894e-04) contracted: ")
 
+    def test_control_without_convergence_fails_check(self, monkeypatch):
+        # the kappa = 2 control converges after 512 steps; 100 are too few
+        monkeypatch.setattr(harness, "_CONTROL_MAX_ITERS", 100)
+        check = verify.check_ratio_threshold(max_iters=100)
+        assert not check.passed
+        assert check.details["per_kappa"] == []
+        assert check.details["failure"] == (
+            "control cell (kappa=2.0, r=4.0) failed to converge: budget_exhausted")
+
+
+@pytest.fixture
+def short_floor_budget(monkeypatch):
+    """Size every SGDA floor budget from a 160-step decay (210 steps in
+    all), too short for the transient to decay."""
+    monkeypatch.setattr(spec.SpectralReport, "predicted_iters",
+                        lambda rep, eps, initial_distance=1.0: 160)
+
+
+class TestSgdaFloor:
+    def test_floor_below_bound_and_scales(self):
+        check = verify.check_sgda_floor(seed=0, batches=(16, 256), n_seeds=4)
+        assert check.passed and not check.inconclusive
+        assert all(p["within_bound"] for p in check.details["points"])
+        # quadrupling the batch twice halves the RMS floor twice (+-15%)
+        assert check.details["slope"] == pytest.approx(-1.0, abs=0.15)
+
+    def test_short_budget_inconclusive(self, short_floor_budget):
+        check = verify.check_sgda_floor(seed=0, batches=(16, 64), n_seeds=2)
+        assert check.details["max_iters"] == 210
+        assert check.inconclusive
+        assert not check.passed
+
+    def test_inconclusive_floor_leaves_suite_passed(self, short_floor_budget):
+        suite, = verify.verify_suite("sgda-floor", seed=0, budget=0.1)
+        check, = suite.checks
+        assert check.inconclusive and not check.passed
+        assert suite.inconclusive
+        assert suite.passed
+
 
 class TestRateLowerBound:
     def test_criterion_parameters(self):
