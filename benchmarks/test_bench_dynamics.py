@@ -3,16 +3,20 @@
 Layers: one exact GDA and one exact EG ``run`` of 40 000 steps on the first
 certify-rates instance (the first 4x4 corpus instance, dim 8) at r = 2 kappa,
 as criterion 3 runs them; one SGDA run of the same length on the criterion-6
-instance (the noisy path, which keeps its sequential block starts); and one
-``estimate_rate`` call on the 40 001-point GDA trajectory.  Each run case
-stores its step count in ``extra_info["steps"]``, so the per-call median over
-it is microseconds per step.  These are not part of the test suite; run them
+instance (the noisy path, which keeps its sequential block starts); the
+non-quadratic run of criterion 9 (the oracle path, one gradient step after
+another); and one ``estimate_rate`` call on the 40 001-point GDA trajectory.
+Each run case stores its step count in ``extra_info["steps"]`` (for the
+criterion-9 run, the steps to its stop), so the per-call median over it is
+microseconds per step.  These are not part of the test suite; run them
 from the root of a checkout with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_bench_dynamics.py --benchmark-json=bench.json
 
 and read the per-call medians from the JSON's ``stats``.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -48,6 +52,15 @@ def test_sgda_run(benchmark):
     cfg = _config(p, dyn.Algorithm.SGDA, seed, prob.NoiseModel(sigma=1.0, batch=16))
     benchmark.extra_info["steps"] = STEPS
     benchmark(dyn.run, p, cfg)
+
+
+def test_nonquad_run(benchmark):
+    # the instance and config check_nearly_quadratic builds, taken from its run
+    with mock.patch.object(dyn, "run", wraps=dyn.run) as spy:
+        verify.check_nearly_quadratic()
+    (nq, cfg), _ = spy.call_args
+    benchmark.extra_info["steps"] = dyn.run(nq, cfg).status.step
+    benchmark(dyn.run, nq, cfg)
 
 
 def test_estimate_rate(benchmark):

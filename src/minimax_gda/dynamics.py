@@ -9,17 +9,21 @@ where
 
 A mini-batch Gaussian oracle adds ``G xi`` per step, with ``xi`` standard
 normal, so every quadratic run, exact or noisy, is the affine recurrence
-``w <- T w + G xi`` (``G = 0`` for an exact oracle).  ``run`` advances that
-recurrence a chunk of steps at a time: the states inside each block of
-``b`` steps come from one product of its start with the stack
-``T^1..T^b``, and the stop iteration is found from the whole chunk's
-distances at once.  An exact chunk is two products: its block starts come
-from one product with the stack of powers of ``T^b``.  A noisy run moves
-block starts one at a time, adding each block's own noise response.
-Non-quadratic runs step through the gradient oracle, one iteration at a
-time.  A run owns its RNG (seeded from the config), and the noise it draws
-is the per-step oracle's stream, value for value; ``gda_step``/``eg_step``
-with ``make_oracle`` remain the per-step reference.
+``w <- T w + G xi`` (``G = 0`` for an exact oracle; ``linear_system`` builds
+``T`` and ``G``).
+
+``run`` advances every run a chunk of steps at a time and finds the stop
+iteration from the whole chunk's measures at once; the chunk loop, the stop
+rule and the recording live there alone.  An engine only supplies the
+chunk's states.  The affine engine takes the states inside each block of
+``b`` steps from one product of its start with the stack ``T^1..T^b``; an
+exact chunk is two products, its block starts coming from one product with
+the stack of powers of ``T^b``, while a noisy run moves block starts one at
+a time, adding each block's own noise response.  Non-quadratic runs take
+their chunk's states from the gradient oracle, one step after another.  A
+run owns its RNG (seeded from the config), and the noise it draws is the
+per-step oracle's stream, value for value; ``gda_step``/``eg_step`` with
+``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -38,6 +43,7 @@ from . import problems as prob
 from .errors import InsufficientDataError, InvalidInputError
 
 TRAJECTORY_STORAGE_CAP = 10 ** 6  # record every iteration up to this budget
+DIVERGENCE_FACTOR = 1e8  # a run diverges once its measure grows this much
 
 
 class Algorithm(str, enum.Enum):
@@ -83,7 +89,6 @@ class SolverConfig:
     eta_y: float
     max_iters: int
     target_eps: float
-    divergence_factor: float = 1e8
     noise: Optional[prob.NoiseModel] = None
     seed: int = 0
     record_primal_gaps: bool = True
@@ -91,14 +96,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.eta_x < math.inf and 0 < self.eta_y < math.inf):
             raise InvalidInputError("stepsizes must be positive and finite")
-        if self.max_iters < 0:
-            raise InvalidInputError("max_iters must be >= 0")
+        object.__setattr__(self, "max_iters",
+                           prob.as_count(self.max_iters, "max_iters", 0))
         if not 0 < self.target_eps < math.inf:
             raise InvalidInputError("target_eps must be positive and finite")
         if isinstance(self.seed, numbers.Integral) and self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if not self.divergence_factor > 1:
-            raise InvalidInputError("divergence_factor must exceed 1")
         if self.algorithm is Algorithm.SGDA and self.noise is None:
             raise InvalidInputError("SGDA requires a noise model")
         if self.algorithm is Algorithm.GDA and self.noise is not None:
@@ -190,19 +193,40 @@ def default_initial_point(problem, seed):
     return quad.z_star + v
 
 
-def _transition_matrix(problem, config):
-    M = build_M(problem, config.ratio)
-    T = np.eye(problem.dim) + config.eta_x * M
-    if config.algorithm is Algorithm.EG:
-        T = T + (config.eta_x * M) @ (config.eta_x * M)
-    return T
+def linear_system(problem, config):
+    """``(T, G)`` of the affine recurrence ``w <- T w + G xi`` that one step
+    of the configured method follows on ``w = z - z*`` of a quadratic
+    instance, ``xi`` being the step's standard normal draws; ``G`` is
+    ``None`` for an exact oracle.
+
+    ``T = I + eta_x M`` for GDA/SGDA and ``I + eta_x M + (eta_x M)^2`` for
+    EG.  The oracle perturbs each gradient block by ``s/sqrt(dim_block)``
+    times a standard normal vector, ``s = sigma/sqrt(batch)``, x block
+    first; the stepsizes turn that into ``D xi`` with ``D = diag(-eta_x
+    s/sqrt(n), eta_y s/sqrt(m))``, so ``G = D`` for SGDA.  EG calls the
+    oracle twice per step and its half-step noise reaches the iterate
+    through ``eta_x M``, so ``G = [eta_x M D | D]``.
+    """
+    eM = config.eta_x * build_M(problem, config.ratio)
+    T = np.eye(problem.dim) + eM
+    eg = config.algorithm is Algorithm.EG
+    if eg:
+        T = T + eM @ eM
+    noise = config.noise
+    if noise is None or noise.sigma == 0.0:
+        return T, None
+    n, m = problem.n, problem.m
+    s = noise.sigma / math.sqrt(noise.batch)
+    D = np.diag(np.concatenate([np.full(n, -config.eta_x * s / math.sqrt(n)),
+                                np.full(m, config.eta_y * s / math.sqrt(m))]))
+    return T, np.hstack([eM @ D, D]) if eg else D
 
 
 def run(problem, config, z0=None):
     """Execute the configured dynamics and record the convergence measure.
 
     Stops when the measure drops to ``target_eps`` (converged), grows to
-    ``divergence_factor`` times its initial value or leaves the floats
+    ``DIVERGENCE_FACTOR`` (1e8) times its initial value or leaves the floats
     (diverged), or the iteration budget runs out; when several hold at the
     same iteration, diverged wins over converged, and converged over budget.
     Distances are recorded every iteration, or every ``ceil(T/1e6)``
@@ -213,10 +237,15 @@ def run(problem, config, z0=None):
     ``config.seed``, in the order the per-step oracle of ``make_oracle``
     draws it.
 
-    Quadratic runs, exact or noisy, go through the affine engine
-    (``_run_affine``), which advances many steps per numpy call and finds
-    the stop iteration within each chunk of steps; non-quadratic runs step
-    through the gradient oracle one iteration at a time.
+    Every run goes through the one chunk loop below: it measures a chunk of
+    states at once, finds the chunk's first stopping iteration, and takes
+    the recorded points (every ``stride``-th iteration plus the stop) and
+    their gaps from the chunk's states.  An engine supplies only
+    ``advance(s, steps)``, the next ``steps`` states after ``s`` (or fewer)
+    as rows.  Quadratic runs, exact or noisy, advance ``w = z - z*``
+    through the affine engine (``_affine_advance``), measured by ``|w|``;
+    non-quadratic runs advance ``z`` through the gradient oracle
+    (``_oracle_advance``), measured by the exact gradient norm.
     """
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     quad = problem.base if nonquad else problem
@@ -232,32 +261,75 @@ def run(problem, config, z0=None):
         if constants.schur_min >= -prob.VALIDATION_RTOL * quad.L:
             schur = constants.schur
 
+    eps, max_iters = config.target_eps, config.max_iters
+    stride = max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
     start = time.perf_counter()
     # overflow to inf is an expected outcome here: it classifies the run as
     # diverged rather than warranting a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if nonquad:
-            status, final_z, iters, distances = _run_oracle(problem, config, z0)
-            gaps = None
+            S, advance = z0[None, :], _oracle_advance(problem, config)
+            measure = partial(_grad_norms, problem)
         else:
-            status, w, iters, distances, gaps = _run_affine(
-                quad, config, z0 - quad.z_star, schur)
-            final_z = quad.z_star + w
+            S, advance = (z0 - quad.z_star)[None, :], _affine_advance(quad, config)
+            measure = _norms
+        limit = math.inf
+        parts = []  # (iters, distances, gaps) per chunk
+        k0 = 0  # iteration of S[0]
+        blocks = 1
+        while True:
+            d = measure(S)
+            bad = ~np.isfinite(d)
+            d[bad] = math.inf
+            stop = bad | (d <= eps)
+            if k0 == 0:
+                limit = DIVERGENCE_FACTOR * d[0]
+            else:
+                stop |= d >= limit
+            last = k0 + len(d) - 1
+            j = int(np.argmax(stop)) if stop.any() else (
+                len(d) - 1 if last == max_iters else None)
+            end = len(d) if j is None else j + 1
+            ks = np.arange(k0, k0 + end)
+            keep = slice(None) if stride == 1 else ks % stride == 0
+            if stride > 1 and j is not None:
+                keep[j] = True
+            gaps = None
+            if schur is not None:
+                X = S[:end][keep, :quad.n]
+                gaps = np.fmax(0.5 * np.einsum("ij,ij->i", X @ schur, X), 0.0)
+                gaps[bad[:end][keep]] = math.inf
+            parts.append((ks[keep], d[:end][keep], gaps))
+            if j is not None:
+                break
+            S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
+            k0 = last + 1
+            blocks = min(2 * blocks, _MAX_BLOCKS)
     wall = time.perf_counter() - start
+    iters, distances, gaps = zip(*parts)
     return Trajectory(
-        iters=iters,
-        distances=distances,
-        primal_gaps=gaps,
-        status=status,
+        iters=np.concatenate(iters),
+        distances=np.concatenate(distances),
+        primal_gaps=None if schur is None else np.concatenate(gaps),
+        status=_stop_status(float(d[j]), k0 + j, limit, eps),
         metric="grad_norm" if nonquad else "distance",
         wall_time=wall,
         config=config,
-        final_z=final_z,
+        final_z=S[j].copy() if nonquad else quad.z_star + S[j],
     )
 
 
-def _stride(max_iters):
-    return max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
+def _norms(W):
+    return np.sqrt(np.einsum("ij,ij->i", W, W))
+
+
+def _grad_norms(problem, Z):
+    """The exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``."""
+    d = np.empty(len(Z))
+    for i, z in enumerate(Z):
+        gx, gy = prob.nonquad_grad(problem, z)
+        d[i] = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
+    return d
 
 
 def _stop_status(d, k, limit, eps):
@@ -277,6 +349,36 @@ _BLOCK = 64
 _MAX_BLOCKS = 64
 
 
+def _oracle_advance(problem, config):
+    """``advance(z, steps)``: the next iterates from ``z``, one oracle step
+    after another, drawing the noise from the run's generator.  A chunk
+    holds at most one block, since its steps past a stop are paid in full."""
+    oracle = make_oracle(problem, config.noise)
+    step = eg_step if config.algorithm is Algorithm.EG else gda_step
+    rng = np.random.default_rng(config.seed)
+
+    def advance(z, steps):
+        Z = np.empty((min(steps, _BLOCK), len(z)))
+        for i in range(len(Z)):
+            z = Z[i] = step(oracle, z, config.eta_x, config.eta_y, rng)
+        return Z
+    return advance
+
+
+def _affine_advance(quad, config):
+    """``advance(w, steps)`` of ``_advance`` for the run's ``linear_system``,
+    with its power stacks and generator."""
+    T, G = linear_system(quad, config)
+    budget = max(1, config.max_iters)
+    P = _power_stack(T, min(_BLOCK, budget))
+    b = P.shape[1] // quad.dim
+    Pb = P[:, -quad.dim:]  # (T^b)'
+    if G is None:
+        Pb = _power_stack(Pb.T, min(_MAX_BLOCKS, -(-budget // b)))
+    rng = np.random.default_rng(config.seed) if G is not None else None
+    return partial(_advance, T=T, P=P, Pb=Pb, G=G, rng=rng)
+
+
 def _power_stack(T, b):
     """The powers ``T^1..T^b`` side by side: a ``(dim, b*dim)`` matrix whose
     block ``j`` is ``(T^(j+1))'``, so ``s @ P`` lists ``T^j s`` for every
@@ -294,29 +396,6 @@ def _power_stack(T, b):
     if not finite.all():
         P = P[:max(1, int(np.argmin(finite)))]
     return P.transpose(2, 0, 1).reshape(len(T), -1)
-
-
-def _noise_gain(quad, config):
-    """The matrix ``G`` through which one step's standard normal draws
-    ``xi`` enter ``w = z - z*``, or ``None`` for an exact oracle.
-
-    The oracle perturbs each gradient block by ``s/sqrt(dim_block)`` times a
-    standard normal vector, ``s = sigma/sqrt(batch)``, x block first; the
-    stepsizes turn that into ``D xi`` with ``D = diag(-eta_x s/sqrt(n),
-    eta_y s/sqrt(m))``, so ``G = D`` for SGDA.  EG calls the oracle twice
-    per step and its half-step noise reaches the iterate through
-    ``eta_x M``, so ``G = [eta_x M D | D]``.
-    """
-    noise = config.noise
-    if noise is None or noise.sigma == 0.0:
-        return None
-    n, m = quad.n, quad.m
-    s = noise.sigma / math.sqrt(noise.batch)
-    D = np.diag(np.concatenate([np.full(n, -config.eta_x * s / math.sqrt(n)),
-                                np.full(m, config.eta_y * s / math.sqrt(m))]))
-    if config.algorithm is not Algorithm.EG:
-        return D
-    return np.hstack([config.eta_x * build_M(quad, config.ratio) @ D, D])
 
 
 def _advance(w, steps, T, P, Pb, G, rng):
@@ -358,97 +437,6 @@ def _advance(w, steps, T, P, Pb, G, rng):
         W += R.transpose(1, 0, 2)
     W[:, -1] = S[1:]
     return W.reshape(nb * b, dim)[:steps]
-
-
-def _run_affine(quad, config, w, schur):
-    """Quadratic runs as the affine recurrence ``w <- T w + G xi`` on
-    ``w = z - z*``, a chunk of steps at a time.
-
-    Each chunk's distances are checked at once for the first stopping
-    iteration; recorded points (every ``stride``-th iteration plus the stop)
-    and their primal gaps are taken from the chunk's states.  Returns
-    ``(status, w_stop, iters, distances, gaps)``.
-    """
-    T = _transition_matrix(quad, config)
-    G = _noise_gain(quad, config)
-    rng = np.random.default_rng(config.seed) if G is not None else None
-    eps, max_iters = config.target_eps, config.max_iters
-    stride = _stride(max_iters)
-    P = None
-    limit = math.inf
-    parts = []  # (iters, distances, gaps) per chunk
-    W = w[None, :]
-    k0 = 0  # iteration of W[0]
-    blocks = 1
-    while True:
-        d = np.sqrt(np.einsum("ij,ij->i", W, W))
-        bad = ~np.isfinite(d)
-        d[bad] = math.inf
-        stop = bad | (d <= eps)
-        if k0 == 0:
-            limit = config.divergence_factor * d[0]
-        else:
-            stop |= d >= limit
-        last = k0 + len(d) - 1
-        j = int(np.argmax(stop)) if stop.any() else (
-            len(d) - 1 if last == max_iters else None)
-        end = len(d) if j is None else j + 1
-        ks = np.arange(k0, k0 + end)
-        keep = slice(None) if stride == 1 else ks % stride == 0
-        if stride > 1 and j is not None:
-            keep[j] = True
-        gaps = None
-        if schur is not None:
-            X = W[:end][keep, :quad.n]
-            gaps = np.fmax(0.5 * np.einsum("ij,ij->i", X @ schur, X), 0.0)
-            gaps[bad[:end][keep]] = math.inf
-        parts.append((ks[keep], d[:end][keep], gaps))
-        if j is not None:
-            status = _stop_status(float(d[j]), k0 + j, limit, eps)
-            iters, dists, gap_parts = zip(*parts)
-            return (status, W[j], np.concatenate(iters), np.concatenate(dists),
-                    None if schur is None else np.concatenate(gap_parts))
-        if P is None:
-            P = _power_stack(T, min(_BLOCK, max_iters))
-            b = P.shape[1] // len(w)
-            Pb = P[:, -len(w):]  # (T^b)'
-            if G is None:
-                Pb = _power_stack(Pb.T, min(_MAX_BLOCKS, -(-max_iters // b)))
-        steps = min(max_iters - last, blocks * b)
-        W = _advance(W[-1], steps, T, P, Pb, G, rng)
-        k0 = last + 1
-        blocks = min(2 * blocks, _MAX_BLOCKS)
-
-
-def _run_oracle(problem, config, z0):
-    """Non-quadratic runs, one oracle step per iteration; the measure is the
-    exact gradient norm, independent of the oracle's noise."""
-    oracle = make_oracle(problem, config.noise)
-    stepper = eg_step if config.algorithm is Algorithm.EG else gda_step
-    rng = np.random.default_rng(config.seed)
-    eps, max_iters = config.target_eps, config.max_iters
-    stride = _stride(max_iters)
-    iters, distances = [], []
-    z = z0.copy()
-    limit = math.inf
-    k = 0
-    while True:
-        gx, gy = prob.nonquad_grad(problem, z)
-        d = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
-        # a non-finite iterate surfaces as a non-finite measure
-        if not math.isfinite(d):
-            d = math.inf
-        if k == 0:
-            limit = config.divergence_factor * d
-        stop = d == math.inf or d <= eps or (d >= limit and k > 0) or k == max_iters
-        if stop or k % stride == 0:
-            iters.append(k)
-            distances.append(d)
-        if stop:
-            return (_stop_status(d, k, limit, eps), z,
-                    np.asarray(iters, dtype=np.int64), np.asarray(distances))
-        z = stepper(oracle, z, config.eta_x, config.eta_y, rng)
-        k += 1
 
 
 def estimate_rate(trajectory):

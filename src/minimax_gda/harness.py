@@ -117,8 +117,9 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
     (:class:`MinimaxGdaError`) is recorded with status
     ``error: <ExceptionType>: <message>`` and the sweep continues; any other
     exception propagates.  No ratio or seed, a ratio that is not positive
-    and finite, a negative ``max_iters`` or a ``target_eps`` outside
-    (0, inf) raises :class:`InvalidInputError` before any cell runs."""
+    and finite, a ``max_iters`` that is not an integer >= 0 or a
+    ``target_eps`` outside (0, inf) raises :class:`InvalidInputError`
+    before any cell runs."""
     if len(ratios) == 0:
         raise InvalidInputError("need at least one ratio")
     if len(seeds) == 0:
@@ -127,8 +128,7 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
     for r in ratios:
         if not 0 < r < math.inf:
             raise InvalidInputError(f"ratios must be positive and finite, got {r}")
-    if not max_iters >= 0:
-        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
+    max_iters = prob.as_count(max_iters, "max_iters", 0)
     if not 0 < target_eps < math.inf:
         raise InvalidInputError(
             f"target_eps must be positive and finite, got {target_eps}"

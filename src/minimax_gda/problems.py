@@ -38,6 +38,18 @@ VALIDATION_RTOL = 1e-9  # clause tolerance, relative to L
 _SAMPLE_ATTEMPTS = 50  # draws sample_instance tries before giving up
 
 
+def as_count(value, name, low):
+    """``value`` as an ``int``, for a field that counts: an integral number
+    (``100`` or ``100.0``) of at least ``low``, else InvalidInputError."""
+    try:
+        ok = int(value) == value and value >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -130,10 +142,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:
             raise InvalidInputError("sigma must be nonnegative and finite")
-        if int(self.batch) != self.batch or self.batch < 1:
-            raise InvalidInputError("batch must be an integer >= 1")
         object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "batch", int(self.batch))
+        object.__setattr__(self, "batch", as_count(self.batch, "batch", 1))
 
 
 @dataclass(frozen=True)

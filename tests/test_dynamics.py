@@ -288,7 +288,7 @@ class TestRun:
         p = prob.hard_ratio_instance(2.0, 1.0)
         traj = dyn.run(p, config(eta_x=0.5, r=1.0, T=100_000))
         assert traj.status.kind is dyn.StatusKind.DIVERGED
-        assert traj.distances[-1] >= traj.config.divergence_factor * traj.distances[0] \
+        assert traj.distances[-1] >= dyn.DIVERGENCE_FACTOR * traj.distances[0] \
             or math.isinf(traj.distances[-1])
 
     def test_status_step_consistent_with_distances(self, reference_instance):
@@ -344,47 +344,61 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             dyn.SolverConfig(algorithm=GDA, eta_x=-1e-3, eta_y=2e-3,
                              max_iters=10, target_eps=1e-6)
-        # NaN and inf pass a check written as "x <= 0"
+        # NaN and inf pass a check written as "x <= 0"; a count must be
+        # integral
+        kw = dict(algorithm=GDA, eta_x=1e-3, eta_y=2e-3, max_iters=10,
+                  target_eps=1e-6)
         for bad in ({"eta_x": math.nan}, {"eta_x": math.inf}, {"eta_y": math.inf},
                     {"target_eps": math.nan}, {"target_eps": math.inf},
-                    {"divergence_factor": math.nan}):
-            kw = dict(algorithm=GDA, eta_x=1e-3, eta_y=2e-3, max_iters=10,
-                      target_eps=1e-6)
+                    {"max_iters": -1}, {"max_iters": 100.5}, {"max_iters": math.inf},
+                    {"max_iters": math.nan}, {"max_iters": "100"}):
             with pytest.raises(InvalidInputError):
                 dyn.SolverConfig(**{**kw, **bad})
+        for count in (100, 100.0, np.int64(100), np.float64(100.0)):
+            cfg = dyn.SolverConfig(**{**kw, "max_iters": count})
+            assert type(cfg.max_iters) is int and cfg.max_iters == 100
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow classifies a divergence
 def reference_run(problem, config, z0=None):
-    """Per-step reference for quadratic runs: the ``gda_step``/``eg_step``
-    steppers on the ``make_oracle`` oracle, driven by a generator seeded with
+    """Per-step reference for ``run``: the ``gda_step``/``eg_step`` steppers
+    on the ``make_oracle`` oracle, driven by a generator seeded with
     ``config.seed``, with the stop and recording rules ``run`` documents.
-    Returns ``(status, iters, distances, gaps, final_z)``."""
+    The measure is ``|z - z*|`` on a quadratic instance and the exact
+    gradient norm ``hypot(|gx|, |gy|)`` of ``nonquad_grad``, with no gaps, on
+    a non-quadratic one.  Returns ``(status, iters, distances, gaps,
+    final_z)``."""
+    nonquad = isinstance(problem, prob.NonQuadraticProblem)
+    quad = problem.base if nonquad else problem
     oracle = dyn.make_oracle(problem, config.noise)
     step = dyn.eg_step if config.algorithm is EG else dyn.gda_step
     rng = np.random.default_rng(config.seed)
     z = dyn.default_initial_point(problem, config.seed) if z0 is None else z0.copy()
-    dc = prob.derive_constants(problem)
-    want_gaps = config.record_primal_gaps and \
-        dc.schur_min >= -prob.VALIDATION_RTOL * problem.L
+    dc = prob.derive_constants(quad)
+    want_gaps = not nonquad and config.record_primal_gaps and \
+        dc.schur_min >= -prob.VALIDATION_RTOL * quad.L
     stride = max(1, math.ceil(config.max_iters / dyn.TRAJECTORY_STORAGE_CAP))
     iters, dists, gaps = [], [], []
     limit = math.inf
     k = 0
     while True:
-        w = z - problem.z_star
-        d = math.sqrt(w.dot(w))
+        if nonquad:
+            gx, gy = prob.nonquad_grad(problem, z)
+            d = math.hypot(np.linalg.norm(gx), np.linalg.norm(gy))
+        else:
+            w = z - quad.z_star
+            d = math.sqrt(w.dot(w))
         finite = math.isfinite(d)
         d = d if finite else math.inf
         if k == 0:
-            limit = config.divergence_factor * d
+            limit = dyn.DIVERGENCE_FACTOR * d
         diverged = not finite or (d >= limit and k > 0)
         stop = diverged or d <= config.target_eps or k == config.max_iters
         if stop or k % stride == 0:
             iters.append(k)
             dists.append(d)
             if want_gaps:
-                gaps.append(prob.primal_gap(problem, z[:problem.n])
+                gaps.append(prob.primal_gap(quad, z[:quad.n])
                             if finite else math.inf)
         if stop:
             if diverged:
@@ -413,7 +427,8 @@ def assert_matches_reference(problem, config, z0=None):
     status, iters, dists, gaps, final_z = reference_run(problem, config, z0)
     assert traj.status == status
     assert np.array_equal(traj.iters, iters)
-    scale = 1.0 + np.linalg.norm(problem.z_star)
+    quad = getattr(problem, "base", problem)
+    scale = 1.0 + np.linalg.norm(quad.z_star)
     if np.isfinite(dists[0]):
         scale += dists[0]
     atol = ENGINE_ATOL * scale
@@ -423,14 +438,16 @@ def assert_matches_reference(problem, config, z0=None):
     else:
         # a gap is quadratic in the distance
         assert np.allclose(traj.primal_gaps, gaps, rtol=ENGINE_RTOL,
-                           atol=problem.L * atol * scale)
+                           atol=quad.L * atol * scale)
     if np.all(np.isfinite(final_z)):
         assert np.allclose(traj.final_z, final_z, rtol=ENGINE_RTOL, atol=atol)
     return traj
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, nonquad=False):
+    """A quadratic instance, or with ``nonquad`` its logistic perturbation,
+    a run config and a trajectory storage cap (strided recording below it)."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 8))
     kappa = 10.0 ** draw(st.floats(0.3, 3.0))
@@ -442,6 +459,9 @@ def engine_cases(draw):
     rng = np.random.default_rng(seed)
     p = dataclasses.replace(p, x_star=rng.standard_normal(n),
                             y_star=rng.standard_normal(m))
+    if nonquad:
+        p = prob.NonQuadraticProblem(base=p, a=draw(st.floats(0.0, 4.0)),
+                                     b=rng.standard_normal(n))
     # r on both sides of kappa and of 2*kappa
     r = kappa * 2.0 ** draw(st.floats(-2.0, 3.0))
     eta_x, eta_y = dyn.default_stepsizes(L, r, draw(st.sampled_from(list(dyn.Scheme))))
@@ -453,20 +473,21 @@ def engine_cases(draw):
         algorithm=alg, eta_x=eta_x, eta_y=eta_y,
         max_iters=draw(st.integers(0, 2000)),
         target_eps=10.0 ** -draw(st.integers(1, 12)),
-        divergence_factor=10.0 ** draw(st.integers(1, 8)),
         noise=noise, seed=draw(st.integers(0, 2 ** 16)),
     )
-    return p, cfg
+    cap = draw(st.sampled_from([dyn.TRAJECTORY_STORAGE_CAP, 1, 37, 500]))
+    return p, cfg, cap
 
 
 class TestAffineEngine:
     """``run`` on quadratic instances against the per-step reference."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(engine_cases())
     def test_matches_per_step_reference(self, case):
-        p, cfg = case
-        assert_matches_reference(p, cfg)
+        p, cfg, cap = case
+        with mock.patch.object(dyn, "TRAJECTORY_STORAGE_CAP", cap):
+            assert_matches_reference(p, cfg)
 
     def test_no_oracle_calls_on_quadratic(self, reference_instance, monkeypatch):
         def fail(*args, **kwargs):
@@ -521,20 +542,23 @@ class TestAffineEngine:
             max_iters=10 * boundary, target_eps=eps, **base))
         assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, boundary)
         # diverge exactly at the boundary: a concave descent block grows the
-        # distance monotonically from a start on the x axis
+        # distance from a start on the x axis by g = 1 + h per GDA step and
+        # g = 1 + h + h^2 per EG step (h = eta_x); g^(boundary - 1/2) equal
+        # to the documented divergence factor 1e8 puts the boundary's measure
+        # above it and every earlier one below
         q = prob.QuadraticProblem(A=np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
                                   x_star=np.ones(1), y_star=np.zeros(1), L=1.0, mu=1.0)
         z0 = q.z_star + np.array([1.0, 0.0])
-        grow = dict(base, eta_x=1e-2, eta_y=1e-2)
+        g = 1e8 ** (1.0 / (boundary - 0.5))
+        h = (math.sqrt(4.0 * g - 3.0) - 1.0) / 2.0 if alg is EG else g - 1.0
+        grow = dict(base, eta_x=h, eta_y=h)
         if alg is SGDA:
             grow["noise"] = prob.NoiseModel(1e-6, 1)
         d = reference_run(q, dyn.SolverConfig(
             max_iters=boundary, target_eps=1e-300, **grow), z0)[2]
-        assert d[boundary] > max(d[1:boundary])
-        factor = math.sqrt(d[boundary] * max(d[1:boundary])) / d[0]
+        assert max(d[1:boundary]) < 1e8 * d[0] <= d[boundary]
         traj = assert_matches_reference(q, dyn.SolverConfig(
-            max_iters=10 * boundary, target_eps=1e-300, divergence_factor=factor,
-            **grow), z0)
+            max_iters=10 * boundary, target_eps=1e-300, **grow), z0)
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, boundary)
 
     def test_strided_recording_with_gaps(self, monkeypatch):
@@ -589,7 +613,7 @@ class TestAffineEngine:
         p = prob.QuadraticProblem(
             A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1), x_star=np.zeros(1),
             y_star=np.zeros(1), L=1.0, mu=0.5)
-        T = dyn._transition_matrix(p, dyn.SolverConfig(
+        T, _ = dyn.linear_system(p, dyn.SolverConfig(
             algorithm=GDA, eta_x=1e-3, eta_y=4.0, max_iters=1, target_eps=1.0))
         with np.errstate(over="ignore", invalid="ignore"):
             Tb = dyn._power_stack(T, dyn._BLOCK)[:, -2:].T
@@ -600,6 +624,41 @@ class TestAffineEngine:
         assert traj.status.kind is dyn.StatusKind.CONVERGED
         assert traj.status.step > 5 * dyn._MAX_BLOCKS * dyn._BLOCK
         assert traj.final_z[1] == 0.0
+
+
+class TestOracleEngine:
+    """``run`` on non-quadratic instances against the per-step reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(engine_cases(nonquad=True))
+    def test_matches_per_step_reference(self, case):
+        p, cfg, cap = case
+        with mock.patch.object(dyn, "TRAJECTORY_STORAGE_CAP", cap):
+            traj = assert_matches_reference(p, cfg)
+        assert traj.metric == "grad_norm" and traj.primal_gaps is None
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
+                                           (SGDA, prob.NoiseModel(0.01, 4)),
+                                           (EG, prob.NoiseModel(0.01, 4))])
+    def test_stop_rules(self, small_instance, alg, noise, monkeypatch):
+        # the oracle engine converges a few chunks in, diverges in its first
+        # chunk, runs out its budget, and records every 28th point under a
+        # cap of 37
+        p = small_instance
+        nq = prob.NonQuadraticProblem(base=p, a=1.0, b=np.ones(p.n))
+        eta_x, eta_y = dyn.default_stepsizes(
+            p.L, 2.0 * prob.derive_constants(p).kappa, dyn.Scheme.HALF)
+        kinds = []
+        for eps, mult in ((1e-3, 1.0), (1e-300, 10.0), (1e-300, 1.0)):
+            traj = assert_matches_reference(nq, dyn.SolverConfig(
+                algorithm=alg, eta_x=mult * eta_x, eta_y=mult * eta_y,
+                max_iters=1000, target_eps=eps, noise=noise, seed=4))
+            kinds.append(traj.status.kind)
+        assert kinds == [dyn.StatusKind.CONVERGED, dyn.StatusKind.DIVERGED,
+                         dyn.StatusKind.BUDGET_EXHAUSTED]
+        monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
+        traj = assert_matches_reference(nq, traj.config)
+        assert np.all(np.diff(traj.iters)[:-1] == 28)
 
 
 def synthetic_trajectory(distances, iters=None):

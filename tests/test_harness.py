@@ -108,6 +108,12 @@ class TestRatioSweep:
         with pytest.raises(InvalidInputError, match="max_iters"):
             sweep(small_instance, [8.0], T=-5)
 
+    @pytest.mark.parametrize("bad", [100.5, math.inf, math.nan])
+    def test_non_integral_max_iters_rejected_before_any_cell(self, small_instance,
+                                                             bad, no_cell_runs):
+        with pytest.raises(InvalidInputError, match="max_iters must be an integer"):
+            sweep(small_instance, [8.0], T=bad)
+
     @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
     def test_bad_target_eps_rejected_before_any_cell(self, small_instance, bad,
                                                      no_cell_runs):

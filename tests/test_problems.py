@@ -113,6 +113,24 @@ class TestGrad:
         assert np.allclose(np.concatenate([gx, gy]), a * g1 + (1 - a) * g2, atol=1e-10)
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, math.inf, math.nan, "4", None])
+    def test_bad_batch_rejected(self, batch):
+        with pytest.raises(InvalidInputError, match="batch must be an integer >= 1"):
+            prob.NoiseModel(1.0, batch)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidInputError):
+            prob.NoiseModel(sigma, 1)
+
+    def test_integral_batch_stored_as_int(self):
+        for batch in (4, 4.0, np.int64(4), np.float64(4.0)):
+            noise = prob.NoiseModel(1, batch)
+            assert type(noise.batch) is int and noise.batch == 4
+            assert type(noise.sigma) is float
+
+
 class TestStochasticGrad:
     def test_sigma_zero_is_exact(self, reference_instance, rng):
         z = reference_instance.z_star + 1.0

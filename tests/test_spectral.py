@@ -147,6 +147,30 @@ class TestSpectralReport:
             assert bits(d["margin"]) == bits(c.margin if math.isfinite(c.margin) else None)
 
 
+class TestRadiiMatchDynamics:
+    """``rho1``/``rho2`` come from the eigenvalues of ``M`` through the
+    polynomials ``1 + h lam`` and ``1 + h lam + (h lam)^2``; ``run`` steps
+    with the matrices ``linear_system`` builds from the same polynomials.
+    The two encodings must give one spectral radius."""
+
+    # absolute, fixed before any draw: the radii are O(1), and eigenvalues
+    # of an O(1) matrix are exact to a few ulps times its basis condition
+    TOL = 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.floats(-2.0, 3.0), st.sampled_from(list(dyn.Scheme)))
+    def test_radii_equal_transition_eigenvalues(self, n, m, seed, log2_ratio, scheme):
+        p = prob.sample_instance(n, m, 100.0, 1.0, seed)
+        r = prob.derive_constants(p).kappa * 2.0 ** log2_ratio
+        eta_x, eta_y = dyn.default_stepsizes(p.L, r, scheme)
+        rep = spec.spectral_report(p, r, eta_x, scheme)
+        for alg, rho in ((dyn.Algorithm.GDA, rep.rho1), (dyn.Algorithm.EG, rep.rho2)):
+            T, _ = dyn.linear_system(p, dyn.SolverConfig(
+                algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=1, target_eps=1.0))
+            assert abs(np.abs(np.linalg.eigvals(T)).max() - rho) <= self.TOL
+
+
 class TestLemmaChecks:
     def test_corpus_all_pass(self):
         for p in corpus(30):
