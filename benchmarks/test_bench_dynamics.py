@@ -1,21 +1,26 @@
-"""Per-call timings of the affine engine and of the rate fit.
+"""Per-call timings of the affine engine, the rate fit and a ratio sweep.
 
 Layers: one exact GDA and one exact EG ``run`` of 40 000 steps on the first
 certify-rates instance (the first 4x4 corpus instance, dim 8) at r = 2 kappa,
-as criterion 3 runs them; one SGDA run of the same length on the criterion-6
-instance (the noisy path, which keeps its sequential block starts); the
-non-quadratic run of criterion 9 (the oracle path, one gradient step after
-another); and one ``estimate_rate`` call on the 40 001-point GDA trajectory.
-Each run case stores its step count in ``extra_info["steps"]`` (for the
-criterion-9 run, the steps to its stop), so the per-call median over it is
-microseconds per step.  These are not part of the test suite; run them
-from the root of a checkout with
+as criterion 3 runs them, and the GDA run again recording a primal gap per
+step, as ``minimax-gda run`` does; one SGDA run of the same length on the
+criterion-6 instance (the noisy path, which keeps its sequential block
+starts); the non-quadratic run of criterion 9 (the oracle path, one gradient
+step after another); one ``estimate_rate`` call on the 40 001-point GDA
+trajectory; and one ``ratio_sweep`` of GDA and EG over the default ratios
+on the convex instance of the cli-stop workload's first variant.  Each run
+case stores its step count in ``extra_info["steps"]`` (for the criterion-9
+run, the steps to its stop), so the per-call median over it is microseconds
+per step; the sweep case stores its cell count in ``extra_info["cells"]``.
+These are not part of the test suite; run them from the root of a checkout
+with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_bench_dynamics.py --benchmark-json=bench.json
 
 and read the per-call medians from the JSON's ``stats``.
 """
 
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -31,8 +36,7 @@ STEPS = 40_000
 def _config(p, alg, seed, noise=None):
     eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
     return dyn.SolverConfig(algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=STEPS,
-                            target_eps=harness._EPS_NEVER, noise=noise, seed=seed,
-                            record_primal_gaps=False)
+                            target_eps=harness._EPS_NEVER, noise=noise, seed=seed)
 
 
 def _rates_cell(alg):
@@ -45,6 +49,12 @@ def test_exact_run(benchmark, alg):
     p, cfg = _rates_cell(alg)
     benchmark.extra_info["steps"] = STEPS
     benchmark(dyn.run, p, cfg)
+
+
+def test_exact_run_with_gaps(benchmark):
+    p, cfg = _rates_cell(dyn.Algorithm.GDA)
+    benchmark.extra_info["steps"] = STEPS
+    benchmark(dyn.run, p, dataclasses.replace(cfg, record_primal_gaps=True))
 
 
 def test_sgda_run(benchmark):
@@ -67,3 +77,14 @@ def test_estimate_rate(benchmark):
     traj = dyn.run(*_rates_cell(dyn.Algorithm.GDA))
     assert len(traj.distances) == STEPS + 1
     benchmark(dyn.estimate_rate, traj)
+
+
+def test_ratio_sweep(benchmark):
+    # the convex instance and the sweep of the cli-stop workload's first
+    # variant: sample_instance(4, 4, 10, 1, 0, primal_convex=True,
+    # schur_margin=0.5), swept with --algorithms gda eg -T 400000
+    p = prob.sample_instance(4, 4, 10.0, 1.0, 0, primal_convex=True, schur_margin=0.5)
+    ratios = harness.default_ratio_set(prob.derive_constants(p).kappa)
+    algorithms = (dyn.Algorithm.GDA, dyn.Algorithm.EG)
+    benchmark.extra_info["cells"] = len(ratios) * len(algorithms)
+    benchmark(harness.ratio_sweep, p, ratios, 400_000, 1e-6, algorithms=algorithms)

@@ -208,19 +208,15 @@ def cmd_run(args):
     problem = prob.load_instance(args.instance)
     eta_x, eta_y = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
     algorithm = dyn.Algorithm(args.algorithm)
-    noise = None
-    if algorithm is dyn.Algorithm.SGDA:
-        if args.sigma is None:
-            raise _CliExit(EXIT_USAGE, "SGDA requires --sigma (and --batch)")
-        noise = prob.NoiseModel(sigma=args.sigma, batch=args.batch)
-    elif args.sigma is not None:
-        if algorithm is dyn.Algorithm.GDA:
-            raise _CliExit(EXIT_USAGE, "GDA is exact; use sgda for a noisy oracle")
-        noise = prob.NoiseModel(sigma=args.sigma, batch=args.batch)
+    if algorithm is dyn.Algorithm.SGDA and args.sigma is None:
+        raise _CliExit(EXIT_USAGE, "SGDA requires --sigma (and --batch)")
+    if algorithm is dyn.Algorithm.GDA and args.sigma is not None:
+        raise _CliExit(EXIT_USAGE, "GDA is exact; use sgda for a noisy oracle")
+    noise = prob.NoiseModel(args.sigma, args.batch) if args.sigma is not None else None
     config = dyn.SolverConfig(
         algorithm=algorithm, eta_x=eta_x, eta_y=eta_y,
         max_iters=args.max_iters, target_eps=args.eps,
-        noise=noise, seed=args.seed,
+        noise=noise, seed=args.seed, record_primal_gaps=True,
     )
     traj = dyn.run(problem, config)
     _write_atomic(args.out, lambda fh: dyn.write_trajectory_csv(traj, fh))

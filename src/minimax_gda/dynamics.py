@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -50,6 +49,10 @@ class Algorithm(str, enum.Enum):
     GDA = "gda"
     SGDA = "sgda"
     EG = "eg"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidInputError(f"unknown algorithm {value!r}")
 
 
 class Scheme(str, enum.Enum):
@@ -84,6 +87,9 @@ class Status:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """``algorithm`` may be a name.  ``record_primal_gaps`` asks for a gap per
+    recorded point; for the last one alone, take ``primal_gap`` of ``final_z``."""
+
     algorithm: Algorithm
     eta_x: float
     eta_y: float
@@ -91,17 +97,17 @@ class SolverConfig:
     target_eps: float
     noise: Optional[prob.NoiseModel] = None
     seed: int = 0
-    record_primal_gaps: bool = True
+    record_primal_gaps: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if not (0 < self.eta_x < math.inf and 0 < self.eta_y < math.inf):
             raise InvalidInputError("stepsizes must be positive and finite")
         object.__setattr__(self, "max_iters",
                            prob.as_count(self.max_iters, "max_iters", 0))
         if not 0 < self.target_eps < math.inf:
             raise InvalidInputError("target_eps must be positive and finite")
-        if isinstance(self.seed, numbers.Integral) and self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", prob.as_count(self.seed, "seed", 0))
         if self.algorithm is Algorithm.SGDA and self.noise is None:
             raise InvalidInputError("SGDA requires a noise model")
         if self.algorithm is Algorithm.GDA and self.noise is not None:
@@ -226,9 +232,10 @@ def run(problem, config, z0=None):
     """Execute the configured dynamics and record the convergence measure.
 
     Stops when the measure drops to ``target_eps`` (converged), grows to
-    ``DIVERGENCE_FACTOR`` (1e8) times its initial value or leaves the floats
-    (diverged), or the iteration budget runs out; when several hold at the
-    same iteration, diverged wins over converged, and converged over budget.
+    ``DIVERGENCE_FACTOR`` (1e8) times its initial value at ``k > 0`` or
+    leaves the floats (diverged), or the budget runs out.  The first two
+    never coincide (at ``k > 0`` both need ``d0 > target_eps``; the guard
+    keeps a start at the optimum converged); converged wins over budget.
     Distances are recorded every iteration, or every ``ceil(T/1e6)``
     iterations for very long budgets (the terminal point is always
     recorded).  Deterministic given ``(problem, config, z0)``; when ``z0`` is
@@ -255,11 +262,8 @@ def run(problem, config, z0=None):
     if z0.shape != (quad.dim,):
         raise InvalidInputError(f"z0 must have length {quad.dim}")
 
-    schur = None
-    if not nonquad and config.record_primal_gaps:
-        constants = prob.derive_constants(quad)
-        if constants.schur_min >= -prob.VALIDATION_RTOL * quad.L:
-            schur = constants.schur
+    record_gaps = (not nonquad and config.record_primal_gaps
+                   and prob.derive_constants(quad).primal_convex)
 
     eps, max_iters = config.target_eps, config.max_iters
     stride = max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
@@ -295,9 +299,8 @@ def run(problem, config, z0=None):
             if stride > 1 and j is not None:
                 keep[j] = True
             gaps = None
-            if schur is not None:
-                X = S[:end][keep, :quad.n]
-                gaps = np.fmax(0.5 * np.einsum("ij,ij->i", X @ schur, X), 0.0)
+            if record_gaps:
+                gaps = prob.primal_gap(quad, quad.x_star + S[:end][keep, :quad.n])
                 gaps[bad[:end][keep]] = math.inf
             parts.append((ks[keep], d[:end][keep], gaps))
             if j is not None:
@@ -310,7 +313,7 @@ def run(problem, config, z0=None):
     return Trajectory(
         iters=np.concatenate(iters),
         distances=np.concatenate(distances),
-        primal_gaps=None if schur is None else np.concatenate(gaps),
+        primal_gaps=np.concatenate(gaps) if record_gaps else None,
         status=_stop_status(float(d[j]), k0 + j, limit, eps),
         metric="grad_norm" if nonquad else "distance",
         wall_time=wall,
@@ -333,7 +336,7 @@ def _grad_norms(problem, Z):
 
 
 def _stop_status(d, k, limit, eps):
-    """Status of a run stopped at iteration ``k`` with measure ``d``."""
+    """Status at stop iteration ``k``; diverged and converged never coincide."""
     if not math.isfinite(d) or (d >= limit and k > 0):
         return Status(StatusKind.DIVERGED, k)
     if d <= eps:

@@ -87,13 +87,12 @@ def write_sweep_csv(result, fh):
         ])
 
 
-def _cell_from_run(ratio, seed, algorithm, traj, rho):
+def _cell_from_run(ratio, seed, algorithm, traj, rho, gap):
     try:
         rate = dyn.estimate_rate(traj)
     except InsufficientDataError:
         rate = None
     step = traj.status.step if traj.status.kind is dyn.StatusKind.CONVERGED else None
-    gap = None if traj.primal_gaps is None else float(traj.primal_gaps[-1])
     return SweepCell(
         ratio=ratio,
         seed=seed,
@@ -112,12 +111,13 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
                 seeds=(0,), noise=None):
     """Run every (ratio, seed, algorithm) cell of a quadratic or
     non-quadratic ``problem`` and collect status, fitted rate, the
-    spectral-radius prediction and terminal measures.  ``noise`` applies to
-    the SGDA and EG cells.  A cell that raises a library error
+    spectral-radius prediction and terminal measures (the gap from
+    ``problems.primal_gap`` at the final point).  ``noise`` applies to the
+    SGDA and EG cells.  A cell that raises a library error
     (:class:`MinimaxGdaError`) is recorded with status
     ``error: <ExceptionType>: <message>`` and the sweep continues; any other
     exception propagates.  No ratio or seed, a ratio that is not positive
-    and finite, a ``max_iters`` that is not an integer >= 0 or a
+    and finite, a ``max_iters`` or seed that is not an integer >= 0 or a
     ``target_eps`` outside (0, inf) raises :class:`InvalidInputError`
     before any cell runs."""
     if len(ratios) == 0:
@@ -133,7 +133,7 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
         raise InvalidInputError(
             f"target_eps must be positive and finite, got {target_eps}"
         )
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(prob.as_count(s, "seed", 0) for s in seeds)
     algorithms = tuple(dyn.Algorithm(a) for a in algorithms)
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
@@ -161,8 +161,12 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
                 seed=seed,
             )
             traj = dyn.run(problem, config)
+            # in the try: the gap, unlike the run, needs A positive definite
+            gap = (prob.primal_gap(base, traj.final_z[:base.n])
+                   if not nonquad and prob.derive_constants(base).primal_convex
+                   else None)
             rho = radii[r][1 if alg is dyn.Algorithm.EG else 0]
-            cells.append(_cell_from_run(r, seed, alg, traj, rho))
+            cells.append(_cell_from_run(r, seed, alg, traj, rho, gap))
         except MinimaxGdaError as exc:
             cells.append(SweepCell(
                 ratio=r, seed=seed, algorithm=alg.value,
@@ -201,7 +205,6 @@ def _power_norm_course(problem, r, eta_x, max_iters):
         eta_y=r * eta_x,
         max_iters=max_iters,
         target_eps=_EPS_NEVER,
-        record_primal_gaps=False,
     )
     courses = []
     for i in range(dim):
@@ -239,7 +242,7 @@ def divergence_certificate(kappa, max_iters):
     config = dyn.SolverConfig(
         algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
         max_iters=max(max_iters, _CONTROL_MAX_ITERS),
-        target_eps=_CONTROL_EPS, record_primal_gaps=False,
+        target_eps=_CONTROL_EPS,
     )
     return DivergenceCertificate(cells=cells,
                                  controls=(dyn.run(problem, config).status,))
@@ -296,7 +299,6 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds):
                 algorithm=dyn.Algorithm.SGDA, eta_x=eta_x, eta_y=eta_y,
                 max_iters=max_iters, target_eps=_EPS_NEVER,
                 noise=prob.NoiseModel(sigma=sigma, batch=S), seed=seed,
-                record_primal_gaps=False,
             )
             traj = dyn.run(problem, config)
             tail = traj.distances[traj.iters >= tail_start]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,14 +119,15 @@ class QuadraticProblem:
 @dataclass(frozen=True)
 class DerivedConstants:
     """Constants derived from an instance: ``mu_x``, condition numbers and
-    the primal Hessian (Schur complement).  ``schur_min`` keeps the raw
-    smallest eigenvalue before clipping, for diagnostics."""
+    the primal Hessian (Schur complement), its raw smallest eigenvalue
+    ``schur_min``, and whether the primal gap is defined (``primal_convex``)."""
 
     mu_x: float
     kappa: float
     kappa_x: float
     schur: np.ndarray
     schur_min: float
+    primal_convex: bool
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,7 @@ def _compute_constants(problem):
         kappa_x=kappa_x,
         schur=_readonly(schur),
         schur_min=schur_min,
+        primal_convex=schur_min >= -VALIDATION_RTOL * L,
     )
 
 
@@ -282,24 +283,32 @@ def stochastic_grad(problem, z, noise, rng):
 
 
 def primal_gap(problem, x):
-    """Primal suboptimality ``1/2 (x-x*)' schur (x-x*)`` (>= 0), or ``inf``
-    for a non-finite ``x``.
-
-    Requires a PSD Schur complement; raises :class:`InvalidStateError`
-    when it is indefinite beyond tolerance."""
+    """Primal suboptimality ``1/2 (x-x*)' schur (x-x*)`` (>= 0) of ``x`` or
+    of each row of a stack ``x``; ``inf`` for a non-finite row or an
+    overflowing form.  Requires a PSD Schur complement; raises
+    :class:`InvalidStateError` when it is indefinite beyond tolerance."""
     dc = derive_constants(problem)
-    if dc.schur_min < -VALIDATION_RTOL * problem.L:
+    if not dc.primal_convex:
         raise InvalidStateError(
             f"primal Hessian is indefinite (lambda_min={dc.schur_min:.3e}); "
             "primal gap undefined"
         )
     x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != problem.n:
         raise InvalidInputError(f"x must have length n={problem.n}")
-    if not np.isfinite(x).all():
-        return math.inf
-    d = x - problem.x_star
-    return max(0.0, 0.5 * float(d @ (dc.schur @ d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.atleast_2d(x - problem.x_star)
+        gap = 0.5 * np.einsum("ij,ij->i", D @ dc.schur, D)
+        redo = ~np.isfinite(gap)
+        if redo.any():
+            # redo a row whose form met an inf or nan scaled by a power of
+            # two (exactly), so that it overflows only if its value does
+            s = np.ldexp(1.0, np.frexp(np.abs(D[redo]).max(axis=1))[1] - 1)
+            U = D[redo] / s[:, None]
+            gap[redo] = 0.5 * np.einsum("ij,ij->i", U @ dc.schur, U) * s * s
+            gap[~np.isfinite(D).all(axis=1)] = math.inf
+        np.fmax(gap, 0.0, out=gap)
+    return float(gap[0]) if x.ndim == 1 else gap
 
 
 def _haar_orthogonal(k, rng):
@@ -341,8 +350,8 @@ def sample_instance(
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be >= 1")
-    if isinstance(rng, numbers.Integral) and rng < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {rng}")
+    if not isinstance(rng, np.random.Generator):
+        rng = as_count(rng, "seed", 0)
     if not (math.inf > L > mu > 0):
         raise InvalidInputError("need finite L > mu > 0")
     if not (0 <= beta <= 1) or not (0 <= gamma <= 1):

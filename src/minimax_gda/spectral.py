@@ -44,14 +44,6 @@ class LemmaCheck:
     margin: float  # min over eigenvalues of (bound - value); inf when vacuous
 
 
-def _is_eg(algorithm):
-    """Whether ``algorithm`` (an ``Algorithm`` or its name) is EG."""
-    try:
-        return dynamics.Algorithm(algorithm) is dynamics.Algorithm.EG
-    except ValueError:
-        raise InvalidInputError(f"unknown algorithm {algorithm!r}") from None
-
-
 def _transition_moduli(lam, eta_x):
     """Moduli of the GDA (``1 + h``) and EG (``1 + h + h^2``) transition
     eigenvalues, ``h = eta_x*lam``; one whose computation overflows is inf."""
@@ -102,7 +94,8 @@ class SpectralReport:
         transition-eigenvalue moduli (a conjugate pair shares one modulus);
         inf when a single modulus remains."""
         gda, eg = _transition_moduli(self.eigenvalues, self.eta_x)
-        mods = np.sort(eg if _is_eg(algorithm) else gda)[::-1]
+        is_eg = dynamics.Algorithm(algorithm) is dynamics.Algorithm.EG
+        mods = np.sort(eg if is_eg else gda)[::-1]
         rest = mods[mods < mods[0] * (1.0 - 1e-12)]
         if len(rest) == 0:
             return math.inf

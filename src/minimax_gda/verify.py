@@ -253,7 +253,6 @@ def check_rate_lower_bound():
     config = dyn.SolverConfig(
         algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
         max_iters=max_iters, target_eps=harness._EPS_NEVER,
-        record_primal_gaps=False,
     )
     d = dyn.run(problem, config, z0=problem.z_star + v).distances
     max_dev = float(np.max(np.abs(d[1:] / d[:-1] - s1)))
@@ -305,7 +304,6 @@ def check_rate_matches_prediction(corpus, max_iters=40_000):
                 config = dyn.SolverConfig(
                     algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=max_iters,
                     target_eps=harness._EPS_NEVER, seed=seed,
-                    record_primal_gaps=False,
                 )
                 traj = dyn.run(p, config)
                 rate = dyn.estimate_rate(traj)
@@ -364,7 +362,6 @@ def check_complexity_scaling(seed=0, count=10):
             config = dyn.SolverConfig(
                 algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
                 max_iters=max_iters, target_eps=eps, seed=inst_seed,
-                record_primal_gaps=False,
             )
             traj = dyn.run(p, config)
             if traj.status.kind is not dyn.StatusKind.CONVERGED:
@@ -504,7 +501,6 @@ def check_mux_zero(seed=0):
         config = dyn.SolverConfig(
             algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
             max_iters=max_iters, target_eps=stop_distance, seed=seed,
-            record_primal_gaps=False,
         )
         traj = dyn.run(regularized, config, z0=z0)
         converged = traj.status.kind is dyn.StatusKind.CONVERGED

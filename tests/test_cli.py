@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -67,6 +68,16 @@ class TestGenerate:
         loaded = prob.load_instance(out)
         assert abs(prob.derive_constants(loaded).schur_min) <= 1e-9 * loaded.L
 
+    def test_unreachable_schur_margin_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(
+            capsys, "generate", "-n", "4", "-m", "4", "-L", "100", "--mu", "1",
+            "--seed", "0", "--primal-convex", "--schur-margin", "1000", "-o", str(out),
+        )
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert not out.exists()
+
 
 class TestInspect:
     def test_below_threshold_flagged(self, hard_file, capsys):
@@ -82,6 +93,12 @@ class TestInspect:
         assert payload["ratio_class"] == "proved_convergent"
         assert payload["rho1"] <= payload["rho_bound"]
         assert all(c["passed"] for c in payload["lemma_checks"])
+
+    def test_out_file_holds_what_is_printed(self, hard_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, stdout, _ = run_cli(capsys, "inspect", hard_file, "-r", "4", "-o", str(out))
+        assert code == 0
+        assert out.read_text() == stdout
 
     def test_malformed_instance_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -158,6 +175,39 @@ class TestRun:
         assert code == 1
         assert "sigma" in err
 
+    def test_gda_with_sigma_usage_error(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "run", instance_file, "--algorithm", "gda",
+                               "--sigma", "1", "-r", "200", "-o", str(out))
+        assert code == 1
+        assert "GDA is exact" in err
+        assert not out.exists()
+
+    def test_noisy_eg_matches_library_run(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "eg.csv"
+        code, stdout, _ = run_cli(
+            capsys, "run", instance_file, "--algorithm", "eg", "--sigma", "1",
+            "--batch", "4", "-r", "200", "-T", "300", "--seed", "2", "-o", str(out))
+        assert code == 0
+        p = prob.load_instance(instance_file)
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 200.0)
+        traj = dyn.run(p, dyn.SolverConfig(
+            algorithm=dyn.Algorithm.EG, eta_x=eta_x, eta_y=eta_y, max_iters=300,
+            target_eps=1e-6, noise=prob.NoiseModel(1.0, 4), seed=2,
+            record_primal_gaps=True))
+        buf = io.StringIO(newline="")
+        dyn.write_trajectory_csv(traj, buf)
+        assert out.read_bytes().decode() == buf.getvalue()
+        assert stdout.split()[:3] == [traj.status.kind.value, "300",
+                                      f"{traj.final_distance():.12g}"]
+
+    def test_short_run_prints_nan_rate(self, instance_file, tmp_path, capsys):
+        code, stdout, _ = run_cli(capsys, "run", instance_file, "-r", "200", "-T", "5",
+                                  "-o", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert stdout.startswith("budget_exhausted 5 ")
+        assert stdout.split()[-1] == "nan"
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, instance_file, tmp_path, capsys):
@@ -173,6 +223,25 @@ class TestSweep:
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
         assert header.startswith("ratio,seed,algorithm,status")
+
+    def test_default_ratios(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, stdout, _ = run_cli(capsys, "sweep", instance_file, "-T", "100",
+                                  "-o", str(out))
+        assert code == 0 and stdout.endswith("(4 cells)\n")
+        kappa = prob.derive_constants(prob.load_instance(instance_file)).kappa
+        ratios = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert ratios == [kappa / 2, 2 * kappa, 8 * kappa, 2 * kappa ** 2]
+
+    def test_a_not_positive_definite_gives_error_cell(self, tmp_path, capsys):
+        inst, out = tmp_path / "bad_a.json", tmp_path / "s.csv"
+        inst.write_text(json.dumps({"n": 1, "m": 1, "L": 2, "mu": 1, "A": [-1], "B": [1],
+                                    "C": [1], "x_star": [0], "y_star": [0]}))
+        code, _, _ = run_cli(capsys, "sweep", str(inst), "--ratios", "4", "-T", "10",
+                             "-o", str(out))
+        assert code == 0
+        row, = out.read_text().splitlines()[1:]
+        assert row.split(",")[3].startswith("error: NotPositiveDefiniteError")
 
 
 class TestOverflowingRadii:
@@ -241,6 +310,12 @@ class TestVerify:
         assert code == 2
         payload = json.loads(stdout)
         assert payload["passed"] is False
+
+    def test_out_file_holds_what_is_printed(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        code, stdout, _ = run_cli(capsys, "verify", "lower-bounds", "-o", str(out))
+        assert code == 0
+        assert out.read_text() == stdout
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "everything")

@@ -351,12 +351,73 @@ class TestRun:
         for bad in ({"eta_x": math.nan}, {"eta_x": math.inf}, {"eta_y": math.inf},
                     {"target_eps": math.nan}, {"target_eps": math.inf},
                     {"max_iters": -1}, {"max_iters": 100.5}, {"max_iters": math.inf},
-                    {"max_iters": math.nan}, {"max_iters": "100"}):
+                    {"max_iters": math.nan}, {"max_iters": "100"},
+                    {"seed": -1}, {"seed": 1.5}, {"seed": math.nan}, {"seed": "3"},
+                    {"seed": None}, {"algorithm": "adam"}, {"algorithm": "sgda"}):
             with pytest.raises(InvalidInputError):
                 dyn.SolverConfig(**{**kw, **bad})
         for count in (100, 100.0, np.int64(100), np.float64(100.0)):
             cfg = dyn.SolverConfig(**{**kw, "max_iters": count})
             assert type(cfg.max_iters) is int and cfg.max_iters == 100
+        for seed in (2, 2.0, np.int64(2)):
+            cfg = dyn.SolverConfig(**{**kw, "seed": seed})
+            assert type(cfg.seed) is int and cfg.seed == 2
+
+    def test_algorithm_names_select_the_method(self, reference_instance):
+        for name, alg in (("gda", GDA), ("eg", EG)):
+            cfg = config(alg=name, T=50)
+            assert cfg.algorithm is alg
+            assert np.array_equal(dyn.run(reference_instance, cfg).distances,
+                                  dyn.run(reference_instance, config(alg=alg, T=50)).distances)
+        assert config(alg="sgda", noise=prob.NoiseModel(1.0)).algorithm is SGDA
+        assert not np.array_equal(
+            dyn.run(reference_instance, config(alg="eg", T=50)).distances,
+            dyn.run(reference_instance, config(alg="gda", T=50)).distances)
+
+    def test_z0_of_wrong_length_rejected(self, reference_instance):
+        with pytest.raises(InvalidInputError, match="z0 must have length 8"):
+            dyn.run(reference_instance, config(T=5), z0=np.zeros(7))
+
+    def test_overflowing_gap_recorded_as_inf(self):
+        # one step of eta = 4.5e152 takes x to (-3e153, -6e153): the distance
+        # is finite but the gap's quadratic form overflows, which must not
+        # read as a gap of 0
+        p = prob.QuadraticProblem(A=np.eye(2), B=np.zeros((2, 2)),
+                                  C=[[100.0, -90.0], [-90.0, 100.0]],
+                                  x_star=np.zeros(2), y_star=np.zeros(2), L=200.0, mu=1.0)
+        beta = -10.0 / 570.0
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=4.5e152, eta_y=4.5e152,
+                               max_iters=10, target_eps=1e-6, record_primal_gaps=True)
+        traj = dyn.run(p, cfg, z0=np.array([1.0 + beta, 1.0 - beta, 0.0, 0.0]))
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
+        assert math.isfinite(traj.distances[-1])
+        assert traj.primal_gaps[-1] == math.inf
+
+    def test_gap_inf_where_distance_overflows(self):
+        # y leaves the floats' square range in one step while x stays at
+        # 0.5: the measure is inf, and so is the recorded gap
+        p = prob.QuadraticProblem(A=[[1.0]], B=[[0.0]], C=[[1.0]], x_star=[0.0],
+                                  y_star=[0.0], L=1.0, mu=1.0)
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=0.5, eta_y=1e200, max_iters=10,
+                               target_eps=1e-6, record_primal_gaps=True)
+        traj = dyn.run(p, cfg, z0=np.array([1.0, 1.0]))
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
+        assert list(traj.final_z) == [0.5, 1.0 - 1e200]
+        assert math.isinf(traj.distances[-1]) and traj.primal_gaps[-1] == math.inf
+
+    @pytest.mark.parametrize("alg", [GDA, EG])
+    def test_budget_ending_at_the_converging_step(self, alg):
+        # converged and budget exhausted both hold when the budget ends at
+        # the converging step k*, and converged wins
+        p = prob.sample_instance(3, 3, 4.0, 1.0, 0, primal_convex=True, schur_margin=0.5)
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+        kw = dict(algorithm=alg, eta_x=eta_x, eta_y=eta_y, target_eps=1e-6)
+        k = dyn.run(p, dyn.SolverConfig(max_iters=100_000, **kw)).status.step
+        assert k > 3000
+        assert dyn.run(p, dyn.SolverConfig(max_iters=k, **kw)).status == \
+            dyn.Status(dyn.StatusKind.CONVERGED, k)
+        assert dyn.run(p, dyn.SolverConfig(max_iters=k - 1, **kw)).status == \
+            dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow classifies a divergence
@@ -474,6 +535,7 @@ def engine_cases(draw, nonquad=False):
         max_iters=draw(st.integers(0, 2000)),
         target_eps=10.0 ** -draw(st.integers(1, 12)),
         noise=noise, seed=draw(st.integers(0, 2 ** 16)),
+        record_primal_gaps=draw(st.booleans()),
     )
     cap = draw(st.sampled_from([dyn.TRAJECTORY_STORAGE_CAP, 1, 37, 500]))
     return p, cfg, cap
@@ -568,7 +630,7 @@ class TestAffineEngine:
         for alg, noise in ((GDA, None), (EG, prob.NoiseModel(0.1, 2))):
             traj = assert_matches_reference(p, dyn.SolverConfig(
                 algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=1000,
-                target_eps=1e-300, noise=noise))
+                target_eps=1e-300, noise=noise, record_primal_gaps=True))
             assert traj.primal_gaps is not None
             assert np.all(np.diff(traj.iters)[:-1] == 28)
 
@@ -765,7 +827,8 @@ class TestEstimateRate:
 
 class TestTrajectoryCsv:
     def test_schema_and_digits(self, reference_instance):
-        traj = dyn.run(reference_instance, config(T=20, eta_x=1e-5, r=2.0))
+        traj = dyn.run(reference_instance, config(T=20, eta_x=1e-5, r=2.0,
+                                                  record_primal_gaps=True))
         buf = io.StringIO()
         dyn.write_trajectory_csv(traj, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))

@@ -114,6 +114,44 @@ class TestRatioSweep:
         with pytest.raises(InvalidInputError, match="max_iters must be an integer"):
             sweep(small_instance, [8.0], T=bad)
 
+    @pytest.mark.parametrize("bad", [1.5, -1, math.nan, "3", None])
+    def test_bad_seed_rejected_before_any_cell(self, small_instance, bad,
+                                               no_cell_runs):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            sweep(small_instance, [8.0], T=100, seeds=(0, bad))
+
+    def test_unknown_algorithm_rejected_before_any_cell(self, small_instance,
+                                                        no_cell_runs):
+        with pytest.raises(InvalidInputError, match="unknown algorithm 'adam'"):
+            sweep(small_instance, [8.0], T=100, algorithms=("gda", "adam"))
+
+    def test_final_gap_is_the_final_points_gap(self, small_instance, monkeypatch):
+        # and no cell records a gap per step
+        runs = []
+        real_run = dyn.run
+
+        def spy(problem, config, z0=None):
+            runs.append(real_run(problem, config, z0))
+            return runs[-1]
+
+        monkeypatch.setattr(dyn, "run", spy)
+        dc = prob.derive_constants(small_instance)
+        result = sweep(small_instance, [dc.kappa / 2.0, 2 * dc.kappa], T=5_000,
+                       algorithms=(GDA, dyn.Algorithm.EG), seeds=(1.0,))
+        assert len(runs) == 4 and all(t.primal_gaps is None for t in runs)
+        for cell, traj in zip(result.cells, runs):
+            assert cell.seed == traj.config.seed == 1
+            assert cell.final_gap == prob.primal_gap(small_instance,
+                                                     traj.final_z[:small_instance.n])
+
+    def test_gap_needs_positive_definite_a(self):
+        # the run itself does not need A positive definite, the gap's Schur
+        # complement does: the cell records the error and the sweep goes on
+        p = prob.QuadraticProblem(A=[[-1.0]], B=[[1.0]], C=[[1.0]], x_star=[0.0],
+                                  y_star=[0.0], L=2.0, mu=1.0)
+        cell, = sweep(p, [4.0], T=10).cells
+        assert cell.status.startswith("error: NotPositiveDefiniteError")
+
     @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
     def test_bad_target_eps_rejected_before_any_cell(self, small_instance, bad,
                                                      no_cell_runs):

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,6 +212,63 @@ class TestPrimalGap:
         x[-1] = bad
         assert prob.primal_gap(reference_instance, x) == math.inf
 
+    def test_overflowing_form_is_infinitely_far(self):
+        # the two products of x'Sx are -7.2e308 and 1.98e309: an unscaled
+        # form is -inf + inf = nan, which a clip at 0 read as optimal
+        p = make_problem(np.eye(2), np.zeros((2, 2)), [[100.0, -90.0], [-90.0, 100.0]],
+                         200.0, 1.0)
+        assert prob.validate(p, require_primal_convex=True) == ()
+        assert prob.primal_gap(p, np.array([-3e153, -6e153])) == math.inf
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 4), (2, 3)])
+    def test_bad_shape_rejected(self, reference_instance, shape):
+        with pytest.raises(InvalidInputError, match="length n=4"):
+            prob.primal_gap(reference_instance, np.zeros(shape))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(-1, 2),
+           st.floats(0.3, 3.0), st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 16),
+           st.lists(st.tuples(st.one_of(st.floats(-3.0, 3.0), st.floats(148.0, 158.0)),
+                              st.sampled_from([None] * 3 + [math.nan, math.inf, -math.inf])),
+                    min_size=1, max_size=6))
+    def test_stack_matches_rows_and_exact_form(self, n, m, log_L, log_kappa,
+                                               margin, seed, rows):
+        # rows of magnitude up to 1e158 cross the overflow threshold of the
+        # form; some rows carry a non-finite entry
+        L = 10.0 ** log_L
+        p = prob.sample_instance(n, m, L, L / 10.0 ** log_kappa, seed,
+                                 primal_convex=True, schur_margin=margin * L)
+        rng = np.random.default_rng(seed)
+        X = np.empty((len(rows), n))
+        for i, (log_size, bad) in enumerate(rows):
+            X[i] = rng.standard_normal(n) * 10.0 ** log_size
+            if bad is not None:
+                X[i, rng.integers(n)] = bad
+        gaps = prob.primal_gap(p, X)
+        assert gaps.shape == (len(rows),)
+        # one row and a stack may take different BLAS kernels, so the two
+        # agree to the round-off bound below, not bit for bit
+        by_row = np.array([prob.primal_gap(p, x) for x in X])
+        assert np.array_equal(np.isinf(gaps), np.isinf(by_row))
+        assert np.all(gaps >= 0.0) and np.all(by_row >= 0.0)
+        S = prob.derive_constants(p).schur
+        norm_S = Fraction(float(np.linalg.norm(S, 2)))
+        top = Fraction(sys.float_info.max)
+        for x, gap, row_gap in zip(X, gaps, by_row):
+            if not np.isfinite(x).all():
+                assert gap == math.inf
+                continue
+            d = [Fraction(float(v)) for v in x - p.x_star]
+            exact = sum(d[i] * Fraction(float(S[i, j])) * d[j]
+                        for i in range(n) for j in range(n)) / 2
+            tol = Fraction(1, 10 ** 12) * sum(v * v for v in d) / 2 * norm_S
+            if gap == math.inf:
+                assert exact >= top - tol
+            else:
+                assert exact <= top + tol
+                assert abs(Fraction(gap) - exact) <= tol
+                assert abs(Fraction(row_gap) - exact) <= tol
+
 
 class TestSampleInstance:
     def test_passes_validate_and_seeds_reproduce(self):
@@ -245,6 +304,17 @@ class TestSampleInstance:
         with pytest.raises(GenerationFailureError):
             prob.sample_instance(4, 4, 10.0, 1.0, 0, primal_convex=True,
                                  schur_margin=1e6)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            prob.sample_instance(2, 2, 10.0, 1.0, seed)
+
+    def test_seed_forms_agree(self):
+        # an integral float is the integer seed; a Generator is used as given
+        want = prob.sample_instance(2, 2, 10.0, 1.0, 3)
+        for seed in (3.0, np.int64(3), np.random.default_rng(3)):
+            assert np.array_equal(prob.sample_instance(2, 2, 10.0, 1.0, seed).C, want.C)
 
 
 class TestHardInstances:
