@@ -125,8 +125,10 @@ class Trajectory:
     ``distances[i]`` is the measure at iteration ``iters[i]``: the distance
     ``|z^k - z*|`` for quadratic runs, the gradient norm for non-quadratic
     runs (``metric`` says which).  ``primal_gaps`` is populated for
-    primal-convex quadratic instances when requested.  Non-finite iterates
-    are recorded as ``inf`` and classify the run as diverged.
+    primal-convex quadratic instances when requested: ``primal_gaps[i]`` is
+    ``problems.primal_gap`` of the x part of point ``i``, even where its
+    measure is ``inf``.  Non-finite measures are recorded as ``inf`` and
+    classify the run as diverged.
     """
 
     iters: np.ndarray
@@ -301,7 +303,6 @@ def run(problem, config, z0=None):
             gaps = None
             if record_gaps:
                 gaps = prob.primal_gap(quad, quad.x_star + S[:end][keep, :quad.n])
-                gaps[bad[:end][keep]] = math.inf
             parts.append((ks[keep], d[:end][keep], gaps))
             if j is not None:
                 break

@@ -87,56 +87,39 @@ def write_sweep_csv(result, fh):
         ])
 
 
-def _cell_from_run(ratio, seed, algorithm, traj, rho, gap):
-    try:
-        rate = dyn.estimate_rate(traj)
-    except InsufficientDataError:
-        rate = None
-    step = traj.status.step if traj.status.kind is dyn.StatusKind.CONVERGED else None
-    return SweepCell(
-        ratio=ratio,
-        seed=seed,
-        algorithm=algorithm.value,
-        status=traj.status.kind.value,
-        measured_rate=rate,
-        rho=rho,
-        iters_to_eps=step,
-        final_distance=traj.final_distance(),
-        final_gap=gap,
-    )
-
-
 def ratio_sweep(problem, ratios, max_iters, target_eps,
                 algorithms=(dyn.Algorithm.GDA,), scheme=dyn.Scheme.QUARTER,
                 seeds=(0,), noise=None):
     """Run every (ratio, seed, algorithm) cell of a quadratic or
     non-quadratic ``problem`` and collect status, fitted rate, the
     spectral-radius prediction and terminal measures (the gap from
-    ``problems.primal_gap`` at the final point).  ``noise`` applies to the
-    SGDA and EG cells.  A cell that raises a library error
+    ``problems.primal_gap`` at the final point).  A cell runs the
+    ``SolverConfig`` of its algorithm and seed with the ``default_stepsizes``
+    of its ratio and ``scheme``, and ``noise`` for SGDA and EG.
+
+    Every cell's config is built before any cell runs: an argument that
+    ``SolverConfig`` or ``default_stepsizes`` rejects (SGDA without
+    ``noise`` too), or no ratio or seed, raises :class:`InvalidInputError`
+    and nothing runs.  A cell whose run or gap raises a library error
     (:class:`MinimaxGdaError`) is recorded with status
     ``error: <ExceptionType>: <message>`` and the sweep continues; any other
-    exception propagates.  No ratio or seed, a ratio that is not positive
-    and finite, a ``max_iters`` or seed that is not an integer >= 0 or a
-    ``target_eps`` outside (0, inf) raises :class:`InvalidInputError`
-    before any cell runs."""
+    exception propagates."""
     if len(ratios) == 0:
         raise InvalidInputError("need at least one ratio")
     if len(seeds) == 0:
         raise InvalidInputError("need at least one seed")
     ratios = tuple(float(r) for r in ratios)
-    for r in ratios:
-        if not 0 < r < math.inf:
-            raise InvalidInputError(f"ratios must be positive and finite, got {r}")
-    max_iters = prob.as_count(max_iters, "max_iters", 0)
-    if not 0 < target_eps < math.inf:
-        raise InvalidInputError(
-            f"target_eps must be positive and finite, got {target_eps}"
-        )
-    seeds = tuple(prob.as_count(s, "seed", 0) for s in seeds)
-    algorithms = tuple(dyn.Algorithm(a) for a in algorithms)
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     base = problem.base if nonquad else problem
+
+    configs = []  # (ratio, config) in (ratio, seed, algorithm) order
+    for r, seed, alg in itertools.product(ratios, seeds, algorithms):
+        eta_x, eta_y = dyn.default_stepsizes(base.L, r, scheme)
+        exact = dyn.Algorithm(alg) is dyn.Algorithm.GDA
+        configs.append((r, dyn.SolverConfig(
+            algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=max_iters,
+            target_eps=target_eps, noise=None if exact else noise, seed=seed,
+        )))
 
     radii = {}
     for r in ratios:
@@ -148,31 +131,33 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
             radii[r] = (None, None)
 
     cells = []
-    for r, seed, alg in itertools.product(ratios, seeds, algorithms):
+    for r, config in configs:
+        alg = config.algorithm
         try:
-            eta_x, eta_y = dyn.default_stepsizes(base.L, r, scheme)
-            config = dyn.SolverConfig(
-                algorithm=alg,
-                eta_x=eta_x,
-                eta_y=eta_y,
-                max_iters=max_iters,
-                target_eps=target_eps,
-                noise=noise if alg is not dyn.Algorithm.GDA else None,
-                seed=seed,
-            )
             traj = dyn.run(problem, config)
             # in the try: the gap, unlike the run, needs A positive definite
             gap = (prob.primal_gap(base, traj.final_z[:base.n])
                    if not nonquad and prob.derive_constants(base).primal_convex
                    else None)
-            rho = radii[r][1 if alg is dyn.Algorithm.EG else 0]
-            cells.append(_cell_from_run(r, seed, alg, traj, rho, gap))
         except MinimaxGdaError as exc:
             cells.append(SweepCell(
-                ratio=r, seed=seed, algorithm=alg.value,
+                ratio=r, seed=config.seed, algorithm=alg.value,
                 status=f"error: {type(exc).__name__}: {exc}", measured_rate=None,
                 rho=None, iters_to_eps=None, final_distance=math.nan, final_gap=None,
             ))
+            continue
+        try:
+            rate = dyn.estimate_rate(traj)
+        except InsufficientDataError:
+            rate = None
+        converged = traj.status.kind is dyn.StatusKind.CONVERGED
+        cells.append(SweepCell(
+            ratio=r, seed=config.seed, algorithm=alg.value,
+            status=traj.status.kind.value, measured_rate=rate,
+            rho=radii[r][1 if alg is dyn.Algorithm.EG else 0],
+            iters_to_eps=traj.status.step if converged else None,
+            final_distance=traj.final_distance(), final_gap=gap,
+        ))
     return SweepResult(cells=tuple(cells))
 
 

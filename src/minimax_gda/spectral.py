@@ -190,10 +190,23 @@ def check_lemma_spectral(eigenvalues, M_norm, L, mu, mu_x, r):
         checks.append(LemmaCheck(2, False, True, math.nan))
 
     if r >= 1.0:
-        radius_sq = float(np.max(re ** 2 + im ** 2))
-        margin3 = min(M_norm ** 2 - radius_sq, 4.0 * r ** 2 * L ** 2 - M_norm ** 2)
-        # squared-scale quantities; tolerance scales accordingly
-        checks.append(LemmaCheck(3, True, margin3 >= -tol * M_norm, float(margin3)))
+        try:
+            M_sq = M_norm ** 2
+            margin3 = min(M_sq - float(np.max(re ** 2 + im ** 2)),
+                          4.0 * r ** 2 * L ** 2 - M_sq)
+            # squared-scale quantities; tolerance scales accordingly
+            passed3 = margin3 >= -tol * M_norm
+        except OverflowError:
+            # a square leaves the floats: judge both bounds divided by
+            # |M|_2^2, and keep the margin only where it is a finite double
+            q = float(np.max(np.abs(lam))) / M_norm
+            p = 2.0 * r * L / M_norm
+            scaled = min(1.0 - q * q, p * p - 1.0)
+            passed3 = scaled >= -LEMMA_CHECK_RTOL
+            margin3 = M_norm * (M_norm * scaled)
+            if not math.isfinite(margin3):
+                margin3 = math.nan
+        checks.append(LemmaCheck(3, True, passed3, float(margin3)))
     else:
         checks.append(LemmaCheck(3, False, True, math.nan))
 

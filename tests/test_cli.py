@@ -233,6 +233,15 @@ class TestSweep:
         ratios = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert ratios == [kappa / 2, 2 * kappa, 8 * kappa, 2 * kappa ** 2]
 
+    def test_sgda_with_sigma_runs(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, stdout, _ = run_cli(capsys, "sweep", instance_file, "--ratios", "200",
+                                  "--algorithms", "gda", "sgda", "--sigma", "1",
+                                  "-T", "100", "-o", str(out))
+        assert code == 0 and stdout.endswith("(2 cells)\n")
+        assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == \
+            ["gda", "sgda"]
+
     def test_a_not_positive_definite_gives_error_cell(self, tmp_path, capsys):
         inst, out = tmp_path / "bad_a.json", tmp_path / "s.csv"
         inst.write_text(json.dumps({"n": 1, "m": 1, "L": 2, "mu": 1, "A": [-1], "B": [1],
@@ -242,6 +251,25 @@ class TestSweep:
         assert code == 0
         row, = out.read_text().splitlines()[1:]
         assert row.split(",")[3].startswith("error: NotPositiveDefiniteError")
+
+
+class TestHugeRatios:
+    """Ratios whose squares leave the floats end in a documented exit code,
+    never in a traceback; the lemma's item 3 is still judged there."""
+
+    @pytest.mark.parametrize("r", ["1e-300", "1e154", "1e300"])
+    @pytest.mark.parametrize("command", ["inspect", "run", "sweep"])
+    def test_documented_exit(self, command, r, instance_file, tmp_path, capsys):
+        argv = {"inspect": ["inspect", instance_file, "-r", r],
+                "run": ["run", instance_file, "-r", r, "-T", "100"],
+                "sweep": ["sweep", instance_file, "--ratios", r, "-T", "100"]}[command]
+        if command != "inspect":
+            argv += ["-o", str(tmp_path / "out.csv")]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        if command == "inspect" and r != "1e-300":
+            item3 = json.loads(stdout)["lemma_checks"][2]
+            assert item3["applicable"] and item3["passed"] and item3["margin"] is None
 
 
 class TestOverflowingRadii:
@@ -360,8 +388,11 @@ class TestRejectedBeforeWork:
         ("sweep", "{inst}", "--ratios", "200", "-T", "-5"),
         ("sweep", "{inst}", "--ratios", "200", "--eps", "nan"),
         ("sweep", "{inst}", "--ratios", "200", "--eps", "0"),
+        ("sweep", "{inst}", "--ratios", "200", "--algorithms", "sgda"),
+        ("sweep", "{inst}", "--ratios", "200", "--algorithms", "gda", "sgda"),
     ], ids=["generate-seed", "run-seed", "verify-mux-zero-seed",
-            "verify-spectral-seed", "sweep-T", "sweep-eps-nan", "sweep-eps-0"])
+            "verify-spectral-seed", "sweep-T", "sweep-eps-nan", "sweep-eps-0",
+            "sweep-sgda-no-sigma", "sweep-gda-sgda-no-sigma"])
     def test_exits_one(self, args, instance_file, tmp_path, capsys):
         out = tmp_path / "out"
         argv = [a.format(inst=instance_file) for a in args]

@@ -393,9 +393,9 @@ class TestRun:
         assert math.isfinite(traj.distances[-1])
         assert traj.primal_gaps[-1] == math.inf
 
-    def test_gap_inf_where_distance_overflows(self):
+    def test_gap_of_finite_x_where_distance_overflows(self):
         # y leaves the floats' square range in one step while x stays at
-        # 0.5: the measure is inf, and so is the recorded gap
+        # 0.5: the measure is inf, the recorded gap is the final x's gap
         p = prob.QuadraticProblem(A=[[1.0]], B=[[0.0]], C=[[1.0]], x_star=[0.0],
                                   y_star=[0.0], L=1.0, mu=1.0)
         cfg = dyn.SolverConfig(algorithm=GDA, eta_x=0.5, eta_y=1e200, max_iters=10,
@@ -403,7 +403,8 @@ class TestRun:
         traj = dyn.run(p, cfg, z0=np.array([1.0, 1.0]))
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
         assert list(traj.final_z) == [0.5, 1.0 - 1e200]
-        assert math.isinf(traj.distances[-1]) and traj.primal_gaps[-1] == math.inf
+        assert math.isinf(traj.distances[-1])
+        assert traj.primal_gaps[-1] == prob.primal_gap(p, traj.final_z[:1]) == 0.125
 
     @pytest.mark.parametrize("alg", [GDA, EG])
     def test_budget_ending_at_the_converging_step(self, alg):
@@ -459,8 +460,7 @@ def reference_run(problem, config, z0=None):
             iters.append(k)
             dists.append(d)
             if want_gaps:
-                gaps.append(prob.primal_gap(quad, z[:quad.n])
-                            if finite else math.inf)
+                gaps.append(prob.primal_gap(quad, z[:quad.n]))
         if stop:
             if diverged:
                 status = dyn.Status(dyn.StatusKind.DIVERGED, k)

@@ -1,13 +1,17 @@
 import io
+import itertools
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
 from minimax_gda import harness
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
-from minimax_gda.errors import InvalidInputError
+from minimax_gda.errors import InsufficientDataError, InvalidInputError
 
 GDA = dyn.Algorithm.GDA
 
@@ -80,13 +84,12 @@ class TestRatioSweep:
         assert cell.status == "budget_exhausted"
         assert cell.final_distance > 1e-6  # noise floor keeps it away
 
-    def test_error_cell_recorded(self, small_instance):
+    def test_sgda_without_noise_rejected_before_any_cell(self, small_instance,
+                                                        no_cell_runs):
         dc = prob.derive_constants(small_instance)
-        cell = sweep(
-            small_instance, [2 * dc.kappa], T=100,
-            algorithms=(dyn.Algorithm.SGDA,),  # no noise model: cell must error
-        ).cells[0]
-        assert cell.status.startswith("error: InvalidInputError: ")
+        with pytest.raises(InvalidInputError, match="SGDA requires a noise model"):
+            sweep(small_instance, [2 * dc.kappa], T=100,
+                  algorithms=(GDA, dyn.Algorithm.SGDA))
 
     def test_non_library_error_propagates(self, small_instance, monkeypatch):
         def broken_run(problem, config, z0=None):
@@ -170,6 +173,92 @@ class TestRatioSweep:
                 found = True
                 break
         assert found
+
+
+@st.composite
+def sweep_args(draw):
+    """A small quadratic instance and valid ``ratio_sweep`` arguments: ratios
+    around kappa/2, 2 kappa and 8 kappa, and SGDA only when noise is set."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kappa = 10.0 ** draw(st.floats(0.3, 2.0))
+    L = 10.0 ** draw(st.integers(-1, 1))
+    p = prob.sample_instance(n, m, L, L / kappa, draw(st.integers(0, 2 ** 16)),
+                             primal_convex=draw(st.booleans()))
+    ratios = [kappa * draw(st.sampled_from([0.5, 2.0, 8.0]))
+              * 2.0 ** draw(st.floats(-0.25, 0.25))
+              for _ in range(draw(st.integers(1, 3)))]
+    noise = draw(st.one_of(st.none(), st.builds(
+        prob.NoiseModel, st.sampled_from([1e-3, 0.1, 1.0]), st.integers(1, 16))))
+    names = ["gda", "eg"] + (["sgda"] if noise is not None else [])
+    return p, dict(
+        ratios=ratios, max_iters=draw(st.integers(0, 2000)),
+        target_eps=10.0 ** -draw(st.integers(1, 12)),
+        algorithms=draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+        scheme=draw(st.sampled_from(list(dyn.Scheme))),
+        seeds=draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)),
+        noise=noise,
+    )
+
+
+# one argument that SolverConfig or default_stepsizes rejects, as
+# (ratio_sweep keyword, bad value): a bad ratio, seed or algorithm is
+# inserted among the valid ones, a bad max_iters or target_eps replaces it
+BAD_ARGUMENTS = (
+    [("ratios", r) for r in (0.0, -1.0, math.nan, math.inf, 1e-310)]
+    + [("max_iters", t) for t in (-1, 100.5, math.nan, math.inf)]
+    + [("target_eps", e) for e in (0.0, -1e-6, math.nan, math.inf)]
+    + [("seeds", s) for s in (-1, 1.5, math.nan, "3", None)]
+    + [("algorithms", "adam"), ("algorithms", "sgda")]
+)
+
+
+class TestSweepIsItsConfigs:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sweep_args())
+    def test_cells_equal_their_configs_runs(self, case):
+        p, kw = case
+        dc = prob.derive_constants(p)
+        result = harness.ratio_sweep(p, **kw)
+        cells = list(itertools.product(kw["ratios"], kw["seeds"], kw["algorithms"]))
+        assert len(result.cells) == len(cells)
+        for cell, (r, seed, alg) in zip(result.cells, cells):
+            eta_x, eta_y = dyn.default_stepsizes(p.L, r, kw["scheme"])
+            traj = dyn.run(p, dyn.SolverConfig(
+                algorithm=alg, eta_x=eta_x, eta_y=eta_y,
+                max_iters=kw["max_iters"], target_eps=kw["target_eps"],
+                noise=None if alg == "gda" else kw["noise"], seed=seed))
+            try:
+                rate = dyn.estimate_rate(traj)
+            except InsufficientDataError:
+                rate = None
+            rep = spec.spectral_report(p, r, eta_x, kw["scheme"])
+            converged = traj.status.kind is dyn.StatusKind.CONVERGED
+            assert (cell.ratio, cell.seed, cell.algorithm) == (r, seed, alg)
+            assert cell.status == traj.status.kind.value
+            assert cell.iters_to_eps == (traj.status.step if converged else None)
+            assert cell.final_distance == traj.final_distance()
+            assert cell.measured_rate == rate
+            assert cell.rho == (rep.rho2 if alg == "eg" else rep.rho1)
+            assert cell.final_gap == (prob.primal_gap(p, traj.final_z[:p.n])
+                                      if dc.primal_convex else None)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sweep_args(), st.sampled_from(BAD_ARGUMENTS), st.data())
+    def test_rejected_argument_runs_nothing(self, case, bad, data):
+        p, kw = case
+        key, value = bad
+        if key in ("ratios", "seeds", "algorithms"):
+            at = data.draw(st.integers(0, len(kw[key])))
+            kw[key] = kw[key][:at] + [value] + kw[key][at:]
+            if value == "sgda":
+                kw["noise"] = None
+        else:
+            kw[key] = value
+        with mock.patch.object(dyn, "run") as run, \
+                mock.patch.object(spec, "spectral_report") as report:
+            with pytest.raises(InvalidInputError):
+                harness.ratio_sweep(p, **kw)
+        assert run.call_count == report.call_count == 0
 
 
 class TestDivergenceCertificate:

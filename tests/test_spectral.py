@@ -191,6 +191,20 @@ class TestLemmaChecks:
         assert radius_sq == pytest.approx(4.0, abs=1e-9)
         assert 4.0 <= rep.M_norm ** 2 <= 4 * 2 ** 2 * 2 ** 2
 
+    @pytest.mark.parametrize("norm, passed", [(1.5, True), (1.4, False), (2.1, False)])
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_item3_judged_where_squares_overflow(self, scale, norm, passed):
+        # eigenvalues of modulus sqrt(2)*scale against |M|_2 = norm*scale and
+        # 2rL = 2*scale: the verdict does not depend on the scale, and the
+        # margin is kept only where it is a finite double
+        lam = scale * np.array([-1.0 + 1.0j, -1.0 - 1.0j])
+        item3 = spec.check_lemma_spectral(lam, norm * scale, 1.0, 1.0, 1.0, scale)[2]
+        assert item3.applicable and item3.passed is passed
+        if scale == 1.0:
+            assert item3.margin == min(norm ** 2 - 2.0, 4.0 - norm ** 2)
+        else:
+            assert math.isnan(item3.margin)
+
     def test_item1_hard_ratio(self):
         p = prob.hard_ratio_instance(2.0, 1.0)
         rep = spec.spectral_report(p, 2.0, 1.0 / 16)
