@@ -7,10 +7,13 @@ step, as ``minimax-gda run`` does; one SGDA run of the same length on the
 criterion-6 instance (the noisy path, which keeps its sequential block
 starts); the non-quadratic run of criterion 9 (the oracle path, one gradient
 step after another); one ``estimate_rate`` call on the 40 001-point GDA
-trajectory; and one ``ratio_sweep`` of GDA and EG over the default ratios
-on the convex instance of the cli-stop workload's first variant.  Each run
-case stores its step count in ``extra_info["steps"]`` (for the criterion-9
-run, the steps to its stop), so the per-call median over it is microseconds
+trajectory; one GDA run that diverges in its sixth chunk (the first sweep
+cell of the cli-stop workload's first variant on its indefinite instance),
+where the per-chunk stop rule is the largest share of the cost; and one
+``ratio_sweep`` of GDA and EG over the default ratios on the convex
+instance of that variant.  Each run case stores its step count in
+``extra_info["steps"]`` (for the criterion-9 and early-stop runs, the steps
+to the stop), so the per-call median over it is microseconds
 per step; the sweep case stores its cell count in ``extra_info["cells"]``.
 These are not part of the test suite; run them from the root of a checkout
 with
@@ -71,6 +74,24 @@ def test_nonquad_run(benchmark):
     (nq, cfg), _ = spy.call_args
     benchmark.extra_info["steps"] = dyn.run(nq, cfg).status.step
     benchmark(dyn.run, nq, cfg)
+
+
+def test_early_stop_run(benchmark):
+    # the indefinite instance of the cli-stop workload's first variant: the
+    # first seed from 1 whose Schur complement has its least eigenvalue at
+    # most -2.5; its first sweep cell, GDA at r = kappa/2, diverges at 1150
+    seed = 1
+    while True:
+        p = prob.sample_instance(4, 4, 10.0, 1.0, seed)
+        if prob.derive_constants(p).schur_min <= -2.5:
+            break
+        seed += 1
+    r = harness.default_ratio_set(prob.derive_constants(p).kappa)[0]
+    eta_x, eta_y = dyn.default_stepsizes(p.L, r)
+    cfg = dyn.SolverConfig(algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
+                           max_iters=400_000, target_eps=1e-6)
+    benchmark.extra_info["steps"] = dyn.run(p, cfg).status.step
+    benchmark(dyn.run, p, cfg)
 
 
 def test_estimate_rate(benchmark):

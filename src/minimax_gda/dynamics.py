@@ -127,8 +127,9 @@ class Trajectory:
     runs (``metric`` says which).  ``primal_gaps`` is populated for
     primal-convex quadratic instances when requested: ``primal_gaps[i]`` is
     ``problems.primal_gap`` of the x part of point ``i``, even where its
-    measure is ``inf``.  Non-finite measures are recorded as ``inf`` and
-    classify the run as diverged.
+    measure is ``inf``.  Non-finite measures are recorded as ``inf``, and
+    ``status`` follows the stop rule of ``run``: converged, else diverged,
+    else budget exhausted.
     """
 
     iters: np.ndarray
@@ -160,7 +161,10 @@ def build_M(problem, r):
     n = problem.n
     M = np.empty((problem.dim, problem.dim))
     M[:n, :n], M[:n, n:] = -problem.C, -problem.B
-    M[n:, :n], M[n:, n:] = r * problem.B.T, -r * problem.A
+    with np.errstate(over="ignore"):
+        M[n:, :n], M[n:, n:] = r * problem.B.T, -r * problem.A
+    if not np.isfinite(M[n:]).all():
+        raise InvalidInputError("r is too large: r*B' or r*A overflows")
     return M
 
 
@@ -233,18 +237,16 @@ def linear_system(problem, config):
 def run(problem, config, z0=None):
     """Execute the configured dynamics and record the convergence measure.
 
-    Stops when the measure drops to ``target_eps`` (converged), grows to
-    ``DIVERGENCE_FACTOR`` (1e8) times its initial value at ``k > 0`` or
-    leaves the floats (diverged), or the budget runs out.  The first two
-    never coincide (at ``k > 0`` both need ``d0 > target_eps``; the guard
-    keeps a start at the optimum converged); converged wins over budget.
-    Distances are recorded every iteration, or every ``ceil(T/1e6)``
-    iterations for very long budgets (the terminal point is always
-    recorded).  Deterministic given ``(problem, config, z0)``; when ``z0`` is
-    omitted it defaults to the optimum plus a unit direction drawn from
-    ``config.seed``.  The oracle noise is drawn from a generator seeded with
-    ``config.seed``, in the order the per-step oracle of ``make_oracle``
-    draws it.
+    Stops at the first iteration where the measure is at most
+    ``target_eps`` (converged), else at least ``DIVERGENCE_FACTOR`` (1e8)
+    times its initial value or non-finite (diverged), else at ``max_iters``
+    (budget exhausted), checked in that order.  Distances are recorded
+    every iteration, or every ``ceil(T/1e6)`` iterations for very long
+    budgets (the terminal point is always recorded).  Deterministic given
+    ``(problem, config, z0)``; when ``z0`` is omitted it defaults to the
+    optimum plus a unit direction drawn from ``config.seed``.  The oracle
+    noise is drawn from a generator seeded with ``config.seed``, in the
+    order the per-step oracle of ``make_oracle`` draws it.
 
     Every run goes through the one chunk loop below: it measures a chunk of
     states at once, finds the chunk's first stopping iteration, and takes
@@ -279,19 +281,13 @@ def run(problem, config, z0=None):
         else:
             S, advance = (z0 - quad.z_star)[None, :], _affine_advance(quad, config)
             measure = _norms
-        limit = math.inf
+        d = measure(S)
+        limit = DIVERGENCE_FACTOR * d[0]
         parts = []  # (iters, distances, gaps) per chunk
         k0 = 0  # iteration of S[0]
         blocks = 1
         while True:
-            d = measure(S)
-            bad = ~np.isfinite(d)
-            d[bad] = math.inf
-            stop = bad | (d <= eps)
-            if k0 == 0:
-                limit = DIVERGENCE_FACTOR * d[0]
-            else:
-                stop |= d >= limit
+            stop = (d <= eps) | (d >= limit)
             last = k0 + len(d) - 1
             j = int(np.argmax(stop)) if stop.any() else (
                 len(d) - 1 if last == max_iters else None)
@@ -307,15 +303,22 @@ def run(problem, config, z0=None):
             if j is not None:
                 break
             S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
+            d = measure(S)
             k0 = last + 1
             blocks = min(2 * blocks, _MAX_BLOCKS)
     wall = time.perf_counter() - start
+    if d[j] <= eps:
+        status = Status(StatusKind.CONVERGED, k0 + j)
+    elif d[j] >= limit:
+        status = Status(StatusKind.DIVERGED, k0 + j)
+    else:
+        status = Status(StatusKind.BUDGET_EXHAUSTED)
     iters, distances, gaps = zip(*parts)
     return Trajectory(
         iters=np.concatenate(iters),
         distances=np.concatenate(distances),
         primal_gaps=np.concatenate(gaps) if record_gaps else None,
-        status=_stop_status(float(d[j]), k0 + j, limit, eps),
+        status=status,
         metric="grad_norm" if nonquad else "distance",
         wall_time=wall,
         config=config,
@@ -324,25 +327,21 @@ def run(problem, config, z0=None):
 
 
 def _norms(W):
-    return np.sqrt(np.einsum("ij,ij->i", W, W))
+    """``|w|`` of each row of ``W``, ``inf`` where it is not finite."""
+    d = np.sqrt(np.einsum("ij,ij->i", W, W))
+    d[~np.isfinite(d)] = math.inf
+    return d
 
 
 def _grad_norms(problem, Z):
-    """The exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``."""
+    """The exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``,
+    ``inf`` where it is not finite."""
     d = np.empty(len(Z))
     for i, z in enumerate(Z):
         gx, gy = prob.nonquad_grad(problem, z)
         d[i] = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
+    d[~np.isfinite(d)] = math.inf
     return d
-
-
-def _stop_status(d, k, limit, eps):
-    """Status at stop iteration ``k``; diverged and converged never coincide."""
-    if not math.isfinite(d) or (d >= limit and k > 0):
-        return Status(StatusKind.DIVERGED, k)
-    if d <= eps:
-        return Status(StatusKind.CONVERGED, k)
-    return Status(StatusKind.BUDGET_EXHAUSTED)
 
 
 # Block length b of the affine engine: a run precomputes T^1..T^b once and

@@ -257,7 +257,7 @@ class TestHugeRatios:
     """Ratios whose squares leave the floats end in a documented exit code,
     never in a traceback; the lemma's item 3 is still judged there."""
 
-    @pytest.mark.parametrize("r", ["1e-300", "1e154", "1e300"])
+    @pytest.mark.parametrize("r", ["1e-300", "1e154", "1e300", "1.7e308"])
     @pytest.mark.parametrize("command", ["inspect", "run", "sweep"])
     def test_documented_exit(self, command, r, instance_file, tmp_path, capsys):
         argv = {"inspect": ["inspect", instance_file, "-r", r],
@@ -265,8 +265,18 @@ class TestHugeRatios:
                 "sweep": ["sweep", instance_file, "--ratios", r, "-T", "100"]}[command]
         if command != "inspect":
             argv += ["-o", str(tmp_path / "out.csv")]
-        code, stdout, _ = run_cli(capsys, *argv)
+        code, stdout, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2, 3)
+        if r == "1.7e308":
+            # r*B' and r*A overflow: the matrix M cannot be built
+            overflow = "r is too large: r*B' or r*A overflows"
+            if command == "sweep":
+                assert code == 0
+                row, = (tmp_path / "out.csv").read_text().splitlines()[1:]
+                assert row.split(",")[3] == f"error: InvalidInputError: {overflow}"
+            else:
+                assert code == 1 and err == f"error: {overflow}\n"
+            return
         if command == "inspect" and r != "1e-300":
             item3 = json.loads(stdout)["lemma_checks"][2]
             assert item3["applicable"] and item3["passed"] and item3["margin"] is None

@@ -508,10 +508,11 @@ def assert_matches_reference(problem, config, z0=None):
 @st.composite
 def engine_cases(draw, nonquad=False):
     """A quadratic instance, or with ``nonquad`` its logistic perturbation,
-    a run config and a trajectory storage cap (strided recording below it)."""
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 8))
-    kappa = 10.0 ** draw(st.floats(0.3, 3.0))
+    a run config, a trajectory storage cap (strided recording below it) and
+    a start (``None`` for the default one)."""
+    n = draw(st.integers(1, 16))
+    m = draw(st.integers(1, 16))
+    kappa = 10.0 ** draw(st.floats(0.3, 4.0))
     L = 10.0 ** draw(st.integers(-1, 2))
     seed = draw(st.integers(0, 2 ** 16))
     p = prob.sample_instance(n, m, L, L / kappa, seed,
@@ -530,26 +531,53 @@ def engine_cases(draw, nonquad=False):
                                        (EG, True)]))
     noise = prob.NoiseModel(draw(st.sampled_from([1e-3, 0.1, 1.0])),
                             draw(st.integers(1, 64))) if noisy else None
+    eps = 10.0 ** -draw(st.integers(1, 12))
     cfg = dyn.SolverConfig(
         algorithm=alg, eta_x=eta_x, eta_y=eta_y,
-        max_iters=draw(st.integers(0, 2000)),
-        target_eps=10.0 ** -draw(st.integers(1, 12)),
+        max_iters=draw(st.integers(0, 2000)), target_eps=eps,
         noise=noise, seed=draw(st.integers(0, 2 ** 16)),
         record_primal_gaps=draw(st.booleans()),
     )
     cap = draw(st.sampled_from([dyn.TRAJECTORY_STORAGE_CAP, 1, 37, 500]))
-    return p, cfg, cap
+    # mostly the default start; else an edge of the stop rule: the optimum
+    # (d0 = 0), just inside eps, 1e150 out (a finite measure that leaves the
+    # floats before it grows 1e8-fold), 1e301 out (1e8 * d0 overflows; the
+    # measure's squares do too) or an inf entry
+    offset = draw(st.sampled_from([None] * 6 + [0.0, 0.5 * eps, 1e150, 1e301, math.inf]))
+    if offset is None:
+        return p, cfg, cap, None
+    quad = getattr(p, "base", p)
+    v = rng.standard_normal(quad.dim)
+    z0 = quad.z_star + (offset if offset < math.inf else 1.0) * v / np.linalg.norm(v)
+    if offset == math.inf:
+        z0[draw(st.integers(0, quad.dim - 1))] = math.inf
+    return p, cfg, cap, z0
+
+
+def growth_case(alg, steps):
+    """A concave descent block ``q``, a start ``z0`` on its x axis and the
+    stepsize ``h`` for both players under which the distance grows by
+    g = 1 + h per GDA step and g = 1 + h + h^2 per EG step, with
+    g^(steps - 1/2) equal to the documented divergence factor 1e8: the
+    measure at ``steps`` is above 1e8 times the start's and every earlier
+    one below."""
+    q = prob.QuadraticProblem(A=np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
+                              x_star=np.ones(1), y_star=np.zeros(1), L=1.0, mu=1.0)
+    z0 = q.z_star + np.array([1.0, 0.0])
+    g = 1e8 ** (1.0 / (steps - 0.5))
+    h = (math.sqrt(4.0 * g - 3.0) - 1.0) / 2.0 if alg is EG else g - 1.0
+    return q, z0, h
 
 
 class TestAffineEngine:
     """``run`` on quadratic instances against the per-step reference."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(engine_cases())
     def test_matches_per_step_reference(self, case):
-        p, cfg, cap = case
+        p, cfg, cap, z0 = case
         with mock.patch.object(dyn, "TRAJECTORY_STORAGE_CAP", cap):
-            assert_matches_reference(p, cfg)
+            assert_matches_reference(p, cfg, z0)
 
     def test_no_oracle_calls_on_quadratic(self, reference_instance, monkeypatch):
         def fail(*args, **kwargs):
@@ -603,16 +631,8 @@ class TestAffineEngine:
         traj = assert_matches_reference(p, dyn.SolverConfig(
             max_iters=10 * boundary, target_eps=eps, **base))
         assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, boundary)
-        # diverge exactly at the boundary: a concave descent block grows the
-        # distance from a start on the x axis by g = 1 + h per GDA step and
-        # g = 1 + h + h^2 per EG step (h = eta_x); g^(boundary - 1/2) equal
-        # to the documented divergence factor 1e8 puts the boundary's measure
-        # above it and every earlier one below
-        q = prob.QuadraticProblem(A=np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
-                                  x_star=np.ones(1), y_star=np.zeros(1), L=1.0, mu=1.0)
-        z0 = q.z_star + np.array([1.0, 0.0])
-        g = 1e8 ** (1.0 / (boundary - 0.5))
-        h = (math.sqrt(4.0 * g - 3.0) - 1.0) / 2.0 if alg is EG else g - 1.0
+        # diverge exactly at the boundary
+        q, z0, h = growth_case(alg, boundary)
         grow = dict(base, eta_x=h, eta_y=h)
         if alg is SGDA:
             grow["noise"] = prob.NoiseModel(1e-6, 1)
@@ -622,6 +642,17 @@ class TestAffineEngine:
         traj = assert_matches_reference(q, dyn.SolverConfig(
             max_iters=10 * boundary, target_eps=1e-300, **grow), z0)
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, boundary)
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
+                                           (SGDA, prob.NoiseModel(1e-6, 1))])
+    def test_diverges_on_the_last_step(self, alg, noise):
+        # the measure first reaches 1e8 * d0 at max_iters, where the budget
+        # also ends: diverged is checked before budget exhausted
+        q, z0, h = growth_case(alg, 100)
+        traj = assert_matches_reference(q, dyn.SolverConfig(
+            algorithm=alg, eta_x=h, eta_y=h, max_iters=100, target_eps=1e-300,
+            noise=noise), z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 100)
 
     def test_strided_recording_with_gaps(self, monkeypatch):
         monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
@@ -691,12 +722,12 @@ class TestAffineEngine:
 class TestOracleEngine:
     """``run`` on non-quadratic instances against the per-step reference."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(engine_cases(nonquad=True))
     def test_matches_per_step_reference(self, case):
-        p, cfg, cap = case
+        p, cfg, cap, z0 = case
         with mock.patch.object(dyn, "TRAJECTORY_STORAGE_CAP", cap):
-            traj = assert_matches_reference(p, cfg)
+            traj = assert_matches_reference(p, cfg, z0)
         assert traj.metric == "grad_norm" and traj.primal_gaps is None
 
     @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
@@ -721,6 +752,17 @@ class TestOracleEngine:
         monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
         traj = assert_matches_reference(nq, traj.config)
         assert np.all(np.diff(traj.iters)[:-1] == 28)
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, prob.NoiseModel(1e-6, 1))])
+    def test_diverges_on_the_last_step(self, alg, noise):
+        # with a = 0 the gradient norm is the distance of growth_case, which
+        # first reaches 1e8 * d0 at max_iters: diverged, not budget exhausted
+        q, z0, h = growth_case(alg, 100)
+        nq = prob.NonQuadraticProblem(base=q, a=0.0, b=q.x_star)
+        traj = assert_matches_reference(nq, dyn.SolverConfig(
+            algorithm=alg, eta_x=h, eta_y=h, max_iters=100, target_eps=1e-300,
+            noise=noise), z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 100)
 
 
 def synthetic_trajectory(distances, iters=None):
