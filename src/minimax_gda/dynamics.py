@@ -195,10 +195,10 @@ def eg_step(oracle, z, eta_x, eta_y, rng=None):
     return np.concatenate([z[:nx] - eta_x * gx2, z[nx:] + eta_y * gy2])
 
 
-def default_initial_point(problem, seed):
-    # unit-norm offset from the optimum, drawn before any noise so SGDA and
-    # GDA see the same start for a given seed
-    quad = problem.base if isinstance(problem, prob.NonQuadraticProblem) else problem
+def default_initial_point(quad, seed):
+    # unit-norm offset from the optimum of the quadratic instance (a
+    # non-quadratic one's base), drawn before any noise so SGDA and GDA see
+    # the same start for a given seed
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(quad.dim)
     v /= np.linalg.norm(v)
@@ -261,7 +261,7 @@ def run(problem, config, z0=None):
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     quad = problem.base if nonquad else problem
     if z0 is None:
-        z0 = default_initial_point(problem, config.seed)
+        z0 = default_initial_point(quad, config.seed)
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (quad.dim,):
         raise InvalidInputError(f"z0 must have length {quad.dim}")

@@ -1,8 +1,8 @@
-"""Multi-cell experiment drivers: ratio sweeps (quadratic or non-quadratic
-instances) with their CSV writer, the one-kappa divergence certificate
-(criterion 1), and the SGDA noise-floor sweep at a positive noise level
-(criterion 6).  The drivers only measure: every acceptance rule that judges
-their measurements lives in the checks of :mod:`minimax_gda.verify`.
+"""Multi-cell experiment drivers: ratio sweeps of a quadratic instance with
+their CSV writer, the one-kappa divergence certificate (criterion 1), and
+the SGDA noise-floor sweep at a positive noise level (criterion 6).  The
+drivers only measure: every acceptance rule that judges their measurements
+lives in the checks of :mod:`minimax_gda.verify`.
 
 Cells within a sweep are independent and run one after another in input
 order, so identical inputs produce identical outputs byte for byte.
@@ -75,7 +75,9 @@ SWEEP_CSV_HEADER = [
 
 def write_sweep_csv(result, fh):
     """One RFC-4180 row per (ratio, seed, algorithm) cell, 17 significant
-    digits, missing values empty, written to the open text file ``fh``."""
+    digits, missing values empty, written to the open text file ``fh``.
+    The ``rho1`` column holds the transition radius of the row's own
+    algorithm: the EG radius ``rho2`` on ``eg`` rows."""
     writer = csv.writer(fh)
     writer.writerow(SWEEP_CSV_HEADER)
     for c in result.cells:
@@ -90,10 +92,10 @@ def write_sweep_csv(result, fh):
 def ratio_sweep(problem, ratios, max_iters, target_eps,
                 algorithms=(dyn.Algorithm.GDA,), scheme=dyn.Scheme.QUARTER,
                 seeds=(0,), noise=None):
-    """Run every (ratio, seed, algorithm) cell of a quadratic or
-    non-quadratic ``problem`` and collect status, fitted rate, the
-    spectral-radius prediction and terminal measures (the gap from
-    ``problems.primal_gap`` at the final point).  A cell runs the
+    """Run every (ratio, seed, algorithm) cell of the quadratic ``problem``
+    and collect status, fitted rate, the spectral-radius prediction and
+    terminal measures (the gap from ``problems.primal_gap`` at the final
+    point).  A cell runs the
     ``SolverConfig`` of its algorithm and seed with the ``default_stepsizes``
     of its ratio and ``scheme``, and ``noise`` for SGDA and EG.
 
@@ -109,12 +111,10 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
     if len(seeds) == 0:
         raise InvalidInputError("need at least one seed")
     ratios = tuple(float(r) for r in ratios)
-    nonquad = isinstance(problem, prob.NonQuadraticProblem)
-    base = problem.base if nonquad else problem
 
     configs = []  # (ratio, config) in (ratio, seed, algorithm) order
     for r, seed, alg in itertools.product(ratios, seeds, algorithms):
-        eta_x, eta_y = dyn.default_stepsizes(base.L, r, scheme)
+        eta_x, eta_y = dyn.default_stepsizes(problem.L, r, scheme)
         exact = dyn.Algorithm(alg) is dyn.Algorithm.GDA
         configs.append((r, dyn.SolverConfig(
             algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=max_iters,
@@ -123,9 +123,9 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
 
     radii = {}
     for r in ratios:
-        eta_x, _ = dyn.default_stepsizes(base.L, r, scheme)
+        eta_x, _ = dyn.default_stepsizes(problem.L, r, scheme)
         try:
-            rep = spec.spectral_report(base, r, eta_x, scheme)
+            rep = spec.spectral_report(problem, r, eta_x, scheme)
             radii[r] = (rep.rho1, rep.rho2)
         except MinimaxGdaError:
             radii[r] = (None, None)
@@ -136,9 +136,8 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
         try:
             traj = dyn.run(problem, config)
             # in the try: the gap, unlike the run, needs A positive definite
-            gap = (prob.primal_gap(base, traj.final_z[:base.n])
-                   if not nonquad and prob.derive_constants(base).primal_convex
-                   else None)
+            gap = (prob.primal_gap(problem, traj.final_z[:problem.n])
+                   if prob.derive_constants(problem).primal_convex else None)
         except MinimaxGdaError as exc:
             cells.append(SweepCell(
                 ratio=r, seed=config.seed, algorithm=alg.value,

@@ -78,6 +78,8 @@ class QuadraticProblem:
             raise InvalidInputError(
                 f"inconsistent block shapes A={A.shape} B={B.shape} C={C.shape}"
             )
+        if n == 0 or m == 0:
+            raise InvalidInputError(f"n and m must be >= 1, got n={n}, m={m}")
         if x_star.shape != (n,) or y_star.shape != (m,):
             raise InvalidInputError(
                 f"optimum shapes {x_star.shape}/{y_star.shape} do not match n={n}, m={m}"
@@ -144,20 +146,6 @@ class NoiseModel:
             raise InvalidInputError("sigma must be nonnegative and finite")
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "batch", as_count(self.batch, "batch", 1))
-
-
-@dataclass(frozen=True)
-class HessianDeviation:
-    """Uniform Hessian-block deviations of a perturbed instance from its
-    quadratic reference."""
-
-    dxx: float
-    dxy: float
-    dyy: float
-
-    def delta_r(self, r):
-        """Combined deviation weight at stepsize ratio ``r``."""
-        return self.dxx + (r + 1.0) * self.dxy + r * self.dyy
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,13 +464,14 @@ def nonquad_grad(nq, z):
 
 
 def nonquad_hessian_deviation(nq):
-    """Uniform Hessian deviation of the perturbed instance from its base.
+    """The nearly-quadratic deviation ``delta_r`` of the perturbed instance
+    from its base, the same at every ratio ``r``: ``a^2 L / (2n)``.
 
-    The logistic pair contributes a diagonal xx term with entries
-    ``(L/n) * a^2 * 2*s*(1-s) <= a^2 L / (2n)`` (max at u=0); the xy and yy
-    blocks are untouched."""
-    dxx = nq.a ** 2 * nq.base.L / (2.0 * nq.base.n)
-    return HessianDeviation(dxx=dxx, dxy=0.0, dyy=0.0)
+    In general ``delta_r = dxx + (r+1) dxy + r dyy`` from the uniform
+    deviations of the xx, xy and yy Hessian blocks.  The logistic pair
+    depends on x only, so dxy = dyy = 0, and its diagonal xx term has
+    entries ``(L/n) * a^2 * 2*s*(1-s) <= a^2 L / (2n)`` (max at u=0)."""
+    return nq.a ** 2 * nq.base.L / (2.0 * nq.base.n)
 
 
 # --- serialization ---------------------------------------------------------
@@ -505,7 +494,7 @@ def to_json_dict(problem):
 
 def from_json_dict(data):
     try:
-        n, m = int(data["n"]), int(data["m"])
+        n, m = as_count(data["n"], "n", 1), as_count(data["m"], "m", 1)
         return QuadraticProblem(
             A=np.asarray(data["A"], dtype=float).reshape(m, m),
             B=np.asarray(data["B"], dtype=float).reshape(n, m),

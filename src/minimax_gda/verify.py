@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,16 +53,7 @@ class SuiteResult:
             "passed": self.passed,
             "inconclusive": self.inconclusive,
             "elapsed_s": self.elapsed_s,
-            "checks": [
-                {
-                    "criterion": c.criterion,
-                    "name": c.name,
-                    "passed": c.passed,
-                    "inconclusive": c.inconclusive,
-                    "details": c.details,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -405,7 +396,7 @@ def check_nearly_quadratic(seed=0):
     a = 1.0
     for _ in range(80):
         nq = prob.NonQuadraticProblem(base=base, a=a, b=b)
-        delta_r = prob.nonquad_hessian_deviation(nq).delta_r(r)
+        delta_r = prob.nonquad_hessian_deviation(nq)
         if delta_r <= threshold:
             break
         a *= 0.5

@@ -415,6 +415,40 @@ class TestRejectedBeforeWork:
         assert not out.exists()
 
 
+class TestBadBlockSizes:
+    # n = 0 or m = 0 used to end in an IndexError or ValueError traceback
+    # from derive_constants, and n = 1.7 was read as n = 1
+    @staticmethod
+    def _instance(tmp_path, key, value):
+        data = prob.to_json_dict(prob.sample_instance(1, 2, 4.0, 1.0, 0))
+        if value == 0:  # keep the file consistent with the emptied block
+            data["B"] = []
+            if key == "n":
+                data["C"], data["x_star"] = [], []
+            else:
+                data["A"], data["y_star"] = [], []
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ("inspect", "-r", "200"), ("run", "-r", "200"), ("sweep",),
+    ], ids=["inspect", "run", "sweep"])
+    @pytest.mark.parametrize("key, value", [("n", 0), ("m", 0), ("n", 1.7)],
+                             ids=["n0", "m0", "n1.7"])
+    def test_exits_one(self, command, key, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command[0], self._instance(tmp_path, key, value),
+                *command[1:], "-o", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{key} must be an integer >= 1" in err
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestOutputErrors:
     def test_output_under_a_file_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -435,7 +435,7 @@ def reference_run(problem, config, z0=None):
     oracle = dyn.make_oracle(problem, config.noise)
     step = dyn.eg_step if config.algorithm is EG else dyn.gda_step
     rng = np.random.default_rng(config.seed)
-    z = dyn.default_initial_point(problem, config.seed) if z0 is None else z0.copy()
+    z = dyn.default_initial_point(quad, config.seed) if z0 is None else z0.copy()
     dc = prob.derive_constants(quad)
     want_gaps = not nonquad and config.record_primal_gaps and \
         dc.schur_min >= -prob.VALIDATION_RTOL * quad.L

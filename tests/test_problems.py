@@ -418,10 +418,10 @@ class TestNonQuadratic:
             assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-7)
 
     def test_deviation_independent_of_r(self, reference_instance):
+        # the xy and yy terms of delta_r are 0, so the one number is a^2 L/(2n)
         nq = self._nq(reference_instance, a=0.7)
         dev = prob.nonquad_hessian_deviation(nq)
-        assert dev.dxy == 0.0 and dev.dyy == 0.0
-        assert dev.delta_r(2.0) == dev.delta_r(2000.0) == dev.dxx
+        assert dev == 0.7 ** 2 * reference_instance.L / (2.0 * reference_instance.n)
 
     def test_deviation_bounds_fd_hessian(self, reference_instance):
         # diagonal curvature of the separable term never exceeds dxx
@@ -437,13 +437,7 @@ class TestNonQuadratic:
             return scale * (np.logaddexp(0.0, u) + np.logaddexp(0.0, -u))
 
         second = (pair_term(x + h) - 2 * pair_term(x) + pair_term(x - h)) / h ** 2
-        assert np.max(second) <= dev.dxx * (1 + 1e-4)
-
-    def test_delta_r_monotone_in_r(self):
-        dev = prob.HessianDeviation(dxx=0.1, dxy=0.2, dyy=0.3)
-        rs = np.linspace(0.5, 50, 20)
-        vals = [dev.delta_r(r) for r in rs]
-        assert np.all(np.diff(vals) >= 0)
+        assert np.max(second) <= dev * (1 + 1e-4)
 
 
 def _nonquad_value(nq, z):
@@ -499,3 +493,20 @@ class TestSerialization:
             prob.load_instance(path)
         with pytest.raises(InvalidInputError):
             prob.from_json_dict({"n": 2})
+
+    @pytest.mark.parametrize("key, value", [("n", 0), ("m", 0), ("n", 1.7),
+                                            ("m", -1), ("n", "2")])
+    def test_block_size_not_a_positive_count_rejected(self, key, value):
+        # n = 1.7 used to be read as 1
+        data = prob.to_json_dict(prob.sample_instance(1, 1, 4.0, 1.0, 0))
+        data[key] = value
+        with pytest.raises(InvalidInputError, match=f"{key} must be an integer >= 1"):
+            prob.from_json_dict(data)
+
+    @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+    def test_empty_block_rejected(self, n, m):
+        # an empty block used to be accepted; derive_constants then raised
+        # a bare IndexError (n = 0) or ValueError (m = 0)
+        with pytest.raises(InvalidInputError, match="n and m must be >= 1"):
+            prob.QuadraticProblem(A=np.eye(m), B=np.zeros((n, m)), C=np.zeros((n, n)),
+                                  x_star=np.zeros(n), y_star=np.zeros(m), L=1.0, mu=1.0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
@@ -265,6 +265,37 @@ class TestPowerBound:
         assert rep.predicted_iters(1e-3, initial_distance=1e-4) == 0
         # C_P > 1 still needs steps when d0 is just above eps
         assert rep.predicted_iters(1e-3, initial_distance=1.01e-3) > 0
+
+    # relative, fixed before any draw: rho is exact to about basis_cond * eps
+    # relative, which the 4096th power multiplies by 4096 (1e4 * 2.2e-16 *
+    # 4096 ~ 1e-8), and each of the 12 squarings behind T^4096 adds about
+    # dim * basis_cond * eps (~ 4e-11)
+    ENVELOPE_RTOL = 1e-6
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.3, 4.0), st.floats(-2.0, 3.0),
+           st.sampled_from(list(dyn.Scheme)), st.booleans())
+    def test_envelope_bounds_transition_powers(self, n, m, seed, log_kappa,
+                                               log2_ratio, scheme, convex):
+        """``rho^k <= |T^k|_2 <= basis_cond * rho^k`` for the transition
+        ``T`` of ``linear_system``, GDA with ``rho1`` and EG with ``rho2``:
+        the radius bounds every power from below and the eigenbasis
+        condition number ``C_P`` bounds it from above.  Checked on the
+        powers of ``T / rho``, which neither overflow nor underflow."""
+        p = prob.sample_instance(n, m, 1.0, 10.0 ** -log_kappa, seed,
+                                 primal_convex=convex)
+        r = prob.derive_constants(p).kappa * 2.0 ** log2_ratio
+        eta_x, eta_y = dyn.default_stepsizes(p.L, r, scheme)
+        rep = spec.spectral_report(p, r, eta_x, scheme)
+        assume(rep.basis_cond is not None and rep.basis_cond <= 1e4)
+        for alg, rho in ((dyn.Algorithm.GDA, rep.rho1), (dyn.Algorithm.EG, rep.rho2)):
+            T, _ = dyn.linear_system(p, dyn.SolverConfig(
+                algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=1, target_eps=1.0))
+            for k in (1, 64, 4096):
+                growth = np.linalg.norm(np.linalg.matrix_power(T / rho, k), 2)
+                assert 1.0 - self.ENVELOPE_RTOL <= growth, (alg, k)
+                assert growth <= rep.basis_cond * (1.0 + self.ENVELOPE_RTOL), (alg, k)
 
 
 def _bisection_iters(rep, eps, initial_distance):

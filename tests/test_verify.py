@@ -189,13 +189,11 @@ class TestNonquadSweep:
         a = 0.99 * math.sqrt(2 * small_instance.n * threshold / small_instance.L)
         nq = prob.NonQuadraticProblem(base=small_instance, a=a,
                                       b=rng.standard_normal(small_instance.n))
-        assert prob.nonquad_hessian_deviation(nq).delta_r(r) <= threshold
-        cell = harness.ratio_sweep(
-            nq, (r,), 500_000, 1e-6 * small_instance.L, scheme=dyn.Scheme.HALF,
-        ).cells[0]
-        assert cell.status == "converged"
-        assert cell.final_distance <= 1e-6 * small_instance.L
-        assert cell.final_gap is None  # gradient-norm metric has no gap column
+        assert prob.nonquad_hessian_deviation(nq) <= threshold
+        traj = dyn.run(nq, _half_gda_config(small_instance, r, 500_000))
+        assert traj.status.kind is dyn.StatusKind.CONVERGED
+        assert traj.final_distance() <= 1e-6 * small_instance.L
+        assert traj.primal_gaps is None  # gradient-norm metric has no gap
 
     def test_zero_perturbation_matches_quadratic(self, small_instance, rng):
         # a = 0 degenerates the oracle to the base instance exactly
@@ -206,12 +204,18 @@ class TestNonquadSweep:
             gx, gy = prob.nonquad_grad(nq, z)
             bx, by = prob.grad(small_instance, z)
             assert np.array_equal(gx, bx) and np.array_equal(gy, by)
-        dc = prob.derive_constants(small_instance)
-        cell = harness.ratio_sweep(
-            nq, (2 * dc.kappa,), 300_000, 1e-6 * small_instance.L,
-            scheme=dyn.Scheme.HALF,
-        ).cells[0]
-        assert cell.status == "converged"
+        r = 2 * prob.derive_constants(small_instance).kappa
+        traj = dyn.run(nq, _half_gda_config(small_instance, r, 300_000))
+        assert traj.status.kind is dyn.StatusKind.CONVERGED
+
+
+def _half_gda_config(problem, r, max_iters):
+    """The config of a one-cell GDA sweep at ratio ``r`` under the half
+    stepsizes, stopping at gradient norm ``1e-6 * L``."""
+    eta_x, eta_y = dyn.default_stepsizes(problem.L, r, dyn.Scheme.HALF)
+    return dyn.SolverConfig(algorithm=dyn.Algorithm.GDA, eta_x=eta_x,
+                            eta_y=eta_y, max_iters=max_iters,
+                            target_eps=1e-6 * problem.L)
 
 
 class TestOracleHelpers:
