@@ -29,6 +29,7 @@ from . import spectral as spec
 from . import verify as verify_mod
 from .errors import (
     GenerationFailureError,
+    InsufficientDataError,
     InvalidInputError,
     MinimaxGdaError,
     NumericalFailureError,
@@ -43,16 +44,14 @@ OUTDIR_ENV = "MINIMAX_GDA_OUTDIR"
 
 
 class _CliExit(Exception):
-    def __init__(self, code, message=None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """An argparse usage error, already printed."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _CliExit(EXIT_USAGE, f"{self.prog}: error: {message}")
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _CliExit
 
 
 def _resolve_out(path):
@@ -187,9 +186,8 @@ def cmd_inspect(args):
     problem = prob.load_instance(args.instance)
     failed = prob.validate(problem)
     if failed:
-        raise _CliExit(
-            EXIT_USAGE, "instance fails validation clauses: " + ", ".join(failed),
-        )
+        raise InvalidInputError(
+            "instance fails validation clauses: " + ", ".join(failed))
     eta_x = args.eta_x
     if eta_x is None:
         eta_x, _ = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
@@ -207,14 +205,9 @@ def cmd_inspect(args):
 def cmd_run(args):
     problem = prob.load_instance(args.instance)
     eta_x, eta_y = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
-    algorithm = dyn.Algorithm(args.algorithm)
-    if algorithm is dyn.Algorithm.SGDA and args.sigma is None:
-        raise _CliExit(EXIT_USAGE, "SGDA requires --sigma (and --batch)")
-    if algorithm is dyn.Algorithm.GDA and args.sigma is not None:
-        raise _CliExit(EXIT_USAGE, "GDA is exact; use sgda for a noisy oracle")
     noise = prob.NoiseModel(args.sigma, args.batch) if args.sigma is not None else None
     config = dyn.SolverConfig(
-        algorithm=algorithm, eta_x=eta_x, eta_y=eta_y,
+        algorithm=args.algorithm, eta_x=eta_x, eta_y=eta_y,
         max_iters=args.max_iters, target_eps=args.eps,
         noise=noise, seed=args.seed, record_primal_gaps=True,
     )
@@ -223,7 +216,7 @@ def cmd_run(args):
     try:
         rate = dyn.estimate_rate(traj)
         rate_text = f"{rate:.12g}"
-    except MinimaxGdaError:
+    except InsufficientDataError:
         rate_text = "nan"
     iters = traj.status.step if traj.status.step is not None else args.max_iters
     print(f"{traj.status.kind.value} {iters} {traj.final_distance():.12g} {rate_text}")
@@ -274,10 +267,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliExit as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
+    except _CliExit:
+        return EXIT_USAGE
     except (InvalidInputError, OSError) as exc:
         # OSError: an unreadable instance or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)

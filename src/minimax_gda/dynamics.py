@@ -109,7 +109,7 @@ class SolverConfig:
             raise InvalidInputError("target_eps must be positive and finite")
         object.__setattr__(self, "seed", prob.as_count(self.seed, "seed", 0))
         if self.algorithm is Algorithm.SGDA and self.noise is None:
-            raise InvalidInputError("SGDA requires a noise model")
+            raise InvalidInputError("SGDA requires a noise model (sigma, batch)")
         if self.algorithm is Algorithm.GDA and self.noise is not None:
             raise InvalidInputError("GDA is the exact method; use SGDA for a noisy oracle")
 

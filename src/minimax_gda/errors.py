@@ -15,10 +15,6 @@ class InvalidInputError(MinimaxGdaError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class SingularMatrixError(InvalidInputError):
-    """A matrix required to be invertible is numerically singular."""
-
-
 class NotPositiveDefiniteError(InvalidInputError):
     """A matrix required to be SPD failed its Cholesky factorization."""
 

@@ -328,9 +328,10 @@ def sample_instance(
     ``C`` is symmetric Gaussian rescaled to ``|C|_2 = gamma*L``.
 
     ``primal_convex`` shifts C by ``tau*I`` so the Schur complement has
-    smallest eigenvalue >= ``schur_margin`` (>= 0); ``mu_x_zero`` instead
-    builds ``C = W D W' - B A^-1 B'`` with diagonal PSD ``D`` having exactly
-    one zero entry, shrinking ``beta`` as needed, so ``mu_x`` is exactly 0.
+    smallest eigenvalue >= ``schur_margin`` (>= 0; only 0 without
+    ``primal_convex``); ``mu_x_zero`` instead builds ``C = W D W' - B A^-1
+    B'`` with diagonal PSD ``D`` having exactly one zero entry, shrinking
+    ``beta`` as needed, so ``mu_x`` is exactly 0.
     Makes up to 50 draws before raising
     :class:`GenerationFailureError`.  ``rng`` is a nonnegative integer seed
     or a ``numpy.random.Generator``; identical arguments give identical
@@ -348,6 +349,8 @@ def sample_instance(
         raise InvalidInputError("schur_margin must be finite and >= 0")
     if primal_convex and mu_x_zero:
         raise InvalidInputError("primal_convex and mu_x_zero are mutually exclusive")
+    if schur_margin > 0 and not primal_convex:
+        raise InvalidInputError("schur_margin applies only with primal_convex")
     rng = np.random.default_rng(rng)
 
     beta_eff = beta

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics, linalg
 from . import problems as prob
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import InvalidInputError
 
 DIAGONALIZABLE_COND_CAP = 1e8
 LEMMA_CHECK_RTOL = 1e-8  # per-item tolerance, relative to |M|_2
@@ -62,7 +62,6 @@ class SpectralReport:
     rho_bound: float
     rate_constant: int
     lemma_checks: tuple
-    diagonalizable: bool
     basis_cond: Optional[float]  # condition number of the eigenvector basis
     M_norm: float
     r: float
@@ -72,6 +71,11 @@ class SpectralReport:
     mu_x: float
     kappa: float
     kappa_x: float
+
+    @property
+    def diagonalizable(self):
+        """Whether the eigenvector basis is usable (``basis_cond`` present)."""
+        return self.basis_cond is not None
 
     def predicted_iters(self, eps, initial_distance=1.0):
         """Smallest T with ``C_P * rho1^T * d0 <= eps``, in closed form:
@@ -106,9 +110,9 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     """Eigenvalues of M, transition radii, proved bound, structural checks,
     and the eigenvector-basis condition number.
 
-    The basis is declared usable (``diagonalizable``) when the eigensolver
-    returns vectors whose condition number is at most 1e8; otherwise
-    ``basis_cond`` is absent and no iteration count is predicted.
+    The basis is usable (``diagonalizable``) when the eigensolver returns
+    vectors whose condition number is at most ``DIAGONALIZABLE_COND_CAP``;
+    otherwise ``basis_cond`` is None and no iteration count is predicted.
     """
     if not (0 < r < math.inf and 0 < eta_x < math.inf):
         raise InvalidInputError("r and eta_x must be positive and finite")
@@ -120,26 +124,18 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
 
     rho1, rho2 = (float(np.max(m)) for m in _transition_moduli(lam, eta_x))
 
-    try:
-        cond = linalg.cond_2(V)
-    except SingularMatrixError:
-        cond = math.inf
-    diagonalizable = cond <= DIAGONALIZABLE_COND_CAP
-    basis_cond = cond if diagonalizable else None
-
+    cond = linalg.cond_2(V)
     c = scheme.rate_constant
-    rho_bound = 1.0 if math.isinf(dc.kappa_x) else 1.0 - 1.0 / (c * r * dc.kappa_x)
 
     checks = check_lemma_spectral(lam, M_norm, problem.L, problem.mu, dc.mu_x, r)
     return SpectralReport(
         eigenvalues=lam,
         rho1=rho1,
         rho2=rho2,
-        rho_bound=rho_bound,
+        rho_bound=1.0 - 1.0 / (c * r * dc.kappa_x),
         rate_constant=c,
         lemma_checks=checks,
-        diagonalizable=diagonalizable,
-        basis_cond=basis_cond,
+        basis_cond=cond if cond <= DIAGONALIZABLE_COND_CAP else None,
         M_norm=M_norm,
         r=float(r),
         eta_x=float(eta_x),

@@ -63,19 +63,17 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
     below) a threshold; scans seeds in order so the corpus is reproducible."""
     out = []
     seed = start_seed
-    scanned = 0
     while len(out) < count:
-        if scanned > 500 * count + 1000:
+        if seed - start_seed > 500 * count + 1000:
             raise GenerationFailureError(
-                f"scanned {scanned} seeds but found only {len(out)} instances "
-                f"with mu_x > {min_mu_x}"
+                f"scanned {seed - start_seed} seeds but found only {len(out)} "
+                f"instances with mu_x > {min_mu_x}"
             )
         p = prob.sample_instance(4, 4, L, mu, seed)
         mu_x = prob.derive_constants(p).mu_x
         if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
             out.append((seed, p))
         seed += 1
-        scanned += 1
     return out
 
 

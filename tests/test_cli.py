@@ -37,6 +37,18 @@ def hard_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def invalid_file(tmp_path):
+    # A has an eigenvalue below mu: the instance fails the A_lower clause
+    p = prob.QuadraticProblem(
+        A=np.diag([0.5, 2.0]), B=np.zeros((2, 2)), C=np.zeros((2, 2)),
+        x_star=np.zeros(2), y_star=np.zeros(2), L=2.0, mu=1.0,
+    )
+    path = tmp_path / "invalid.json"
+    prob.save_instance(p, path)
+    return str(path)
+
+
 class TestGenerate:
     def test_writes_instance_and_prints_constants(self, tmp_path, capsys):
         out = tmp_path / "a.json"
@@ -117,14 +129,8 @@ class TestInspect:
         assert code == 1
         assert err.startswith("error: ") and "no.json" in err
 
-    def test_invalid_instance_names_clauses(self, tmp_path, capsys):
-        p = prob.QuadraticProblem(
-            A=np.diag([0.5, 2.0]), B=np.zeros((2, 2)), C=np.zeros((2, 2)),
-            x_star=np.zeros(2), y_star=np.zeros(2), L=2.0, mu=1.0,
-        )
-        path = tmp_path / "invalid.json"
-        prob.save_instance(p, path)
-        code, _, err = run_cli(capsys, "inspect", str(path), "-r", "4")
+    def test_invalid_instance_names_clauses(self, invalid_file, capsys):
+        code, _, err = run_cli(capsys, "inspect", invalid_file, "-r", "4")
         assert code == 1
         assert "A_lower" in err
 
@@ -180,7 +186,7 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", instance_file, "--algorithm", "gda",
                                "--sigma", "1", "-r", "200", "-o", str(out))
         assert code == 1
-        assert "GDA is exact" in err
+        assert err == "error: GDA is the exact method; use SGDA for a noisy oracle\n"
         assert not out.exists()
 
     def test_noisy_eg_matches_library_run(self, instance_file, tmp_path, capsys):
@@ -388,8 +394,9 @@ class TestNonFiniteInput:
 
 
 class TestRejectedBeforeWork:
-    # a negative seed used to end in a numpy traceback, and a bad sweep
-    # budget or target in an all-error CSV with exit 0
+    # a negative seed used to end in a numpy traceback, a bad sweep budget
+    # or target in an all-error CSV with exit 0, and a schur margin without
+    # --primal-convex in an instance with mu_x = 0
     @pytest.mark.parametrize("args", [
         ("generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1", "--seed", "-1"),
         ("run", "{inst}", "-r", "200", "--seed", "-1"),
@@ -400,12 +407,19 @@ class TestRejectedBeforeWork:
         ("sweep", "{inst}", "--ratios", "200", "--eps", "0"),
         ("sweep", "{inst}", "--ratios", "200", "--algorithms", "sgda"),
         ("sweep", "{inst}", "--ratios", "200", "--algorithms", "gda", "sgda"),
+        ("generate", "-n", "4", "-m", "4", "-L", "10", "--mu", "1", "--seed", "5",
+         "--schur-margin", "3"),
+        ("run", "{inst}", "-r", "200", "--algorithm", "sgda"),
+        ("run", "{inst}", "-r", "200", "--algorithm", "gda", "--sigma", "1"),
+        ("inspect", "{invalid}", "-r", "4"),
     ], ids=["generate-seed", "run-seed", "verify-mux-zero-seed",
             "verify-spectral-seed", "sweep-T", "sweep-eps-nan", "sweep-eps-0",
-            "sweep-sgda-no-sigma", "sweep-gda-sgda-no-sigma"])
-    def test_exits_one(self, args, instance_file, tmp_path, capsys):
+            "sweep-sgda-no-sigma", "sweep-gda-sgda-no-sigma",
+            "generate-schur-margin-not-convex", "run-sgda-no-sigma",
+            "run-gda-sigma", "inspect-invalid-instance"])
+    def test_exits_one(self, args, instance_file, invalid_file, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = [a.format(inst=instance_file) for a in args]
+        argv = [a.format(inst=instance_file, invalid=invalid_file) for a in args]
         if argv[0] != "verify":
             argv += ["-o", str(out)]
         code, stdout, err = run_cli(capsys, *argv)

@@ -305,6 +305,13 @@ class TestSampleInstance:
             prob.sample_instance(4, 4, 10.0, 1.0, 0, primal_convex=True,
                                  schur_margin=1e6)
 
+    @pytest.mark.parametrize("mu_x_zero", [False, True])
+    def test_schur_margin_needs_primal_convex(self, mu_x_zero):
+        # the margin used to be ignored, giving an instance with mu_x = 0
+        with pytest.raises(InvalidInputError, match="primal_convex"):
+            prob.sample_instance(4, 4, 10.0, 1.0, 5, schur_margin=3.0,
+                                 mu_x_zero=mu_x_zero)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):

@@ -147,6 +147,31 @@ class TestSpectralReport:
             assert bits(d["margin"]) == bits(c.margin if math.isfinite(c.margin) else None)
 
 
+class TestBasisCondCap:
+    """``DIAGONALIZABLE_COND_CAP`` is the one usability rule: a condition
+    number at or below it is kept as ``basis_cond``, anything above it
+    (``inf`` for a singular basis included) leaves the basis unusable."""
+
+    @pytest.mark.parametrize("cond", [
+        1e8 * (1 - 1e-12), 1e8, 1e8 * (1 + 1e-12), 1e12, 1e17, math.inf,
+    ])
+    def test_cap(self, cond, reference_instance, monkeypatch):
+        assert spec.DIAGONALIZABLE_COND_CAP == 1e8
+        monkeypatch.setattr(spec.linalg, "cond_2", lambda V: cond)
+        dc = prob.derive_constants(reference_instance)
+        r = 2 * dc.kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        usable = cond <= 1e8
+        assert rep.basis_cond == (cond if usable else None)
+        assert rep.diagonalizable == (rep.basis_cond is not None)
+        assert rep.rho1 < 1.0
+        assert (rep.predicted_iters(1e-6) == math.inf) == (not usable)
+        payload = json.loads(json.dumps(spec.report_to_json_dict(rep)))
+        assert payload["basis_cond"] == rep.basis_cond
+        assert payload["diagonalizable"] is rep.diagonalizable
+
+
 class TestRadiiMatchDynamics:
     """``rho1``/``rho2`` come from the eigenvalues of ``M`` through the
     polynomials ``1 + h lam`` and ``1 + h lam + (h lam)^2``; ``run`` steps
