@@ -2,9 +2,11 @@
 
 Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
 (4x4 and 64x64), the dynamics matrix, one sampled instance (alone, and with
-its derived constants as the corpus scan of ``verify.corpus_instances`` does
-it), and one ``spectral_report`` at n = m = 4, 16 and 32.  These are not part
-of the test suite; run them from the root of a checkout with
+its derived constants as one seed of a plain corpus scan), the whole
+``verify.corpus_instances`` scan of certify-spectral's 120-instance 4x4
+corpus (the seeds it scans in ``extra_info["seeds"]``), and one
+``spectral_report`` at n = m = 4, 16 and 32.  These are not part of the test
+suite; run them from the root of a checkout with
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-json=bench.json
 
@@ -19,6 +21,7 @@ from minimax_gda import dynamics as dyn
 from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
+from minimax_gda import verify
 
 L, MU = 100.0, 1.0
 
@@ -66,6 +69,12 @@ def test_sample_instance(benchmark):
 def test_corpus_scan_step(benchmark):
     # one seed of the corpus scan: draw, validate and derive mu_x
     benchmark(lambda: prob.derive_constants(prob.sample_instance(4, 4, L, MU, 0)).mu_x)
+
+
+def test_corpus_instances(benchmark):
+    corpus = verify.corpus_instances(120)
+    benchmark.extra_info["seeds"] = corpus[-1][0] + 1
+    benchmark(verify.corpus_instances, 120)
 
 
 @pytest.mark.parametrize("dim", [4, 16, 32])

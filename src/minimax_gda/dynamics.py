@@ -126,10 +126,10 @@ class Trajectory:
     ``|z^k - z*|`` for quadratic runs, the gradient norm for non-quadratic
     runs (``metric`` says which).  ``primal_gaps`` is populated for
     primal-convex quadratic instances when requested: ``primal_gaps[i]`` is
-    ``problems.primal_gap`` of the x part of point ``i``, even where its
-    measure is ``inf``.  Non-finite measures are recorded as ``inf``, and
-    ``status`` follows the stop rule of ``run``: converged, else diverged,
-    else budget exhausted.
+    ``problems.primal_gap``'s form on the x deviation of point ``i``, even
+    where its measure is ``inf``.  Non-finite measures are recorded as
+    ``inf``, and ``status`` follows the stop rule of ``run``: converged,
+    else diverged, else budget exhausted.
     """
 
     iters: np.ndarray
@@ -266,8 +266,9 @@ def run(problem, config, z0=None):
     if z0.shape != (quad.dim,):
         raise InvalidInputError(f"z0 must have length {quad.dim}")
 
-    record_gaps = (not nonquad and config.record_primal_gaps
-                   and prob.derive_constants(quad).primal_convex)
+    dc = (prob.derive_constants(quad)
+          if config.record_primal_gaps and not nonquad else None)
+    record_gaps = dc is not None and dc.primal_convex
 
     eps, max_iters = config.target_eps, config.max_iters
     stride = max(1, math.ceil(max_iters / TRAJECTORY_STORAGE_CAP))
@@ -298,7 +299,7 @@ def run(problem, config, z0=None):
                 keep[j] = True
             gaps = None
             if record_gaps:
-                gaps = prob.primal_gap(quad, quad.x_star + S[:end][keep, :quad.n])
+                gaps = prob._gap_form(dc.schur, S[:end][keep, :quad.n])
             parts.append((ks[keep], d[:end][keep], gaps))
             if j is not None:
                 break

@@ -204,14 +204,18 @@ def validate(problem, require_primal_convex=False):
     return tuple(name for name, margin in margins.items() if not margin >= -tol)
 
 
+def _clip_mu_x(schur_min, L):
+    # mu_x of a smallest Schur eigenvalue: clipped at L, 0 at or below 1e-9*L
+    mu_x = np.minimum(L, schur_min)
+    return np.where(mu_x <= VALIDATION_RTOL * L, 0.0, mu_x)
+
+
 def _compute_constants(problem):
     L, mu = problem.L, problem.mu
     schur = problem.C + problem.B @ linalg.solve_spd(problem.A, problem.B.T)
     schur = 0.5 * (schur + schur.T)
     schur_min = float(linalg.sym_eig(schur)[0][0])
-    mu_x = min(L, schur_min)
-    if mu_x <= VALIDATION_RTOL * L:
-        mu_x = 0.0
+    mu_x = float(_clip_mu_x(schur_min, L))
     kappa_x = math.inf if mu_x == 0.0 else L / mu_x
     return DerivedConstants(
         mu_x=mu_x,
@@ -230,18 +234,13 @@ def derive_constants(problem):
     return problem._derived
 
 
-def split_z(problem, z):
+def grad(problem, z):
+    """Exact gradient blocks ``(g_x, g_y)`` at ``z = (x, y)``."""
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.dim,):
         raise InvalidInputError(f"z must have length n+m={problem.dim}, got {z.shape}")
-    return z[: problem.n], z[problem.n :]
-
-
-def grad(problem, z):
-    """Exact gradient blocks ``(g_x, g_y)`` at ``z = (x, y)``."""
-    x, y = split_z(problem, z)
-    dx = x - problem.x_star
-    dy = y - problem.y_star
+    dx = z[: problem.n] - problem.x_star
+    dy = z[problem.n :] - problem.y_star
     gx = problem.C @ dx + problem.B @ dy
     gy = problem.B.T @ dx - problem.A @ dy
     return gx, gy
@@ -285,26 +284,66 @@ def primal_gap(problem, x):
     if x.ndim not in (1, 2) or x.shape[-1] != problem.n:
         raise InvalidInputError(f"x must have length n={problem.n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        D = np.atleast_2d(x - problem.x_star)
-        gap = 0.5 * np.einsum("ij,ij->i", D @ dc.schur, D)
+        gap = _gap_form(dc.schur, np.atleast_2d(x - problem.x_star))
+    return float(gap[0]) if x.ndim == 1 else gap
+
+
+def _gap_form(schur, D):
+    """``1/2 d' schur d >= 0`` of each row ``d = x - x*`` of ``D``; inf where
+    ``d`` is non-finite or the form overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = 0.5 * np.einsum("ij,ij->i", D @ schur, D)
         redo = ~np.isfinite(gap)
         if redo.any():
             # redo a row whose form met an inf or nan scaled by a power of
             # two (exactly), so that it overflows only if its value does
             s = np.ldexp(1.0, np.frexp(np.abs(D[redo]).max(axis=1))[1] - 1)
             U = D[redo] / s[:, None]
-            gap[redo] = 0.5 * np.einsum("ij,ij->i", U @ dc.schur, U) * s * s
+            gap[redo] = 0.5 * np.einsum("ij,ij->i", U @ schur, U) * s * s
             gap[~np.isfinite(D).all(axis=1)] = math.inf
-        np.fmax(gap, 0.0, out=gap)
-    return float(gap[0]) if x.ndim == 1 else gap
+        return np.fmax(gap, 0.0, out=gap)
 
 
-def _haar_orthogonal(k, rng):
-    # QR of a Gaussian matrix with the R diagonal sign-normalized is Haar.
-    G = rng.standard_normal((k, k))
+def _haar_orthogonal(G):
+    # QR of a Gaussian matrix (or stack) with the R diagonal sign-normalized is Haar.
     Q, R = np.linalg.qr(G)
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-    return Q * signs
+    return Q * np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None, :]
+
+
+def _rescaled(M, frac, L):
+    # each matrix of the stack M rescaled to spectral norm frac*L (zeros for frac 0)
+    return (M * (frac * L / np.linalg.svd(M, compute_uv=False)[..., :1, None])
+            if frac > 0 else np.zeros_like(M))
+
+
+def _draw_stack(rngs, n, m, L, mu, beta, gamma):
+    """One attempt of :func:`sample_instance` per generator, stacked: ``A``,
+    ``B``, ``C`` and the Gaussian ``H`` behind ``C`` (or a ``mu_x_zero``
+    ``W``); stacked linalg gives one-matrix bits, so no draw sees its stack."""
+    lam, QG, G, H = (np.array(a) for a in zip(*[
+        (rng.uniform(mu, L, size=m), rng.standard_normal((m, m)),
+         rng.standard_normal((n, m)), rng.standard_normal((n, n))) for rng in rngs]))
+    lam[:, 0] = mu
+    if m >= 2:
+        lam[:, -1] = L
+    Q = _haar_orthogonal(QG)
+    A = (Q * lam[:, None, :]) @ Q.mT
+    A = 0.5 * (A + A.mT)
+    return A, _rescaled(G, beta, L), _rescaled(0.5 * (H + H.mT), gamma, L), H
+
+
+def _first_draw_screen(seeds, n, m, L, mu):
+    """Per seed, whether the first attempt of ``sample_instance(n, m, L, mu,
+    seed)`` passes each ``validate`` clause by half its tolerance (so it is
+    the instance), and its ``mu_x``; one stack, exact to round-off."""
+    A, B, C, _ = _draw_stack([np.random.default_rng(s) for s in seeds],
+                             n, m, L, mu, 0.5, 0.5)
+    eigs_A = np.linalg.eigvalsh(A)
+    norm_B, norm_C = (np.linalg.svd(M, compute_uv=False)[:, 0] for M in (B, C))
+    room = np.min([eigs_A[:, 0] - mu, L - eigs_A[:, -1], L - norm_B, L - norm_C],
+                  axis=0) >= -0.5 * VALIDATION_RTOL * L
+    schur = C + B @ np.linalg.solve(A, B.mT)
+    return room, _clip_mu_x(np.linalg.eigvalsh(0.5 * (schur + schur.mT))[:, 0], L)
 
 
 def sample_instance(
@@ -355,19 +394,9 @@ def sample_instance(
 
     beta_eff = beta
     for _ in range(_SAMPLE_ATTEMPTS):
-        lam = rng.uniform(mu, L, size=m)
-        lam[0] = mu
-        if m >= 2:
-            lam[-1] = L
-        Q = _haar_orthogonal(m, rng)
-        A = (Q * lam) @ Q.T
-        A = 0.5 * (A + A.T)
-
-        G = rng.standard_normal((n, m))
-        B = G * (beta_eff * L / linalg.spectral_norm(G)) if beta_eff > 0 else np.zeros((n, m))
-
+        A, B, C, H = (M[0] for M in _draw_stack([rng], n, m, L, mu, beta_eff, gamma))
         if mu_x_zero:
-            W = _haar_orthogonal(n, rng)
+            W = _haar_orthogonal(H)
             d = rng.uniform(L / 10.0, L / 2.0, size=n)
             d[0] = 0.0
             C = (W * d) @ W.T - B @ linalg.solve_spd(A, B.T)
@@ -375,17 +404,13 @@ def sample_instance(
             if linalg.spectral_norm(C) > L:
                 beta_eff *= 0.7
                 continue
-        else:
-            H = rng.standard_normal((n, n))
-            C = 0.5 * (H + H.T)
-            C = C * (gamma * L / linalg.spectral_norm(C)) if gamma > 0 else np.zeros((n, n))
-            if primal_convex:
-                schur0 = C + B @ linalg.solve_spd(A, B.T)
-                schur0_min = float(linalg.sym_eig(0.5 * (schur0 + schur0.T))[0][0])
-                tau = max(0.0, schur_margin - schur0_min)
-                C = C + tau * np.eye(n)
-                if linalg.spectral_norm(C) > L:
-                    continue
+        elif primal_convex:
+            schur0 = C + B @ linalg.solve_spd(A, B.T)
+            schur0_min = float(linalg.sym_eig(0.5 * (schur0 + schur0.T))[0][0])
+            tau = max(0.0, schur_margin - schur0_min)
+            C = C + tau * np.eye(n)
+            if linalg.spectral_norm(C) > L:
+                continue
 
         problem = QuadraticProblem(
             A=A, B=B, C=C, x_star=np.zeros(n), y_star=np.zeros(m), L=L, mu=mu

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -322,6 +323,72 @@ class TestSampleInstance:
         want = prob.sample_instance(2, 2, 10.0, 1.0, 3)
         for seed in (3.0, np.int64(3), np.random.default_rng(3)):
             assert np.array_equal(prob.sample_instance(2, 2, 10.0, 1.0, seed).C, want.C)
+
+
+# SHA-256 of A, B and C bytes (in that order) of sample_instance(n, m, 100, 1,
+# seed, **_DRAW_KINDS[kind]), recorded before the draw was rewritten in
+# stacked form: the bit-exact invariant for generated instances.  "retry"
+# draws need several attempts (norm budget exceeded after the shift);
+# every mu_x_zero draw here shrinks beta at least once.
+_DRAW_KINDS = {
+    "default": {},
+    "primal_convex": {"primal_convex": True},
+    "schur_margin": {"primal_convex": True, "schur_margin": 1.0},
+    "mu_x_zero": {"mu_x_zero": True},
+    "retry": {"primal_convex": True, "schur_margin": 30.0},
+}
+_DRAW_DIGESTS = {
+    ("default", 1, 1, 0): "7461a7dd01bc6565fbc0a80c89e70d49825267f9d82a6af75061f07ef52c3e1f",
+    ("default", 1, 1, 7): "5ec4401f6fcaf274c7abcbb249a76ca578b3fda652c3b1e64a1425f342adfe1f",
+    ("default", 3, 2, 0): "3103f3a3236bced4bd52480a2129b4789f757de8e8d4a33d5552f8298690560a",
+    ("default", 3, 2, 7): "0754b8443ef266b3ce49ea4d4af37c64124bea93d45a229cd21dfae6a00bd2a6",
+    ("default", 4, 4, 0): "33a43aacece4792b14d53a33e567883a7ceb3fafedfecf626da5fde67d2ac069",
+    ("default", 4, 4, 7): "8fc1757cafbc2925888dbc5ea98a9cab34ffb461b4352d0a23c0fe5f42359da9",
+    ("default", 16, 16, 0): "ad6faeb21152e091c9731d3c0e8ba8abcb97f184e56028af3040101207ed4762",
+    ("default", 16, 16, 7): "00c7b05814cbfa2c6d27adf4f985695e7984affc06e194efeda3559faa3ca599",
+    ("default", 32, 32, 0): "7af96e6a338efdfb81e0fa8430c9ff6deba4fe8e6d654f705ddb113f787b3834",
+    ("default", 32, 32, 7): "bda9963fe101147d3555b3d5e8a68003533a3ac5846058a7416feaa7c7325510",
+    ("primal_convex", 1, 1, 0): "7461a7dd01bc6565fbc0a80c89e70d49825267f9d82a6af75061f07ef52c3e1f",
+    ("primal_convex", 1, 1, 7): "5ec4401f6fcaf274c7abcbb249a76ca578b3fda652c3b1e64a1425f342adfe1f",
+    ("primal_convex", 3, 2, 0): "d23619d47aa405602d43e284d8691cd3ee655e0ed02dd9b81aea4eee3a304016",
+    ("primal_convex", 3, 2, 7): "07c878195fa6a6e633d6e1007283f8b04b593f6ed19eaaa12ea03aa560964f6c",
+    ("primal_convex", 4, 4, 0): "d8ff6c93cda9a0aee8f0d3a39ebff572c5dfe6b4588345544b9f31923b8c6cdb",
+    ("primal_convex", 4, 4, 7): "78c892ff4a9b160547ea69b8f210408d47bccd65ac39dea06e94748ec4bfa199",
+    ("primal_convex", 16, 16, 0): "406395245e1fe7fddd9432bb5a8e31d01a5dead1fe5fbdba46b7db849250c3cc",
+    ("primal_convex", 16, 16, 7): "512c17dad1b4b81c2003019a3b2e43ecbb2e839a9a4492e5119d35f2705981ee",
+    ("primal_convex", 32, 32, 0): "9064a131d82a95785c0e60071d442b4d8f8c669f1751ed13fda34e83957b43d9",
+    ("primal_convex", 32, 32, 7): "a80cde9b2d07ad90babdc81a677858e602e16586650a1ec9c4ceb0be197b9be8",
+    ("schur_margin", 1, 1, 0): "7461a7dd01bc6565fbc0a80c89e70d49825267f9d82a6af75061f07ef52c3e1f",
+    ("schur_margin", 1, 1, 7): "5ec4401f6fcaf274c7abcbb249a76ca578b3fda652c3b1e64a1425f342adfe1f",
+    ("schur_margin", 3, 2, 0): "5202ee617c2ba37309cdbac8e1e6742bc05cf51f3edcb71d1da4263c92ecc80a",
+    ("schur_margin", 3, 2, 7): "3cb4a677ab56c094ad66b69de24e389bae1245882fa53e076949d29f35a62cfb",
+    ("schur_margin", 4, 4, 0): "9e203e230f840dfb30ca76b5a761351a3b27ece73fd3f8cf0686eb0260641f05",
+    ("schur_margin", 4, 4, 7): "667ce2990c6264609b7d55104a49a84031ff47e0be5a1924178bac5ceb6375ef",
+    ("schur_margin", 16, 16, 0): "5eb281d8f92dc9b26534aa9ac3b96083eebc7d390afcb893328d8360001d4b31",
+    ("schur_margin", 16, 16, 7): "96eb71e2ff7a52c9828854707baadfd6312ea0c43fce95e09b047652089bfc5e",
+    ("schur_margin", 32, 32, 0): "b7db66493c33ef56dc1fbd5e582313223fedcc6ed1a16f07d363a90de603a40c",
+    ("schur_margin", 32, 32, 7): "842885de4b6b68279c201edd079d65ae672542796b427584e702a62b513f7b56",
+    ("mu_x_zero", 1, 1, 0): "decffa2743e57edb87c4f8afbf7750d8d8e78d9a961f8a1f80c44eb50894d2e6",
+    ("mu_x_zero", 1, 1, 7): "decffa2743e57edb87c4f8afbf7750d8d8e78d9a961f8a1f80c44eb50894d2e6",
+    ("mu_x_zero", 3, 2, 0): "5d2d8fe1a394c9b5baafa3810f0a7ee9b6fa015309cd27b5aecfdc223eba401c",
+    ("mu_x_zero", 3, 2, 7): "4c074166a570566db39debeb776c72903fdcb2118e1fe0740cb5e56e31d14c07",
+    ("mu_x_zero", 4, 4, 0): "213f6a01d2788a5b582b33b56fdf019d709287434af38e9abe7e3fbc55311776",
+    ("mu_x_zero", 4, 4, 7): "c4700fded4fbfe0e657a1583722e89da079a36bb164b7834fdeace14a417e462",
+    ("mu_x_zero", 16, 16, 0): "d6bfab9116c9706eb33d39253b817395dc31125cd9c5f48ae2d5c02e997b1dbb",
+    ("mu_x_zero", 16, 16, 7): "8823158c225bca1952dd0c47a52c679e4b5327080f1af62c3a36c7f9c42ec1c8",
+    ("mu_x_zero", 32, 32, 0): "96f24a74ab3325bc4d5547c4825a8070182e896b87754522132929a307a960f2",
+    ("mu_x_zero", 32, 32, 7): "a67bb004f6ad739df190fb3a1c85524f1c067c0acf1621493448690cffbe005d",
+    ("retry", 3, 2, 8): "4586a483a7049abebb28b5c6711888ae6b9b6686511f103dd38ac675857455d8",
+    ("retry", 4, 4, 10): "789704e7e01cdcd2ae194032610907e8ee1f262351252e28e583f517f0b5170b",
+    ("retry", 16, 16, 3): "f71f675be090a386fca20354f430b0d39d5b7fdb59a9d0b7a25f504af9cad8a9",
+}
+
+
+@pytest.mark.parametrize("kind,n,m,seed", sorted(_DRAW_DIGESTS))
+def test_sample_instance_bytes_pinned(kind, n, m, seed):
+    p = prob.sample_instance(n, m, 100.0, 1.0, seed, **_DRAW_KINDS[kind])
+    digest = hashlib.sha256(p.A.tobytes() + p.B.tobytes() + p.C.tobytes())
+    assert digest.hexdigest() == _DRAW_DIGESTS[kind, n, m, seed]
 
 
 class TestHardInstances:

@@ -1,18 +1,126 @@
 import inspect
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
 from minimax_gda import harness
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
 from minimax_gda import verify
-from minimax_gda.errors import InvalidInputError
+from minimax_gda.errors import GenerationFailureError, InvalidInputError
+
+
+def _plain_scan(count, start_seed, L, mu, min_mu_x, max_mu_x):
+    # the seed scan without the screen: every seed through the exact path
+    out, seed = [], start_seed
+    while len(out) < count:
+        p = prob.sample_instance(4, 4, L, mu, seed)
+        mu_x = prob.derive_constants(p).mu_x
+        if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
+            out.append((seed, p))
+        seed += 1
+    return out
+
+
+@st.composite
+def corpus_scans(draw):
+    """Arguments of a ``corpus_instances`` call whose window some draws
+    meet: kappa from 10 (8% of draws have mu_x > 0) to 1e4 (past the
+    screen's 1e3 limit), and windows with a lower end, a band, a lower end
+    at or below 0, or one end within 1e-12 of a draw's exact mu_x."""
+    L = 10.0 ** draw(st.floats(-2.0, 3.0))
+    mu = L / 10.0 ** draw(st.floats(1.0, 4.0))
+    start = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from(["low", "band", "nonpositive", "edge_low", "edge_high"]))
+    lo, hi = L * draw(st.floats(0.0, 0.02)), None
+    if kind == "band":
+        hi = lo + L * draw(st.floats(0.05, 0.5))
+    elif kind == "nonpositive":
+        lo = draw(st.sampled_from([0.0, -0.0, -1e-300, -L]))
+        hi = draw(st.sampled_from([None, 0.1 * L]))
+    elif kind.startswith("edge"):
+        mu_x = [prob.derive_constants(prob.sample_instance(4, 4, L, mu, s)).mu_x
+                for s in range(start, start + 60)]
+        delta = draw(st.floats(-1e-12, 1e-12))
+        if kind == "edge_low":
+            lo = min([m for m in mu_x if m > 0], default=0.0) + delta
+        else:
+            lo, hi = -1.0, max(mu_x) + delta
+    return dict(count=draw(st.integers(1, 40)), start_seed=start, L=L, mu=mu,
+                min_mu_x=lo, max_mu_x=hi)
 
 
 class TestCorpus:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(scan=corpus_scans())
+    def test_screened_scan_equals_plain_scan(self, scan):
+        got = verify.corpus_instances(**scan)
+        want = _plain_scan(**scan)
+        assert [s for s, _ in got] == [s for s, _ in want]
+        for (_, p), (_, q) in zip(got, want):
+            for name in ("A", "B", "C"):
+                assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+
+    def test_scan_limit_and_message_unchanged(self):
+        # a count-1 scan reads at most 1501 seeds (500 * count + 1000 after
+        # the first): a window holding only seed s's mu_x finds s from
+        # s - 1500, and reports 1501 scanned seeds from s - 1501
+        s = next(s for s in range(1500, 2000) if prob.derive_constants(
+            prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x > 0)
+        m = prob.derive_constants(prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x
+        lo, hi = m * (1 - 1e-9), m * (1 + 1e-9)
+        found = verify.corpus_instances(1, start_seed=s - 1500, min_mu_x=lo, max_mu_x=hi)
+        assert [seed for seed, _ in found] == [s]
+        message = f"scanned 1501 seeds but found only 0 instances with mu_x > {lo}"
+        with pytest.raises(GenerationFailureError, match=f"^{re.escape(message)}$"):
+            verify.corpus_instances(1, start_seed=s - 1501, min_mu_x=lo, max_mu_x=hi)
+
+    def test_window_edge_between_screen_and_exact_mu_x(self):
+        # the screen's mu_x differs from the exact one at round-off (about
+        # 1e-13 here): a window edge between the two keeps the seed
+        seeds = range(1, 200)
+        _, screened = prob._first_draw_screen(list(seeds), 4, 4, 100.0, 1.0)
+        screened = dict(zip(seeds, screened))
+        exact = {s: prob.derive_constants(prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x
+                 for s in seeds}
+        low = next(s for s in seeds if 0 < screened[s] < exact[s])
+        high = next(s for s in seeds if screened[s] > exact[s] > 0)
+        for s, lo, hi in ((low, (screened[low] + exact[low]) / 2, 2 * exact[low]),
+                          (high, exact[high] / 2, (screened[high] + exact[high]) / 2)):
+            assert lo < exact[s] < hi
+            found = verify.corpus_instances(1, start_seed=s - 1, min_mu_x=lo, max_mu_x=hi)
+            assert [seed for seed, _ in found] == [seed for seed, _ in _plain_scan(
+                1, s - 1, 100.0, 1.0, lo, hi)] == [s]
+
+    def test_screen_needs_room_in_every_clause(self):
+        # a first attempt whose A clause holds by less than half the 1e-9*L
+        # tolerance is left to the exact path, whatever its mu_x
+        draw = prob._draw_stack
+
+        def shifted(*args):
+            A, B, C, H = draw(*args)
+            A[1] -= 0.6e-9 * 100.0 * np.eye(4)
+            A[2] -= 0.4e-9 * 100.0 * np.eye(4)
+            return A, B, C, H
+
+        with mock.patch.object(prob, "_draw_stack", shifted):
+            room, _ = prob._first_draw_screen([0, 1, 2], 4, 4, 100.0, 1.0)
+        assert room.tolist() == [True, False, True]
+
+    def test_screen_leaves_kept_seeds_to_exact_path(self):
+        # the 120-instance corpus scans 1057 seeds; the exact path sees the
+        # first seed, the 120 kept ones and any near the window's edges
+        with mock.patch.object(prob, "sample_instance", wraps=prob.sample_instance) as spy:
+            corpus = verify.corpus_instances(120)
+        assert corpus[-1][0] == 1056
+        assert spy.call_count <= 125
+
     def test_deterministic_and_filtered(self):
         a = verify.corpus_instances(5, start_seed=0)
         b = verify.corpus_instances(5, start_seed=0)
