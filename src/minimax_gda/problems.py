@@ -234,13 +234,18 @@ def derive_constants(problem):
     return problem._derived
 
 
-def grad(problem, z):
-    """Exact gradient blocks ``(g_x, g_y)`` at ``z = (x, y)``."""
+def split_z(problem, z):
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.dim,):
         raise InvalidInputError(f"z must have length n+m={problem.dim}, got {z.shape}")
-    dx = z[: problem.n] - problem.x_star
-    dy = z[problem.n :] - problem.y_star
+    return z[: problem.n], z[problem.n :]
+
+
+def grad(problem, z):
+    """Exact gradient blocks ``(g_x, g_y)`` at ``z = (x, y)``."""
+    x, y = split_z(problem, z)
+    dx = x - problem.x_star
+    dy = y - problem.y_star
     gx = problem.C @ dx + problem.B @ dy
     gy = problem.B.T @ dx - problem.A @ dy
     return gx, gy

@@ -12,7 +12,6 @@ smoke runs.  All suites are deterministic given ``seed``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -69,28 +68,29 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
     A stacked first-attempt draw (``problems._first_draw_screen``) screens
     the seeds after the first, a block at a time: a seed is skipped only if
     every clause passes by half its ``1e-9*L`` tolerance and ``mu_x`` lies
-    ``1e-6*L`` or more outside the window.  The screen runs only on integer
-    seeds with ``kappa <= 1e3`` and ``1e-100 <= L <= 1e100``, where its
-    round-off (about ``eps*L`` in the clauses, ``eps*kappa^2*L`` in ``mu_x``)
-    is far below both margins.  The exact path (``sample_instance``,
+    ``1e-6*L`` or more outside the window.  The screen runs only with
+    ``kappa <= 1e3`` and ``1e-100 <= L <= 1e100``, where its round-off
+    (about ``eps*L`` in the clauses, ``eps*kappa^2*L`` in ``mu_x``) is far
+    below both margins.  The exact path (``sample_instance``,
     ``derive_constants``) decides every other seed."""
+    start_seed = prob.as_count(start_seed, "seed", 0)
     out = []
     seed = start_seed
     while len(out) < count:
         scanned = seed - start_seed
         if scanned > 500 * count + 1000:
             raise GenerationFailureError(
-                f"scanned {seed - start_seed} seeds but found only {len(out)} "
+                f"scanned {scanned} seeds but found only {len(out)} "
                 f"instances with mu_x > {min_mu_x}"
             )
         if scanned % _SCREEN_BLOCK == 1:  # the first seed has checked the arguments
             skip = np.zeros(_SCREEN_BLOCK, dtype=bool)
-            if isinstance(seed, numbers.Integral) and L / mu <= 1e3 and 1e-100 <= L <= 1e100:
+            if L / mu <= 1e3 and 1e-100 <= L <= 1e100:
                 room, mu_x = prob._first_draw_screen(
                     range(seed, seed + _SCREEN_BLOCK), 4, 4, L, mu)
                 skip = room & ((mu_x <= min_mu_x - 1e-6 * L) | (
                     max_mu_x is not None and mu_x >= max_mu_x + 1e-6 * L))
-        if scanned == 0 or not skip[int(scanned - 1) % _SCREEN_BLOCK]:
+        if scanned == 0 or not skip[(scanned - 1) % _SCREEN_BLOCK]:
             p = prob.sample_instance(4, 4, L, mu, seed)
             mu_x = prob.derive_constants(p).mu_x
             if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
@@ -169,11 +169,19 @@ def check_eigensolver_oracle(corpus, rng):
             logprod = np.log(np.abs(lam)).sum()
             worst_det = max(worst_det, abs(math.exp(logprod - logdet) - 1.0))
 
-    mats = [rng.standard_normal((2, 2)) * rng.uniform(0.5, 4.0) for _ in range(50)]
-    mats += [dyn.build_M(prob.hard_ratio_instance(kappa, 1.0), r)
-             for kappa in (2.0, 8.0) for r in (kappa / 2.0, kappa, 2.0 * kappa)]
-    worst_2x2 = max(float(np.max(np.abs(np.sort_complex(linalg.general_eig(M)[0])
-                                        - _closed_form_2x2(M)))) for M in mats)
+    worst_2x2 = 0.0
+    for _ in range(50):
+        M = rng.standard_normal((2, 2)) * rng.uniform(0.5, 4.0)
+        lam, _ = linalg.general_eig(M)
+        ref = _closed_form_2x2(M)
+        worst_2x2 = max(worst_2x2, float(np.max(np.abs(np.sort_complex(lam) - ref))))
+    for kappa in (2.0, 8.0):
+        p = prob.hard_ratio_instance(kappa, 1.0)
+        for r in (kappa / 2.0, kappa, 2.0 * kappa):
+            M = dyn.build_M(p, r)
+            lam, _ = linalg.general_eig(M)
+            ref = _closed_form_2x2(M)
+            worst_2x2 = max(worst_2x2, float(np.max(np.abs(np.sort_complex(lam) - ref))))
 
     passed = worst_residual <= 1e-8 and worst_trace <= 1e-8 and \
         worst_det <= 1e-8 and worst_2x2 <= 1e-12

@@ -98,20 +98,40 @@ class TestCorpus:
             assert [seed for seed, _ in found] == [seed for seed, _ in _plain_scan(
                 1, s - 1, 100.0, 1.0, lo, hi)] == [s]
 
-    def test_screen_needs_room_in_every_clause(self):
-        # a first attempt whose A clause holds by less than half the 1e-9*L
+    @pytest.mark.parametrize("clause", ["A_lower", "A_upper", "B_norm", "C_norm"])
+    def test_screen_needs_room_in_every_clause(self, clause):
+        # a first attempt whose clause holds by less than half the 1e-9*L
         # tolerance is left to the exact path, whatever its mu_x
-        draw = prob._draw_stack
+        draw, L = prob._draw_stack, 100.0
+
+        def shift(A, B, C, k, frac):
+            d = frac * 1e-9 * L
+            if clause == "A_lower":
+                A[k] -= d * np.eye(4)
+            elif clause == "A_upper":
+                A[k] += d * np.eye(4)
+            else:  # B and C are drawn at norm L/2; move them to L + d
+                M = B if clause == "B_norm" else C
+                M[k] *= (L + d) / np.linalg.norm(M[k], 2)
 
         def shifted(*args):
             A, B, C, H = draw(*args)
-            A[1] -= 0.6e-9 * 100.0 * np.eye(4)
-            A[2] -= 0.4e-9 * 100.0 * np.eye(4)
+            shift(A, B, C, 1, 0.6)
+            shift(A, B, C, 2, 0.4)
             return A, B, C, H
 
         with mock.patch.object(prob, "_draw_stack", shifted):
-            room, _ = prob._first_draw_screen([0, 1, 2], 4, 4, 100.0, 1.0)
+            room, _ = prob._first_draw_screen([0, 1, 2], 4, 4, L, 1.0)
         assert room.tolist() == [True, False, True]
+
+    def test_integral_float_start_seed_counts_as_int(self):
+        # seeds count from int(start_seed), so a float seed at 2**53 still
+        # advances, and the seeds are those of the int start
+        got = verify.corpus_instances(2, start_seed=2.0**53, min_mu_x=-1.0)
+        assert [seed for seed, _ in got] == [2**53, 2**53 + 1]
+        assert all(type(seed) is int for seed, _ in got)
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            verify.corpus_instances(1, start_seed=1.5)
 
     def test_screen_leaves_kept_seeds_to_exact_path(self):
         # the 120-instance corpus scans 1057 seeds; the exact path sees the
