@@ -3,18 +3,19 @@
 Layers: one exact GDA and one exact EG ``run`` of 40 000 steps on the first
 certify-rates instance (the first 4x4 corpus instance, dim 8) at r = 2 kappa,
 as criterion 3 runs them, and the GDA run again recording a primal gap per
-step, as ``minimax-gda run`` does; one SGDA run of the same length on the
-criterion-6 instance (the noisy path, which keeps its sequential block
-starts); the non-quadratic run of criterion 9 (the oracle path, one gradient
-step after another); one ``estimate_rate`` call on the 40 001-point GDA
-trajectory; one GDA run that diverges in its sixth chunk (the first sweep
-cell of the cli-stop workload's first variant on its indefinite instance),
-where the per-chunk stop rule is the largest share of the cost; and one
-``ratio_sweep`` of GDA and EG over the default ratios on the convex
+step, as ``minimax-gda run`` does; one SGDA and one noisy EG run of the same
+length on the criterion-6 instance at its smallest batch, 16 (the noisy
+path: short blocks, their starts from a log-depth scan, and one normal draw
+per chunk); the non-quadratic run of criterion 9 (the oracle path, one
+gradient step after another); one ``estimate_rate`` call on the 40 001-point
+GDA trajectory; one GDA run that diverges in its sixth chunk (the first
+sweep cell of the cli-stop workload's first variant on its indefinite
+instance), where the per-chunk stop rule is the largest share of the cost;
+and one ``ratio_sweep`` of GDA and EG over the default ratios on the convex
 instance of that variant.  Each run case stores its step count in
 ``extra_info["steps"]`` (for the criterion-9 and early-stop runs, the steps
-to the stop), so the per-call median over it is microseconds
-per step; the sweep case stores its cell count in ``extra_info["cells"]``.
+to the stop), so the per-call median over it is microseconds per step; the
+sweep case stores its cell count in ``extra_info["cells"]``.
 These are not part of the test suite; run them from the root of a checkout
 with
 
@@ -60,9 +61,10 @@ def test_exact_run_with_gaps(benchmark):
     benchmark(dyn.run, p, dataclasses.replace(cfg, record_primal_gaps=True))
 
 
-def test_sgda_run(benchmark):
+@pytest.mark.parametrize("alg", [dyn.Algorithm.SGDA, dyn.Algorithm.EG])
+def test_noisy_run(benchmark, alg):
     seed, p = verify.corpus_instances(1, min_mu_x=10.0, max_mu_x=60.0)[0]
-    cfg = _config(p, dyn.Algorithm.SGDA, seed, prob.NoiseModel(sigma=1.0, batch=16))
+    cfg = _config(p, alg, seed, prob.NoiseModel(sigma=1.0, batch=16))
     benchmark.extra_info["steps"] = STEPS
     benchmark(dyn.run, p, cfg)
 

@@ -16,14 +16,16 @@ normal, so every quadratic run, exact or noisy, is the affine recurrence
 iteration from the whole chunk's measures at once; the chunk loop, the stop
 rule and the recording live there alone.  An engine only supplies the
 chunk's states.  The affine engine takes the states inside each block of
-``b`` steps from one product of its start with the stack ``T^1..T^b``; an
+``b`` steps from one product of its start with the stack ``T^1..T^b``.  An
 exact chunk is two products, its block starts coming from one product with
-the stack of powers of ``T^b``, while a noisy run moves block starts one at
-a time, adding each block's own noise response.  Non-quadratic runs take
-their chunk's states from the gradient oracle, one step after another.  A
-run owns its RNG (seeded from the config), and the noise it draws is the
-per-step oracle's stream, value for value; ``gda_step``/``eg_step`` with
-``make_oracle`` remain the per-step reference.
+the stack of powers of ``T^b``.  A noisy run takes blocks of 8 steps: one
+product per step of a block gives every block's response to its own noise,
+and a log-depth scan with the squares ``(T^b)^(2^k)`` gives the block
+starts.  Non-quadratic runs take their chunk's states from the gradient
+oracle, one step after another; an exact oracle's step reuses the gradient
+that the measure took.  A run owns its RNG (seeded from the config), and
+the noise it draws is the per-step oracle's stream, value for value;
+``gda_step``/``eg_step`` with ``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -253,10 +255,11 @@ def run(problem, config, z0=None):
     the recorded points (every ``stride``-th iteration plus the stop) and
     their gaps from the chunk's states.  An engine supplies only
     ``advance(s, steps)``, the next ``steps`` states after ``s`` (or fewer)
-    as rows.  Quadratic runs, exact or noisy, advance ``w = z - z*``
-    through the affine engine (``_affine_advance``), measured by ``|w|``;
-    non-quadratic runs advance ``z`` through the gradient oracle
-    (``_oracle_advance``), measured by the exact gradient norm.
+    as rows, and the measure of a stack of states.  Quadratic runs, exact
+    or noisy, advance ``w = z - z*`` through the affine engine
+    (``_affine_advance``), measured by ``|w|``; non-quadratic runs advance
+    ``z`` through the gradient oracle (``_oracle_engine``), measured by the
+    exact gradient norm.
     """
     nonquad = isinstance(problem, prob.NonQuadraticProblem)
     quad = problem.base if nonquad else problem
@@ -277,8 +280,7 @@ def run(problem, config, z0=None):
     # diverged rather than warranting a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if nonquad:
-            S, advance = z0[None, :], _oracle_advance(problem, config)
-            measure = partial(_grad_norms, problem)
+            S, (advance, measure) = z0[None, :], _oracle_engine(problem, config)
         else:
             S, advance = (z0 - quad.z_star)[None, :], _affine_advance(quad, config)
             measure = _norms
@@ -334,30 +336,48 @@ def _norms(W):
     return d
 
 
-def _grad_norms(problem, Z):
-    """The exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``,
-    ``inf`` where it is not finite."""
-    d = np.empty(len(Z))
-    for i, z in enumerate(Z):
-        gx, gy = prob.nonquad_grad(problem, z)
-        d[i] = math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
-    d[~np.isfinite(d)] = math.inf
-    return d
-
-
 # Block length b of the affine engine: a run precomputes T^1..T^b once and
 # fills b consecutive states with one product per block start.
 _BLOCK = 64
+# A noisy run's blocks are short, since its response to the noise within a
+# block costs one product per step of the block (over all of a chunk's
+# blocks at once); its block starts come from a log-depth scan instead.
+_NOISY_BLOCK = 8
 # Chunks start at one block and double up to this many blocks, so a run that
 # stops early computes few states past its stop.
 _MAX_BLOCKS = 64
 
 
-def _oracle_advance(problem, config):
-    """``advance(z, steps)``: the next iterates from ``z``, one oracle step
-    after another, drawing the noise from the run's generator.  A chunk
-    holds at most one block, since its steps past a stop are paid in full."""
-    oracle = make_oracle(problem, config.noise)
+def _oracle_engine(problem, config):
+    """``(advance, measure)`` of a non-quadratic run.  ``advance(z, steps)``
+    gives the next iterates from ``z``, one oracle step after another,
+    drawing the noise from the run's generator; a chunk holds at most one
+    block, since its steps past a stop are paid in full.  ``measure(Z)`` is
+    the exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``,
+    ``inf`` where it is not finite.  An exact oracle's step and the measure
+    share one ``nonquad_grad`` call per iterate; a noisy step takes its own."""
+    # exact gradients by their iterate's bytes: a chunk's, until it is
+    # measured, then its last one, for the next chunk's first step
+    held = {}
+
+    def exact_grad(z):
+        key = z.tobytes()
+        if key not in held:
+            held[key] = prob.nonquad_grad(problem, z)
+        return held[key]
+
+    def measure(Z):
+        grads = [exact_grad(z) for z in Z]
+        held.clear()
+        held[Z[-1].tobytes()] = grads[-1]
+        d = np.array([math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
+                      for gx, gy in grads])
+        d[~np.isfinite(d)] = math.inf
+        return d
+
+    noise = config.noise
+    oracle = (make_oracle(problem, noise) if noise is not None and noise.sigma > 0
+              else lambda z, rng=None: exact_grad(z))
     step = eg_step if config.algorithm is Algorithm.EG else gda_step
     rng = np.random.default_rng(config.seed)
 
@@ -366,7 +386,7 @@ def _oracle_advance(problem, config):
         for i in range(len(Z)):
             z = Z[i] = step(oracle, z, config.eta_x, config.eta_y, rng)
         return Z
-    return advance
+    return advance, measure
 
 
 def _affine_advance(quad, config):
@@ -374,13 +394,23 @@ def _affine_advance(quad, config):
     with its power stacks and generator."""
     T, G = linear_system(quad, config)
     budget = max(1, config.max_iters)
-    P = _power_stack(T, min(_BLOCK, budget))
+    P = _power_stack(T, min(_BLOCK if G is None else _NOISY_BLOCK, budget))
     b = P.shape[1] // quad.dim
-    Pb = P[:, -quad.dim:]  # (T^b)'
+    Pb = np.ascontiguousarray(P[:, -quad.dim:])  # (T^b)'
     if G is None:
-        Pb = _power_stack(Pb.T, min(_MAX_BLOCKS, -(-budget // b)))
-    rng = np.random.default_rng(config.seed) if G is not None else None
-    return partial(_advance, T=T, P=P, Pb=Pb, G=G, rng=rng)
+        return partial(_advance, T=T, P=P, Pb=_power_stack(
+            Pb.T, min(_MAX_BLOCKS, -(-budget // b))), G=None, rng=None)
+    # the squares (T^b)^(2^k) that a chunk's scan of block starts uses, up
+    # to the first one that overflows (see _scan)
+    levels = (-(-min(budget, _MAX_BLOCKS * _BLOCK) // b)).bit_length()
+    Q = [Pb]
+    while len(Q) < levels:
+        square = Q[-1] @ Q[-1]
+        if not np.isfinite(square).all():
+            break
+        Q.append(square)
+    return partial(_advance, T=T, P=P, Pb=Q, G=G,
+                   rng=np.random.default_rng(config.seed))
 
 
 def _power_stack(T, b):
@@ -405,42 +435,73 @@ def _power_stack(T, b):
 def _advance(w, steps, T, P, Pb, G, rng):
     """States ``w_1..w_steps`` of ``w_{k+1} = T w_k + G xi_k`` from ``w_0 = w``.
 
-    ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``, and ``Pb``
-    one of powers of ``T^b``.  Every state in block ``i`` is ``T^j s_i``
-    from the block's start ``s_i``, from one product with ``P``.  An exact
-    run gets ``len(Pb)`` block starts per product with ``Pb``.  A noisy run
-    passes ``Pb = T^b`` alone and adds ``r_i``, block ``i``'s response to
-    its own noise from a zero start, to ``s_{i+1}`` and to the block's states.
+    ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``.  Every state
+    in block ``i`` is ``T^j s_i`` from the block's start ``s_i``, from one
+    product with ``P``.  An exact run passes the stack of powers of ``T^b``
+    as ``Pb`` and gets ``len(Pb)`` block starts per product with it.  A
+    noisy run adds ``r_i``, block ``i``'s response to its own noise from a
+    zero start, to the block's states; it passes the squares
+    ``(T^b)^(2^k)`` as ``Pb``, and its starts ``s_{i+1} = T^b s_i + r_i``
+    come from one scan of all of the chunk's blocks (``_scan``).
     """
     dim = len(w)
     b = P.shape[1] // dim
     nb = -(-steps // b)
-    R = None  # R[j, i]: block i's response to its own noise after j+1 steps
-    if G is not None:
+    if G is None:
+        # block starts, len(Pb) of them per product, in a flat buffer with
+        # room for the unused starts the last product computes
+        group = Pb.shape[1] // dim
+        S = np.empty((nb + group) * dim)
+        S[:dim] = w
+        for i in range(0, nb, group):
+            np.matmul(S[i * dim:(i + 1) * dim], Pb,
+                      out=S[(i + 1) * dim:(i + 1 + group) * dim])
+        S = S.reshape(-1, dim)[:nb + 1]
+        W = (S[:-1] @ P).reshape(nb, b, dim)
+    else:
         # the final chunk may end mid-block; the extra draws are never used
         E = (rng.standard_normal((nb * b, G.shape[1])) @ G.T).reshape(nb, b, dim)
+        # R[j, i]: block i's response to its own noise after j+1 steps, one
+        # product per step of a block over all of the chunk's blocks
         R = np.empty((b, nb, dim))
         R[0] = E[:, 0]
         TT = T.T
         for j in range(1, b):
             np.matmul(R[j - 1], TT, out=R[j])
             R[j] += E[:, j]
-    # block starts, len(Pb) of them per product, in a flat buffer with room
-    # for the unused starts the last product computes
-    group = Pb.shape[1] // dim
-    S = np.empty((nb + group) * dim)
-    S[:dim] = w
-    for i in range(0, nb, group):
-        s = S[(i + 1) * dim:(i + 1 + group) * dim]
-        np.matmul(S[i * dim:(i + 1) * dim], Pb, out=s)
-        if R is not None:
-            s += R[-1, i]
-    S = S.reshape(-1, dim)[:nb + 1]
-    W = (S[:-1] @ P).reshape(nb, b, dim)
-    if R is not None:
+        S = np.empty((nb + 1, dim))
+        S[0] = w
+        S[1:] = R[-1]
+        _scan(S, Pb)
+        W = (S[:-1] @ P).reshape(nb, b, dim)
         W += R.transpose(1, 0, 2)
     W[:, -1] = S[1:]
     return W.reshape(nb * b, dim)[:steps]
+
+
+def _scan(S, Q):
+    """Replace the rows ``v_0..v_n`` of ``S`` in place by ``s_0 = v_0``,
+    ``s_{i+1} = A s_i + v_{i+1}``, given the squares ``Q[k] = (A^(2^k))'``.
+
+    A Hillis-Steele scan: level ``k`` adds ``A^(2^k)`` times the row ``2^k``
+    back to every row, so after it row ``i`` sums ``A^(i-j) v_j`` over the
+    ``2^(k+1)`` rows up to ``i``.  ``Q`` holds only finite squares, since an
+    infinite one would turn exact zeros of a row into NaN; rows therefore go
+    in groups of ``2^len(Q)``, each scanned alone, and the first row of each
+    group is carried on from the last of the one before, one product with
+    ``A`` at a time.  With every square the run needs, one group covers a
+    chunk.
+    """
+    g = 1 << len(Q)
+    for i in range(0, len(S), g):
+        if i:
+            S[i] += S[i - 1] @ Q[0]
+        V = S[i:i + g]
+        for k, Qk in enumerate(Q):
+            d = 1 << k
+            if d >= len(V):
+                break
+            V[d:] += V[:-d] @ Qk
 
 
 def estimate_rate(trajectory):

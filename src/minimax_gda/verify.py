@@ -57,7 +57,11 @@ class SuiteResult:
         }
 
 
-_SCREEN_BLOCK = 64  # seeds per stacked first-attempt draw in corpus_instances
+# seeds per stacked first-attempt draw in corpus_instances: the first block
+# holds _SCREEN_FIRST per instance asked for, and each next block twice the
+# one before, up to _SCREEN_BLOCK
+_SCREEN_FIRST = 16
+_SCREEN_BLOCK = 64
 
 
 def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
@@ -66,16 +70,21 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
     below) a threshold; scans seeds in order so the corpus is reproducible.
 
     A stacked first-attempt draw (``problems._first_draw_screen``) screens
-    the seeds after the first, a block at a time: a seed is skipped only if
-    every clause passes by half its ``1e-9*L`` tolerance and ``mu_x`` lies
-    ``1e-6*L`` or more outside the window.  The screen runs only with
-    ``kappa <= 1e3`` and ``1e-100 <= L <= 1e100``, where its round-off
-    (about ``eps*L`` in the clauses, ``eps*kappa^2*L`` in ``mu_x``) is far
-    below both margins.  The exact path (``sample_instance``,
-    ``derive_constants``) decides every other seed."""
+    the seeds after the first, a block at a time, the blocks growing from
+    one sized from ``count``: a seed is skipped only if every clause passes
+    by half its ``1e-9*L`` tolerance and ``mu_x`` lies ``1e-6*L`` or more
+    outside the window.  The screen runs only with ``kappa <= 1e3`` and
+    ``1e-100 <= L <= 1e100``, where its round-off (about ``eps*L`` in the
+    clauses, ``eps*kappa^2*L`` in ``mu_x``) is far below both margins.  The
+    exact path (``sample_instance``, ``derive_constants``) decides every
+    other seed."""
     start_seed = prob.as_count(start_seed, "seed", 0)
     out = []
     seed = start_seed
+    # skip[i]: the screen rejects seed lo + i; the first seed has checked
+    # the arguments, so the screen starts after it
+    lo, skip = start_seed + 1, np.zeros(0, dtype=bool)
+    size = min(_SCREEN_BLOCK, _SCREEN_FIRST * count)
     while len(out) < count:
         scanned = seed - start_seed
         if scanned > 500 * count + 1000:
@@ -83,14 +92,12 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
                 f"scanned {scanned} seeds but found only {len(out)} "
                 f"instances with mu_x > {min_mu_x}"
             )
-        if scanned % _SCREEN_BLOCK == 1:  # the first seed has checked the arguments
-            skip = np.zeros(_SCREEN_BLOCK, dtype=bool)
-            if L / mu <= 1e3 and 1e-100 <= L <= 1e100:
-                room, mu_x = prob._first_draw_screen(
-                    range(seed, seed + _SCREEN_BLOCK), 4, 4, L, mu)
-                skip = room & ((mu_x <= min_mu_x - 1e-6 * L) | (
-                    max_mu_x is not None and mu_x >= max_mu_x + 1e-6 * L))
-        if scanned == 0 or not skip[(scanned - 1) % _SCREEN_BLOCK]:
+        if seed == lo + len(skip) and L / mu <= 1e3 and 1e-100 <= L <= 1e100:
+            room, mu_x = prob._first_draw_screen(range(seed, seed + size), 4, 4, L, mu)
+            lo, skip = seed, room & ((mu_x <= min_mu_x - 1e-6 * L) | (
+                max_mu_x is not None and mu_x >= max_mu_x + 1e-6 * L))
+            size = min(2 * size, _SCREEN_BLOCK)
+        if not (lo <= seed < lo + len(skip) and skip[seed - lo]):
             p = prob.sample_instance(4, 4, L, mu, seed)
             mu_x = prob.derive_constants(p).mu_x
             if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):

@@ -477,8 +477,9 @@ def reference_run(problem, config, z0=None):
 # The engine iterates on w = z - z* and the reference on z itself, so the
 # reference rounds each step to a few ulps of |z| rather than of |w|; the
 # engine also applies block powers T^j instead of j single steps.  Over the
-# budgets below (at most 2000 steps) both effects stay far inside a relative
-# tolerance of 1e-8 plus an absolute one of 1e-10 per unit of |z*| + |z0 - z*|.
+# budgets below (at most 2000 steps in the properties, 16 420 in the long
+# noisy runs) both effects stay far inside a relative tolerance of 1e-8 plus
+# an absolute one of 1e-10 per unit of |z*| + |z0 - z*|.
 ENGINE_RTOL = 1e-8
 ENGINE_ATOL = 1e-10
 
@@ -717,6 +718,56 @@ class TestAffineEngine:
         assert traj.status.kind is dyn.StatusKind.CONVERGED
         assert traj.status.step > 5 * dyn._MAX_BLOCKS * dyn._BLOCK
         assert traj.final_z[1] == 0.0
+
+
+    @pytest.mark.parametrize("alg", [SGDA, EG])
+    def test_long_noisy_runs(self, reference_instance, alg):
+        # chunks of 1, 2, ..., 32 blocks of 64 steps end at step 4032; three
+        # full 4096-step chunks follow, each taking the starts of its 512
+        # noisy blocks from one scan up to (T^8)^512, then a short chunk
+        p = reference_instance
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+        steps = 4032 + 3 * 4096 + 100
+        base = dict(algorithm=alg, eta_x=eta_x, eta_y=eta_y, seed=7)
+        traj = assert_matches_reference(p, dyn.SolverConfig(
+            max_iters=steps, target_eps=1e-300, noise=prob.NoiseModel(1.0, 16), **base))
+        assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+        assert len(traj.iters) == steps + 1
+        # converge, and diverge, inside the first full chunk; at a small
+        # noise the distance falls below eps once, 5032 steps in
+        noise = prob.NoiseModel(1e-9, 1)
+        d = dyn.run(p, dyn.SolverConfig(
+            max_iters=steps, target_eps=1e-300, noise=noise, **base)).distances
+        k = 4032 + 1000
+        eps = math.sqrt(d[k] * min(d[:k]))
+        assert d[k] < min(d[:k])
+        traj = assert_matches_reference(p, dyn.SolverConfig(
+            max_iters=steps, target_eps=eps, noise=noise, **base))
+        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, k)
+        q, z0, h = growth_case(alg, k)
+        traj = assert_matches_reference(q, dyn.SolverConfig(
+            algorithm=alg, eta_x=h, eta_y=h, max_iters=steps, target_eps=1e-300,
+            noise=prob.NoiseModel(1e-6, 1)), z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, k)
+
+    @pytest.mark.parametrize("alg,levels,stop", [(SGDA, 2, 40), (EG, 1, 97)])
+    def test_overflowing_noisy_squares_keep_exact_zeros(self, alg, levels, stop):
+        # decoupled players: the descent block explodes (T_xx = 1 + 1e10, so
+        # (T^8)^4 overflows for SGDA and (T^8)^2 for EG) while x = x* stays
+        # exact, since its noise, eta_x * 1e-300 per step, underflows to 0;
+        # the ascent block converges, at 0.5 or 0.75 per step.  The scan
+        # then goes in groups of 2^levels block starts, and an infinite
+        # square would turn x = x* into NaN
+        p = prob.QuadraticProblem(
+            A=np.eye(1), B=np.zeros((1, 1)), C=-1e40 * np.eye(1), x_star=np.zeros(1),
+            y_star=np.zeros(1), L=1.0, mu=0.5)
+        cfg = dyn.SolverConfig(algorithm=alg, eta_x=1e-30, eta_y=0.5, max_iters=1000,
+                               target_eps=1e-12, noise=prob.NoiseModel(1e-300, 1))
+        with np.errstate(over="ignore"):
+            assert len(dyn._affine_advance(p, cfg).keywords["Pb"]) == levels
+        traj = assert_matches_reference(p, cfg, z0=np.array([0.0, 1.0]))
+        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, stop)
+        assert traj.final_z[0] == 0.0
 
 
 class TestOracleEngine:

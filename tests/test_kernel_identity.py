@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from minimax_gda import dynamics as dyn
 from minimax_gda import linalg
 from minimax_gda import problems as prob
+from minimax_gda import verify
 from minimax_gda.errors import InvalidInputError, NotPositiveDefiniteError
 
 dims = st.integers(min_value=1, max_value=64)
@@ -203,3 +204,50 @@ class TestFactorisationCount:
         # validating again eigensolves A only; the Schur complement is cached
         prob.validate(p, require_primal_convex=True)
         assert calls == {"solve_spd": 1, "sym_eig": 3}
+
+
+class TestGradientCount:
+    """An exact oracle's step on a non-quadratic instance takes the gradient
+    at its iterate from the measure, so the run calls ``nonquad_grad`` once
+    per iterate (EG: once more per half step); a noisy oracle's step draws
+    its own gradient."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        inner = prob.nonquad_grad
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(prob, "nonquad_grad", counted)
+        return calls
+
+    @pytest.mark.parametrize("alg,sigma,per_step", [
+        ("gda", None, 1), ("eg", None, 2), ("eg", 0.0, 2), ("sgda", 0.1, 2), ("eg", 0.1, 3)])
+    def test_calls_per_step(self, monkeypatch, alg, sigma, per_step):
+        base = prob.sample_instance(3, 2, 10.0, 1.0, 4, primal_convex=True)
+        nq = prob.NonQuadraticProblem(base=base, a=1.0, b=np.ones(3))
+        noise = None if sigma is None else prob.NoiseModel(sigma, 4)
+        steps = 300  # five chunks of at most 64 steps, the last one 44
+        cfg = dyn.SolverConfig(algorithm=alg, eta_x=1e-3, eta_y=1e-2, max_iters=steps,
+                               target_eps=1e-300, noise=noise, seed=2)
+        # the per-step steppers on the plain oracle, before counting
+        oracle = dyn.make_oracle(nq, noise)
+        step = dyn.eg_step if alg == "eg" else dyn.gda_step
+        rng = np.random.default_rng(cfg.seed)
+        z = dyn.default_initial_point(base, cfg.seed)
+        for _ in range(steps):
+            z = step(oracle, z, cfg.eta_x, cfg.eta_y, rng)
+        calls = self._counted(monkeypatch)
+        traj = dyn.run(nq, cfg)
+        assert len(calls) == 1 + per_step * steps
+        assert traj.final_z.tobytes() == z.tobytes()
+
+    def test_nearly_quadratic_check(self, monkeypatch):
+        # criterion 9's GDA run converges at step 515 and computes the 576
+        # steps of its nine 64-step chunks: one call per iterate
+        calls = self._counted(monkeypatch)
+        assert verify.check_nearly_quadratic().passed
+        assert len(calls) == 577

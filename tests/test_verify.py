@@ -141,6 +141,26 @@ class TestCorpus:
         assert corpus[-1][0] == 1056
         assert spy.call_count <= 125
 
+    def test_screen_blocks_grow_from_count(self):
+        # the first block holds 16 seeds per instance asked for, up to 64,
+        # and each next one twice the one before: the criterion-6 instance,
+        # 16 seeds in, takes one block of 16, and a count-1 scan that finds
+        # nothing screens 16, 32 and then 64 seeds at a time
+        def sizes(*args, **kw):
+            with mock.patch.object(prob, "_first_draw_screen",
+                                   wraps=prob._first_draw_screen) as spy:
+                try:
+                    found = verify.corpus_instances(*args, **kw)
+                except GenerationFailureError:
+                    found = None
+            return found, [len(call.args[0]) for call in spy.call_args_list]
+
+        found, blocks = sizes(1, min_mu_x=10.0, max_mu_x=60.0)
+        assert [s for s, _ in found] == [16] and blocks == [16]
+        found, blocks = sizes(1, min_mu_x=1e9)
+        assert found is None and blocks[:3] == [16, 32, 64] and set(blocks[3:]) == {64}
+        assert sizes(4)[1][0] == 64
+
     def test_deterministic_and_filtered(self):
         a = verify.corpus_instances(5, start_seed=0)
         b = verify.corpus_instances(5, start_seed=0)
