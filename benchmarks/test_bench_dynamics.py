@@ -8,10 +8,12 @@ length on the criterion-6 instance at its smallest batch, 16 (the noisy
 path: short blocks, their starts from a log-depth scan, and one normal draw
 per chunk); the non-quadratic run of criterion 9 (the oracle path, one
 gradient step after another); one ``estimate_rate`` call on the 40 001-point
-GDA trajectory; one GDA run that diverges in its sixth chunk (the first
-sweep cell of the cli-stop workload's first variant on its indefinite
-instance), where the per-chunk stop rule is the largest share of the cost;
-and one ``ratio_sweep`` of GDA and EG over the default ratios on the convex
+GDA trajectory; one GDA run that diverges at step 1150, in its second
+chunk (the first sweep cell of the cli-stop workload's first variant on its
+indefinite instance); one basis run of criterion 1's divergence
+certificate, a dim-2 run that exhausts its 10 000-step budget in two
+chunks, as cli-stop's ``verify lower-bounds`` runs 74 of them; and one
+``ratio_sweep`` of GDA and EG over the default ratios on the convex
 instance of that variant.  Each run case stores its step count in
 ``extra_info["steps"]`` (for the criterion-9 and early-stop runs, the steps
 to the stop), so the per-call median over it is microseconds per step; the
@@ -94,6 +96,21 @@ def test_early_stop_run(benchmark):
                            max_iters=400_000, target_eps=1e-6)
     benchmark.extra_info["steps"] = dyn.run(p, cfg).status.step
     benchmark(dyn.run, p, cfg)
+
+
+def test_certificate_basis_run(benchmark):
+    # one basis trajectory of criterion 1's divergence certificate, as the
+    # cli-stop workload's verify lower-bounds runs it: GDA on the dim-2
+    # hard_ratio_instance(8, 1) at r = kappa from z* + e_1, exhausting its
+    # 10 000-step budget
+    p = prob.hard_ratio_instance(8.0, 1.0)
+    eta_x = float(harness._ETA_GRID[0])
+    cfg = dyn.SolverConfig(algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=8.0 * eta_x,
+                           max_iters=10_000, target_eps=harness._EPS_NEVER)
+    z0 = p.z_star + [1.0, 0.0]
+    assert dyn.run(p, cfg, z0).status.kind is dyn.StatusKind.BUDGET_EXHAUSTED
+    benchmark.extra_info["steps"] = cfg.max_iters
+    benchmark(dyn.run, p, cfg, z0)
 
 
 def test_estimate_rate(benchmark):

@@ -14,6 +14,7 @@ resolve against ``$MINIMAX_GDA_OUTDIR`` when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,7 +82,9 @@ def _write_atomic(path, writer):
     return path
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = _Parser(
         prog="minimax-gda",
         description="Two-time-scale GDA/SGDA/EG on quadratic minimax "

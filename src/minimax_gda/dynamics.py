@@ -14,7 +14,9 @@ normal, so every quadratic run, exact or noisy, is the affine recurrence
 
 ``run`` advances every run a chunk of steps at a time and finds the stop
 iteration from the whole chunk's measures at once; the chunk loop, the stop
-rule and the recording live there alone.  An engine only supplies the
+rule and the recording live there alone.  Chunks are sized by the state
+entries (steps x dim) they hold, so a long run at a small dim takes few of
+them: a 10 000-step run at dim 2 takes two.  An engine only supplies the
 chunk's states.  The affine engine takes the states inside each block of
 ``b`` steps from one product of its start with the stack ``T^1..T^b``.  An
 exact chunk is two products, its block starts coming from one product with
@@ -253,7 +255,12 @@ def run(problem, config, z0=None):
     Every run goes through the one chunk loop below: it measures a chunk of
     states at once, finds the chunk's first stopping iteration, and takes
     the recorded points (every ``stride``-th iteration plus the stop) and
-    their gaps from the chunk's states.  An engine supplies only
+    their gaps from the chunk's states as strided slices.  The first chunk
+    holds about ``_CHUNK_FIRST`` state entries and each later one twice as
+    many as the one before, up to ``_CHUNK_CAP`` entries or ``_CAP_STEPS``
+    steps, whichever is more, so a chunk's memory is bounded at every dim.
+    A run with ``stride > 1`` keeps copies of its recorded points only, not
+    its chunks' distances.  An engine supplies only
     ``advance(s, steps)``, the next ``steps`` states after ``s`` (or fewer)
     as rows, and the measure of a stack of states.  Quadratic runs, exact
     or noisy, advance ``w = z - z*`` through the affine engine
@@ -286,39 +293,46 @@ def run(problem, config, z0=None):
             measure = _norms
         d = measure(S)
         limit = DIVERGENCE_FACTOR * d[0]
-        parts = []  # (iters, distances, gaps) per chunk
+        parts = []  # (distances, gaps) recorded from each chunk
+
+        def record(rows):
+            # a strided slice is copied, so that a long run keeps only its
+            # recorded points and not every chunk's distances
+            parts.append((d[rows].copy() if stride > 1 else d[rows],
+                          prob._gap_form(dc.schur, S[rows, :quad.n])
+                          if record_gaps else None))
+
         k0 = 0  # iteration of S[0]
-        blocks = 1
+        blocks = _chunk_blocks(quad.dim, _CHUNK_FIRST)
+        cap = _cap_blocks(quad.dim)
         while True:
             stop = (d <= eps) | (d >= limit)
             last = k0 + len(d) - 1
             j = int(np.argmax(stop)) if stop.any() else (
                 len(d) - 1 if last == max_iters else None)
-            end = len(d) if j is None else j + 1
-            ks = np.arange(k0, k0 + end)
-            keep = slice(None) if stride == 1 else ks % stride == 0
-            if stride > 1 and j is not None:
-                keep[j] = True
-            gaps = None
-            if record_gaps:
-                gaps = prob._gap_form(dc.schur, S[:end][keep, :quad.n])
-            parts.append((ks[keep], d[:end][keep], gaps))
+            # every stride-th iteration of the chunk, up to its stop
+            record(slice(-k0 % stride, len(d) if j is None else j + 1, stride))
             if j is not None:
                 break
             S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
             d = measure(S)
             k0 = last + 1
-            blocks = min(2 * blocks, _MAX_BLOCKS)
+            blocks = min(2 * blocks, cap)
+        final = k0 + j
+        iters = np.arange(0, final + 1, stride)
+        if final % stride:
+            record(slice(j, j + 1))
+            iters = np.append(iters, final)
     wall = time.perf_counter() - start
     if d[j] <= eps:
-        status = Status(StatusKind.CONVERGED, k0 + j)
+        status = Status(StatusKind.CONVERGED, final)
     elif d[j] >= limit:
-        status = Status(StatusKind.DIVERGED, k0 + j)
+        status = Status(StatusKind.DIVERGED, final)
     else:
         status = Status(StatusKind.BUDGET_EXHAUSTED)
-    iters, distances, gaps = zip(*parts)
+    distances, gaps = zip(*parts)
     return Trajectory(
-        iters=np.concatenate(iters),
+        iters=iters,
         distances=np.concatenate(distances),
         primal_gaps=np.concatenate(gaps) if record_gaps else None,
         status=status,
@@ -330,8 +344,10 @@ def run(problem, config, z0=None):
 
 
 def _norms(W):
-    """``|w|`` of each row of ``W``, ``inf`` where it is not finite."""
-    d = np.sqrt(np.einsum("ij,ij->i", W, W))
+    """``|w|`` of each row of ``W``, ``inf`` where it is not finite: the
+    squares summed by one product with a ones vector."""
+    d = np.square(W) @ np.ones(W.shape[1])
+    np.sqrt(d, out=d)
     d[~np.isfinite(d)] = math.inf
     return d
 
@@ -343,9 +359,27 @@ _BLOCK = 64
 # block costs one product per step of the block (over all of a chunk's
 # blocks at once); its block starts come from a log-depth scan instead.
 _NOISY_BLOCK = 8
-# Chunks start at one block and double up to this many blocks, so a run that
-# stops early computes few states past its stop.
-_MAX_BLOCKS = 64
+# Chunks are sized by the state entries (steps x dim) they hold, in whole
+# blocks of _BLOCK steps: a run's first chunk holds about _CHUNK_FIRST
+# entries, so a run that stops early computes few states past its stop, and
+# each later one twice as many as the one before, up to _CHUNK_CAP entries
+# or _CAP_STEPS steps, whichever is more.  At dim 2 that is 4096 steps
+# doubling up to 16 384; at dim 8, 1024 up to 4096; above dim 8 the cap
+# stays at 4096 steps, so no dim takes more chunks than under a 4096-step cap.
+_CHUNK_FIRST = 8192
+_CHUNK_CAP = 32768
+_CAP_STEPS = 4096
+
+
+def _chunk_blocks(dim, entries):
+    """Blocks of ``_BLOCK`` steps in a chunk of about ``entries`` state
+    entries at ``dim``, at least one."""
+    return max(1, entries // (dim * _BLOCK))
+
+
+def _cap_blocks(dim):
+    """Blocks of ``_BLOCK`` steps in a run's largest chunk at ``dim``."""
+    return max(_CAP_STEPS // _BLOCK, _chunk_blocks(dim, _CHUNK_CAP))
 
 
 def _oracle_engine(problem, config):
@@ -354,8 +388,9 @@ def _oracle_engine(problem, config):
     drawing the noise from the run's generator; a chunk holds at most one
     block, since its steps past a stop are paid in full.  ``measure(Z)`` is
     the exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``,
-    ``inf`` where it is not finite.  An exact oracle's step and the measure
-    share one ``nonquad_grad`` call per iterate; a noisy step takes its own."""
+    ``inf`` where it is not finite.  A step and the measure share one
+    ``nonquad_grad`` call per iterate: a noisy step adds its draws to the
+    exact gradient that the measure takes."""
     # exact gradients by their iterate's bytes: a chunk's, until it is
     # measured, then its last one, for the next chunk's first step
     held = {}
@@ -375,9 +410,10 @@ def _oracle_engine(problem, config):
         d[~np.isfinite(d)] = math.inf
         return d
 
-    noise = config.noise
-    oracle = (make_oracle(problem, noise) if noise is not None and noise.sigma > 0
-              else lambda z, rng=None: exact_grad(z))
+    noise = prob.NoiseModel(0.0) if config.noise is None else config.noise
+
+    def oracle(z, rng):
+        return prob.add_noise(exact_grad(z), noise, rng)
     step = eg_step if config.algorithm is Algorithm.EG else gda_step
     rng = np.random.default_rng(config.seed)
 
@@ -397,12 +433,14 @@ def _affine_advance(quad, config):
     P = _power_stack(T, min(_BLOCK if G is None else _NOISY_BLOCK, budget))
     b = P.shape[1] // quad.dim
     Pb = np.ascontiguousarray(P[:, -quad.dim:])  # (T^b)'
+    # blocks of b steps in the run's longest chunk
+    most = -(-min(budget, _cap_blocks(quad.dim) * _BLOCK) // b)
     if G is None:
-        return partial(_advance, T=T, P=P, Pb=_power_stack(
-            Pb.T, min(_MAX_BLOCKS, -(-budget // b))), G=None, rng=None)
+        return partial(_advance, T=T, P=P, Pb=_power_stack(Pb.T, most),
+                       G=None, rng=None)
     # the squares (T^b)^(2^k) that a chunk's scan of block starts uses, up
     # to the first one that overflows (see _scan)
-    levels = (-(-min(budget, _MAX_BLOCKS * _BLOCK) // b)).bit_length()
+    levels = most.bit_length()
     Q = [Pb]
     while len(Q) < levels:
         square = Q[-1] @ Q[-1]
@@ -516,13 +554,17 @@ def estimate_rate(trajectory):
     trimmed.  Raises :class:`InsufficientDataError` with fewer
     than 10 usable points.
     """
-    d = np.asarray(trajectory.distances, dtype=float)
-    it = np.asarray(trajectory.iters, dtype=float)
-    d, it = d[len(d) // 2:], it[len(d) // 2:]
+    # only the trailing half is converted, and it is copied only when some
+    # of its points are unusable: a long fit makes few large temporaries,
+    # whose pages the allocator would hand back and refault on every call
+    half = len(trajectory.distances) // 2
+    d = np.asarray(trajectory.distances[half:], dtype=float)
+    it = np.asarray(trajectory.iters[half:], dtype=float)
 
     floor = 1e3 * np.finfo(float).eps * (trajectory.distances[0] if len(trajectory.distances) else 0.0)
     usable = np.isfinite(d) & (d > max(floor, 0.0))
-    d, it = d[usable], it[usable]
+    if not usable.all():
+        d, it = d[usable], it[usable]
     ld = np.log(d)
 
     # trim a trailing plateau: drop end blocks whose mean decrement is much

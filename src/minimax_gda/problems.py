@@ -264,7 +264,13 @@ def stochastic_grad(problem, z, noise, rng):
     state.
     """
     exact = nonquad_grad if isinstance(problem, NonQuadraticProblem) else grad
-    gx, gy = exact(problem, z)
+    return add_noise(exact(problem, z), noise, rng)
+
+
+def add_noise(g, noise, rng):
+    """The exact gradient blocks ``g = (gx, gy)`` plus ``stochastic_grad``'s
+    noise, drawn from ``rng`` x block first; ``g`` itself is left as it is."""
+    gx, gy = g
     if noise.sigma == 0.0:
         return gx, gy
     n, m = len(gx), len(gy)

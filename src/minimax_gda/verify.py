@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +32,9 @@ class CheckResult:
     passed: bool
     inconclusive: bool = False
     details: dict = field(default_factory=dict)
+    # seconds the check took in verify_suite, with any setup it shares with
+    # the checks after it; None for a check called on its own
+    elapsed_s: Optional[float] = None
 
 
 @dataclass
@@ -543,40 +547,46 @@ def check_mux_zero(seed=0):
 
 def _spectral_checks(seed, budget):
     corpus = corpus_instances(max(10, round(100 * budget)), start_seed=seed)
-    return [
-        check_spectral_bound(corpus),
-        check_eigensolver_oracle(corpus, np.random.default_rng(seed + 1)),
-    ]
+    yield check_spectral_bound(corpus)
+    yield check_eigensolver_oracle(corpus, np.random.default_rng(seed + 1))
+
+
+def _lower_bound_checks(seed, budget):
+    yield check_ratio_threshold(max_iters=max(10_000, round(100_000 * budget)))
+    yield check_rate_lower_bound()
 
 
 def _rate_checks(seed, budget):
     # budget shrinks the corpus only: shorter runs cannot fit rho to 1e-3
     corpus = corpus_instances(max(10, round(100 * budget)), start_seed=seed)
-    return [
-        check_rate_matches_prediction(corpus),
-        check_complexity_scaling(seed=seed, count=max(3, round(10 * budget))),
-        check_nearly_quadratic(seed=seed),
-    ]
+    yield check_rate_matches_prediction(corpus)
+    yield check_complexity_scaling(seed=seed, count=max(3, round(10 * budget)))
+    yield check_nearly_quadratic(seed=seed)
 
 
-# suite name -> function that runs its checks for (seed, budget)
+def _sgda_floor_checks(seed, budget):
+    yield check_sgda_floor(seed=seed, n_seeds=max(4, round(32 * budget)))
+
+
+def _mux_zero_checks(seed, budget):
+    yield check_mux_zero(seed=seed)
+
+
+# suite name -> generator of its checks for (seed, budget); it yields them
+# one at a time, so verify_suite times each alone
 _SUITES = {
     "spectral": _spectral_checks,
-    "lower-bounds": lambda seed, budget: [
-        check_ratio_threshold(max_iters=max(10_000, round(100_000 * budget))),
-        check_rate_lower_bound(),
-    ],
+    "lower-bounds": _lower_bound_checks,
     "rates": _rate_checks,
-    "sgda-floor": lambda seed, budget: [
-        check_sgda_floor(seed=seed, n_seeds=max(4, round(32 * budget))),
-    ],
-    "mux-zero": lambda seed, budget: [check_mux_zero(seed=seed)],
+    "sgda-floor": _sgda_floor_checks,
+    "mux-zero": _mux_zero_checks,
 }
 SUITE_NAMES = (*_SUITES, "all")
 
 
 def verify_suite(name, seed=0, budget=1.0):
-    """Run one named suite, or all of them, and time each suite."""
+    """Run one named suite, or all of them, and time each suite and each
+    check."""
     if name not in SUITE_NAMES:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
@@ -585,7 +595,11 @@ def verify_suite(name, seed=0, budget=1.0):
         raise InvalidInputError(f"budget must be positive and finite, got {budget}")
     results = []
     for suite in (_SUITES if name == "all" else (name,)):
-        t0 = time.perf_counter()
-        checks = _SUITES[suite](seed, budget)
-        results.append(SuiteResult(suite, checks, time.perf_counter() - t0))
+        t0 = t = time.perf_counter()
+        checks = []
+        for check in _SUITES[suite](seed, budget):
+            now = time.perf_counter()
+            check.elapsed_s, t = now - t, now
+            checks.append(check)
+        results.append(SuiteResult(suite, checks, t - t0))
     return results

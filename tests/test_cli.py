@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import stat
 
@@ -319,7 +320,36 @@ class TestOverflowingRadii:
         assert rows[1][5] == "inf"
 
 
+class TestParserReuse:
+    def test_successive_calls_parse_independently(self, instance_file, capsys):
+        # one parser serves every call; options of one call do not carry
+        # over to the next, and a usage error in between still exits 1
+        assert cli.build_parser() is cli.build_parser()
+        code, default, _ = run_cli(capsys, "inspect", instance_file, "-r", "100")
+        assert code == 0
+        code, half, _ = run_cli(capsys, "inspect", instance_file, "-r", "100",
+                                "--scheme", "half")
+        assert code == 0
+        code, _, err = run_cli(capsys, "verify", "everything")
+        assert code == 1 and "invalid choice" in err
+        code, _, err = run_cli(capsys, "inspect", instance_file)
+        assert code == 1 and "required: -r/--ratio" in err
+        code, again, _ = run_cli(capsys, "inspect", instance_file, "-r", "100")
+        assert code == 0
+        assert json.loads(half)["eta_x"] == 2 * json.loads(default)["eta_x"]
+        assert again == default
+
+
 class TestVerify:
+    def test_every_check_reports_its_elapsed_time(self, capsys):
+        code, stdout, _ = run_cli(capsys, "verify", "all", "--budget", "0.1",
+                                  "--seed", "0")
+        assert code == 0
+        checks = [c for suite in json.loads(stdout)["suites"] for c in suite["checks"]]
+        assert len(checks) == 9
+        for check in checks:
+            assert 0.0 <= check["elapsed_s"] < math.inf
+
     def test_mux_zero_suite_passes(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "verify", "mux-zero", "--seed", "0", "--budget", "0.2",

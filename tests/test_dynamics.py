@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,42 @@ class TestSteppers:
             assert np.array_equal(gy - ey, sy - by)
         # at x = b the perturbation's gradient vanishes: both oracles agree exactly
         assert np.array_equal(gx, sx)
+
+    @pytest.mark.parametrize("alg", [SGDA, EG])
+    def test_noise_response_is_the_gain(self, reference_instance, alg):
+        # one step from z* whose draws are the unit vector e_i (x block
+        # first, EG's half step before its full step) moves z by column i
+        # of linear_system's G: a step's noise response is G xi, so G G' is
+        # the exact covariance of one step
+        p = reference_instance
+        noise = prob.NoiseModel(2.0, 4)
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 20.0)
+        _, G = dyn.linear_system(p, dyn.SolverConfig(
+            algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=1, target_eps=1.0,
+            noise=noise))
+        oracle = dyn.make_oracle(p, noise)
+        step = dyn.eg_step if alg is EG else dyn.gda_step
+        response = np.empty_like(G)
+        for i, unit in enumerate(np.eye(G.shape[1])):
+            draws = UnitDraws(unit)
+            response[:, i] = step(oracle, p.z_star, eta_x, eta_y, draws) - p.z_star
+            assert len(draws.left) == 0
+        # z* = 0 on this instance, so the step is the response itself
+        assert not p.z_star.any()
+        np.testing.assert_allclose(response, G, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(response @ response.T, G @ G.T, rtol=1e-12, atol=0.0)
+
+
+class UnitDraws:
+    """A generator stub: ``standard_normal(k)`` hands out the next ``k``
+    entries of a fixed vector."""
+
+    def __init__(self, values):
+        self.left = values
+
+    def standard_normal(self, size):
+        out, self.left = self.left[:size], self.left[size:]
+        return out
 
 
 class TestRun:
@@ -555,19 +592,67 @@ def engine_cases(draw, nonquad=False):
     return p, cfg, cap, z0
 
 
-def growth_case(alg, steps):
-    """A concave descent block ``q``, a start ``z0`` on its x axis and the
-    stepsize ``h`` for both players under which the distance grows by
-    g = 1 + h per GDA step and g = 1 + h + h^2 per EG step, with
-    g^(steps - 1/2) equal to the documented divergence factor 1e8: the
-    measure at ``steps`` is above 1e8 times the start's and every earlier
-    one below."""
-    q = prob.QuadraticProblem(A=np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
-                              x_star=np.ones(1), y_star=np.zeros(1), L=1.0, mu=1.0)
-    z0 = q.z_star + np.array([1.0, 0.0])
-    g = 1e8 ** (1.0 / (steps - 0.5))
-    h = (math.sqrt(4.0 * g - 3.0) - 1.0) / 2.0 if alg is EG else g - 1.0
+def growth_case(alg, steps, factor=1e8, n=1):
+    """A decoupled instance ``q`` with ``n x n`` blocks, a start ``z0`` one
+    unit along its first x axis and the stepsize ``h`` for both players
+    under which the distance moves by g = 1 + s h per GDA step and
+    g = 1 + s h + h^2 per EG step, with g^(steps - 1/2) equal to ``factor``.
+    Along that axis the descent block is concave (s = 1) for a factor above
+    1 and convex (s = -1) below it; it is convex along every other axis, so
+    the noise there stays small.  At the documented divergence factor 1e8
+    the measure at ``steps`` is above 1e8 times the start's and every
+    earlier one below; at a factor below 1, the measure at ``steps`` is the
+    first one below ``factor``."""
+    s = 1.0 if factor > 1.0 else -1.0
+    C = np.eye(n)
+    C[0, 0] = -s
+    q = prob.QuadraticProblem(A=np.eye(n), B=np.zeros((n, n)), C=C,
+                              x_star=np.ones(n), y_star=np.zeros(n), L=1.0, mu=1.0)
+    z0 = q.z_star.copy()
+    z0[0] += 1.0
+    g = factor ** (1.0 / (steps - 0.5))
+    h = s * ((math.sqrt(4.0 * g - 3.0) - 1.0) / 2.0 if alg is EG else g - 1.0)
     return q, z0, h
+
+
+def assert_stops_at(alg, noise, k, n=1):
+    """Place a convergence, and a divergence, of ``growth_case`` at step
+    ``k`` of a run with a budget of ``10 k`` and check both against the
+    reference."""
+    for factor, kind in ((1e-3, dyn.StatusKind.CONVERGED),
+                         (1e8, dyn.StatusKind.DIVERGED)):
+        q, z0, h = growth_case(alg, k, factor, n)
+        traj = assert_matches_reference(q, dyn.SolverConfig(
+            algorithm=alg, eta_x=h, eta_y=h, max_iters=10 * k,
+            target_eps=factor if factor < 1.0 else 1e-300, noise=noise, seed=3), z0)
+        assert traj.status == dyn.Status(kind, k)
+
+
+def chunk_ends(dim, count):
+    """The iterations at which the first ``count`` chunks of a long run at
+    ``dim`` end: the first chunk holds ``_CHUNK_FIRST`` state entries and
+    each later one twice the one before, up to ``_CHUNK_CAP`` entries or
+    ``_CAP_STEPS`` steps, whichever is more, in whole blocks of ``_BLOCK``
+    steps."""
+    blocks = max(1, dyn._CHUNK_FIRST // (dim * dyn._BLOCK))
+    cap = max(dyn._CAP_STEPS, dyn._CHUNK_CAP // dim) // dyn._BLOCK
+    ends = [0]
+    for _ in range(count):
+        ends.append(ends[-1] + blocks * dyn._BLOCK)
+        blocks = min(2 * blocks, cap)
+    return ends[1:]
+
+
+def convex_instance(n, L=100.0, min_mu_x=0.5):
+    """The first generated ``n x n`` instance from seed 0 with ``mu_x`` above
+    ``min_mu_x``; at ``n = 4`` the ``reference_instance`` fixture, and with
+    ``L = 4, min_mu_x = 0.2`` at ``n = 3`` the ``small_instance`` one."""
+    seed = 0
+    while True:
+        p = prob.sample_instance(n, n, L, 1.0, seed)
+        if prob.derive_constants(p).mu_x > min_mu_x:
+            return p
+        seed += 1
 
 
 class TestAffineEngine:
@@ -611,38 +696,57 @@ class TestAffineEngine:
             traj = assert_matches_reference(p, config(alg=alg, eta_x=1e160, r=1.0, T=1000))
             assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
 
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (SGDA, prob.NoiseModel(1.0, 4))])
+    def test_chunks_follow_the_schedule(self, monkeypatch, alg, noise):
+        # chunks are sized by their state entries: 4096 steps doubling up to
+        # 16 384 at dim 2, and 1024 up to 4096 at dim 8; at dim 16 the cap
+        # stays at 4096 steps
+        assert chunk_ends(2, 4) == [4096, 12288, 28672, 45056]
+        assert chunk_ends(8, 5) == [1024, 3072, 7168, 11264, 15360]
+        assert chunk_ends(16, 5) == [512, 1536, 3584, 7680, 11776]
+        sizes = []
+        advance = dyn._advance
+
+        def counted(w, steps, **kw):
+            sizes.append(steps)
+            return advance(w, steps, **kw)
+
+        monkeypatch.setattr(dyn, "_advance", counted)
+        for dim, steps in ((2, 50_000), (8, 16_000), (16, 12_000)):
+            q, z0, h = growth_case(alg, steps, 0.5, dim // 2)
+            sizes.clear()
+            traj = dyn.run(q, config(alg=alg, eta_x=h, r=1.0, T=steps, noise=noise), z0)
+            assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+            ends = [k for k in chunk_ends(dim, 8) if k < steps]
+            assert sizes == list(np.diff([0, *ends, steps]))
+
     @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
                                            (SGDA, prob.NoiseModel(0.01, 4))])
-    @pytest.mark.parametrize("boundary", [dyn._BLOCK, 3 * dyn._BLOCK, 7 * dyn._BLOCK])
-    def test_stops_on_block_and_chunk_boundaries(self, small_instance, alg, noise,
-                                                 boundary):
-        # chunks hold 1, 2, 4, ... blocks, so iterations b, 3b and 7b end a
-        # chunk; every stop rule is placed exactly there
-        p = small_instance
+    @pytest.mark.parametrize("dim,boundary", [
+        pytest.param(dim, k, id=str(k)) for dim, k in (
+            *((6, j * dyn._BLOCK) for j in (1, 3, 7)),
+            (2, chunk_ends(2, 1)[0]), *((8, k) for k in chunk_ends(8, 2)))])
+    def test_stops_on_block_and_chunk_boundaries(self, alg, noise, dim, boundary):
+        # the ends of blocks 1, 3 and 7 inside the first chunk at dim 6, the
+        # first chunk end at dim 2 and the first two at dim 8: the budget ends
+        # there on a generated instance, and a convergence and a divergence
+        # are placed exactly there
+        p = convex_instance(dim // 2, L=4.0, min_mu_x=0.2)
         eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
-        base = dict(algorithm=alg, eta_x=eta_x, eta_y=eta_y, noise=noise, seed=3)
         traj = assert_matches_reference(p, dyn.SolverConfig(
-            max_iters=boundary, target_eps=1e-300, **base))
+            algorithm=alg, eta_x=eta_x, eta_y=eta_y, max_iters=boundary,
+            target_eps=1e-300, noise=noise, seed=3))
         assert traj.iters[-1] == boundary
-        d = reference_run(p, dyn.SolverConfig(
-            max_iters=boundary, target_eps=1e-300, **base))[2]
-        # converge exactly at the boundary: eps between the last two measures
-        eps = math.sqrt(d[boundary] * min(d[:boundary]))
-        assert d[boundary] < min(d[:boundary])
-        traj = assert_matches_reference(p, dyn.SolverConfig(
-            max_iters=10 * boundary, target_eps=eps, **base))
-        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, boundary)
-        # diverge exactly at the boundary
-        q, z0, h = growth_case(alg, boundary)
-        grow = dict(base, eta_x=h, eta_y=h)
-        if alg is SGDA:
-            grow["noise"] = prob.NoiseModel(1e-6, 1)
-        d = reference_run(q, dyn.SolverConfig(
-            max_iters=boundary, target_eps=1e-300, **grow), z0)[2]
-        assert max(d[1:boundary]) < 1e8 * d[0] <= d[boundary]
-        traj = assert_matches_reference(q, dyn.SolverConfig(
-            max_iters=10 * boundary, target_eps=1e-300, **grow), z0)
-        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, boundary)
+        assert_stops_at(alg, None if noise is None else prob.NoiseModel(1e-6, 1),
+                        boundary, dim // 2)
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
+                                           (SGDA, prob.NoiseModel(1e-6, 1))])
+    def test_stops_inside_the_first_chunk(self, alg, noise):
+        # a dim-2 run computes 4096 steps in its first chunk; it stops at
+        # step 1000 and records nothing past it
+        assert chunk_ends(2, 1) == [4096]
+        assert_stops_at(alg, noise, 1000)
 
     @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
                                            (SGDA, prob.NoiseModel(1e-6, 1))])
@@ -654,6 +758,22 @@ class TestAffineEngine:
             algorithm=alg, eta_x=h, eta_y=h, max_iters=100, target_eps=1e-300,
             noise=noise), z0)
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 100)
+
+    def test_strided_run_keeps_only_recorded_points(self, monkeypatch):
+        # a 10^6-step dim-2 run recording every 1000th point: its distances
+        # would take 8 MB if the recorded slices kept their chunks alive
+        monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 1000)
+        steps = 1_000_000
+        q, z0, h = growth_case(GDA, steps, 0.5)
+        tracemalloc.start()
+        try:
+            traj = dyn.run(q, config(eta_x=h, r=1.0, T=steps), z0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+        assert len(traj.distances) == 1001
+        assert peak < 2_000_000
 
     def test_strided_recording_with_gaps(self, monkeypatch):
         monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
@@ -679,66 +799,71 @@ class TestAffineEngine:
         assert traj.status.kind is dyn.StatusKind.CONVERGED
 
     @pytest.mark.parametrize("alg", [GDA, EG])
-    def test_long_exact_run_equals_matrix_power(self, reference_instance, rng, alg):
-        # chunks of 1, 2, ..., 32 blocks end at step 63 b = 4032; every later
-        # chunk takes its 64 block starts from one product with the stack
-        # of powers of T^b, up to (T^b)^64 = T^4096
-        p = reference_instance
-        eta_x, eta_y = dyn.default_stepsizes(p.L, 200.0, QUARTER)
-        steps = 40_000
-        cfg = dyn.SolverConfig(algorithm=alg, eta_x=eta_x, eta_y=eta_y,
-                               max_iters=steps, target_eps=1e-300)
-        z0 = p.z_star + rng.standard_normal(p.dim)
-        traj = dyn.run(p, cfg, z0=z0)
-        M = dyn.build_M(p, eta_y / eta_x)
-        T_mat = np.eye(p.dim) + eta_x * M
-        if alg is EG:
-            T_mat = T_mat + (eta_x * M) @ (eta_x * M)
-        course = matrix_power_course(T_mat, z0 - p.z_star, steps)
-        assert np.array_equal(traj.iters, np.arange(steps + 1))
-        assert np.allclose(traj.distances, np.linalg.norm(course, axis=1), rtol=1e-9)
-        assert np.allclose(traj.final_z - p.z_star, course[-1], rtol=1e-9)
+    def test_long_exact_run_equals_matrix_power(self, rng, alg):
+        # chunks of 4096 and 8192 steps at dim 2 (1024 and 2048 at dim 8)
+        # are followed by two full ones of 16 384 (nine of 4096, 40 036
+        # steps in all) and a short one; a full chunk takes its 256 (64)
+        # block starts from one product with the stack of powers of T^b, up
+        # to T^16384 (T^4096)
+        for dim, full in ((2, 2), (8, 9)):
+            p = convex_instance(dim // 2)
+            eta_x, eta_y = dyn.default_stepsizes(p.L, 200.0, QUARTER)
+            steps = chunk_ends(dim, 2 + full)[-1] + 100
+            cfg = dyn.SolverConfig(algorithm=alg, eta_x=eta_x, eta_y=eta_y,
+                                   max_iters=steps, target_eps=1e-300)
+            z0 = p.z_star + rng.standard_normal(p.dim)
+            traj = dyn.run(p, cfg, z0=z0)
+            M = dyn.build_M(p, eta_y / eta_x)
+            T_mat = np.eye(p.dim) + eta_x * M
+            if alg is EG:
+                T_mat = T_mat + (eta_x * M) @ (eta_x * M)
+            course = matrix_power_course(T_mat, z0 - p.z_star, steps)
+            assert np.array_equal(traj.iters, np.arange(steps + 1))
+            assert np.allclose(traj.distances, np.linalg.norm(course, axis=1), rtol=1e-9)
+            assert np.allclose(traj.final_z - p.z_star, course[-1], rtol=1e-9)
 
     def test_overflowing_block_powers_keep_exact_zeros(self):
-        # |1 - eta_y| = 3, so (T^64)^k overflows from k = 11 on: full chunks
-        # of 64 blocks advance their block starts ten blocks at a time, and
-        # y = y* must stay exact while the slow descent block converges
-        # after about 27 600 steps
+        # |1 - eta_y| = 3, so (T^64)^k overflows from k = 11 on: chunks
+        # advance their block starts ten blocks at a time, and y = y* must
+        # stay exact while the slow descent block converges after about
+        # 46 000 steps, past two full chunks of 256 blocks
         p = prob.QuadraticProblem(
             A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1), x_star=np.zeros(1),
             y_star=np.zeros(1), L=1.0, mu=0.5)
-        T, _ = dyn.linear_system(p, dyn.SolverConfig(
-            algorithm=GDA, eta_x=1e-3, eta_y=4.0, max_iters=1, target_eps=1.0))
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=6e-4, eta_y=4.0,
+                               max_iters=60_000, target_eps=1e-12)
+        T, _ = dyn.linear_system(p, cfg)
+        full = chunk_ends(2, 4)
         with np.errstate(over="ignore", invalid="ignore"):
             Tb = dyn._power_stack(T, dyn._BLOCK)[:, -2:].T
-            assert dyn._power_stack(Tb, dyn._MAX_BLOCKS).shape == (2, 2 * 10)
-        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=1e-3, eta_y=4.0,
-                               max_iters=40_000, target_eps=1e-12)
+            assert dyn._power_stack(Tb, (full[-1] - full[-2]) // dyn._BLOCK).shape == (2, 2 * 10)
         traj = assert_matches_reference(p, cfg, z0=np.array([1.0, 0.0]))
         assert traj.status.kind is dyn.StatusKind.CONVERGED
-        assert traj.status.step > 5 * dyn._MAX_BLOCKS * dyn._BLOCK
+        assert traj.status.step > full[-1]
         assert traj.final_z[1] == 0.0
 
 
     @pytest.mark.parametrize("alg", [SGDA, EG])
     def test_long_noisy_runs(self, reference_instance, alg):
-        # chunks of 1, 2, ..., 32 blocks of 64 steps end at step 4032; three
+        # at dim 8, chunks of 1024 and 2048 steps end at step 3072; three
         # full 4096-step chunks follow, each taking the starts of its 512
         # noisy blocks from one scan up to (T^8)^512, then a short chunk
         p = reference_instance
         eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
-        steps = 4032 + 3 * 4096 + 100
+        ends = chunk_ends(p.dim, 5)
+        assert ends[2:] == [ends[1] + k * 4096 for k in (1, 2, 3)]
+        steps = ends[-1] + 100
         base = dict(algorithm=alg, eta_x=eta_x, eta_y=eta_y, seed=7)
         traj = assert_matches_reference(p, dyn.SolverConfig(
             max_iters=steps, target_eps=1e-300, noise=prob.NoiseModel(1.0, 16), **base))
         assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
         assert len(traj.iters) == steps + 1
         # converge, and diverge, inside the first full chunk; at a small
-        # noise the distance falls below eps once, 5032 steps in
+        # noise the distance falls below eps once, 4072 steps in
         noise = prob.NoiseModel(1e-9, 1)
         d = dyn.run(p, dyn.SolverConfig(
             max_iters=steps, target_eps=1e-300, noise=noise, **base)).distances
-        k = 4032 + 1000
+        k = ends[1] + 1000
         eps = math.sqrt(d[k] * min(d[:k]))
         assert d[k] < min(d[:k])
         traj = assert_matches_reference(p, dyn.SolverConfig(
@@ -749,6 +874,19 @@ class TestAffineEngine:
             algorithm=alg, eta_x=h, eta_y=h, max_iters=steps, target_eps=1e-300,
             noise=prob.NoiseModel(1e-6, 1)), z0)
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, k)
+
+    def test_noisy_run_past_the_cap(self):
+        # at dim 2, chunks of 4096 and 8192 steps, a full one of 16 384
+        # (2048 noisy blocks, their starts from one scan up to (T^8)^2048)
+        # and a short one
+        p = convex_instance(1)
+        eta_x, eta_y = dyn.default_stepsizes(p.L, 2.0 * prob.derive_constants(p).kappa)
+        steps = chunk_ends(2, 3)[-1] + 100
+        cfg = dyn.SolverConfig(algorithm=SGDA, eta_x=eta_x, eta_y=eta_y, max_iters=steps,
+                               target_eps=1e-300, noise=prob.NoiseModel(1.0, 16), seed=7)
+        assert len(dyn._affine_advance(p, cfg).keywords["Pb"]) == 12
+        traj = assert_matches_reference(p, cfg)
+        assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
 
     @pytest.mark.parametrize("alg,levels,stop", [(SGDA, 2, 40), (EG, 1, 97)])
     def test_overflowing_noisy_squares_keep_exact_zeros(self, alg, levels, stop):
