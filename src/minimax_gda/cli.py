@@ -128,7 +128,7 @@ def build_parser():
     r.add_argument("--eps", type=float, default=1e-6)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--sigma", type=float, default=None)
-    r.add_argument("--batch", type=int, default=1)
+    r.add_argument("--batch", type=int, default=None)
     r.add_argument("-o", "--out", required=True, help="trajectory CSV path")
 
     w = sub.add_parser("sweep", help="ratio sweep, write CSV")
@@ -143,7 +143,7 @@ def build_parser():
     w.add_argument("--eps", type=float, default=1e-6)
     w.add_argument("--seeds", type=int, default=1, help="seeds 0..N-1 per cell")
     w.add_argument("--sigma", type=float, default=None)
-    w.add_argument("--batch", type=int, default=1)
+    w.add_argument("--batch", type=int, default=None)
     w.add_argument("-o", "--out", required=True, help="sweep CSV path")
 
     v = sub.add_parser("verify", help="run certification suites")
@@ -205,14 +205,22 @@ def cmd_inspect(args):
     return EXIT_OK
 
 
+def _noise(args):
+    """``--sigma`` with ``--batch`` (default 1) as a noise model, or None."""
+    if args.sigma is None:
+        if args.batch is not None:
+            raise InvalidInputError("--batch applies only with --sigma")
+        return None
+    return prob.NoiseModel(args.sigma, 1 if args.batch is None else args.batch)
+
+
 def cmd_run(args):
     problem = prob.load_instance(args.instance)
     eta_x, eta_y = dyn.default_stepsizes(problem.L, args.ratio, args.scheme)
-    noise = prob.NoiseModel(args.sigma, args.batch) if args.sigma is not None else None
     config = dyn.SolverConfig(
         algorithm=args.algorithm, eta_x=eta_x, eta_y=eta_y,
         max_iters=args.max_iters, target_eps=args.eps,
-        noise=noise, seed=args.seed, record_primal_gaps=True,
+        noise=_noise(args), seed=args.seed, record_primal_gaps=True,
     )
     traj = dyn.run(problem, config)
     _write_atomic(args.out, lambda fh: dyn.write_trajectory_csv(traj, fh))
@@ -232,10 +240,9 @@ def cmd_sweep(args):
     if ratios is None:
         kappa = prob.derive_constants(problem).kappa
         ratios = harness.default_ratio_set(kappa)
-    noise = prob.NoiseModel(args.sigma, args.batch) if args.sigma is not None else None
     result = harness.ratio_sweep(
         problem, ratios, args.max_iters, args.eps, algorithms=args.algorithms,
-        scheme=args.scheme, seeds=range(args.seeds), noise=noise,
+        scheme=args.scheme, seeds=range(args.seeds), noise=_noise(args),
     )
     path = _write_atomic(args.out, lambda fh: harness.write_sweep_csv(result, fh))
     print(f"wrote {path} ({len(result.cells)} cells)")

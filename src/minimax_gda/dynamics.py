@@ -315,6 +315,8 @@ def run(problem, config, z0=None):
             if j is not None:
                 break
             S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
+            # measured after advance returns, when the previous chunk and the
+            # engine's temporaries are freed: measuring inside it ran slower
             d = measure(S)
             k0 = last + 1
             blocks = min(2 * blocks, cap)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,11 +55,11 @@ class SweepCell:
     seed: int
     algorithm: str
     status: str
-    measured_rate: Optional[float]
-    rho: Optional[float]  # spectral-radius prediction for the cell's algorithm
-    iters_to_eps: Optional[int]
-    final_distance: float
-    final_gap: Optional[float]
+    measured_rate: Optional[float] = None
+    rho: Optional[float] = None  # radius predicted for the cell's algorithm
+    iters_to_eps: Optional[int] = None
+    final_distance: float = math.nan
+    final_gap: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,7 @@ def write_sweep_csv(result, fh):
     writer = csv.writer(fh)
     writer.writerow(SWEEP_CSV_HEADER)
     for c in result.cells:
-        writer.writerow([
-            _fmt(c.ratio), c.seed, c.algorithm, c.status,
-            _fmt(c.measured_rate), _fmt(c.rho),
-            "" if c.iters_to_eps is None else c.iters_to_eps,
-            _fmt(c.final_distance), _fmt(c.final_gap),
-        ])
+        writer.writerow([_fmt(v) for v in astuple(c)])
 
 
 def ratio_sweep(problem, ratios, max_iters, target_eps,
@@ -139,24 +134,21 @@ def ratio_sweep(problem, ratios, max_iters, target_eps,
             gap = (prob.primal_gap(problem, traj.final_z[:problem.n])
                    if prob.derive_constants(problem).primal_convex else None)
         except MinimaxGdaError as exc:
-            cells.append(SweepCell(
-                ratio=r, seed=config.seed, algorithm=alg.value,
-                status=f"error: {type(exc).__name__}: {exc}", measured_rate=None,
-                rho=None, iters_to_eps=None, final_distance=math.nan, final_gap=None,
-            ))
-            continue
-        try:
-            rate = dyn.estimate_rate(traj)
-        except InsufficientDataError:
-            rate = None
-        converged = traj.status.kind is dyn.StatusKind.CONVERGED
-        cells.append(SweepCell(
-            ratio=r, seed=config.seed, algorithm=alg.value,
-            status=traj.status.kind.value, measured_rate=rate,
-            rho=radii[r][1 if alg is dyn.Algorithm.EG else 0],
-            iters_to_eps=traj.status.step if converged else None,
-            final_distance=traj.final_distance(), final_gap=gap,
-        ))
+            measured = {"status": f"error: {type(exc).__name__}: {exc}"}
+        else:
+            try:
+                rate = dyn.estimate_rate(traj)
+            except InsufficientDataError:
+                rate = None
+            converged = traj.status.kind is dyn.StatusKind.CONVERGED
+            measured = dict(
+                status=traj.status.kind.value, measured_rate=rate,
+                rho=radii[r][1 if alg is dyn.Algorithm.EG else 0],
+                iters_to_eps=traj.status.step if converged else None,
+                final_distance=traj.final_distance(), final_gap=gap,
+            )
+        cells.append(SweepCell(ratio=r, seed=config.seed, algorithm=alg.value,
+                               **measured))
     return SweepResult(cells=tuple(cells))
 
 

@@ -436,18 +436,26 @@ def sample_instance(
     )
 
 
+def _hard_1x1(L, mu, mu_x=None):
+    """``A=(mu)``, ``B=(b)``, ``C=(-L)``: b is L, or sqrt(mu*(L+mu_x))."""
+    if not (L > 0 and mu > 0):
+        raise InvalidInputError("L and mu must be positive")
+    if mu_x is not None and not (0 < mu_x <= L * (1 + 1e-12)):
+        raise InvalidInputError(f"requires 0 < mu_x <= L, got mu_x={mu_x:.6g}")
+    if L / mu < 2.0 - 1e-12:
+        raise InvalidInputError(f"requires kappa = L/mu >= 2, got {L / mu:.6g}")
+    b = L if mu_x is None else math.sqrt(mu * (L + mu_x))
+    return QuadraticProblem(
+        A=[[mu]], B=[[b]], C=[[-L]], x_star=[0.0], y_star=[0.0], L=L, mu=mu
+    )
+
+
 def hard_ratio_instance(L, mu):
     """The 1-D x 1-D instance on which GDA diverges whenever the stepsize
     ratio is at most kappa: ``A=(mu)``, ``B=(L)``, ``C=(-L)``, optimum 0.
 
     Requires ``kappa = L/mu >= 2``."""
-    if not (L > 0 and mu > 0):
-        raise InvalidInputError("L and mu must be positive")
-    if L / mu < 2.0 - 1e-12:
-        raise InvalidInputError(f"requires kappa = L/mu >= 2, got {L / mu:.6g}")
-    return QuadraticProblem(
-        A=[[mu]], B=[[L]], C=[[-L]], x_star=[0.0], y_star=[0.0], L=L, mu=mu
-    )
+    return _hard_1x1(L, mu)
 
 
 def hard_rate_instance(L, mu, mu_x):
@@ -456,16 +464,7 @@ def hard_rate_instance(L, mu, mu_x):
     so the Schur complement equals ``mu_x`` exactly.
 
     Requires ``0 < mu_x <= L`` and ``kappa >= 2``."""
-    if not (L > 0 and mu > 0):
-        raise InvalidInputError("L and mu must be positive")
-    if not (0 < mu_x <= L * (1 + 1e-12)):
-        raise InvalidInputError(f"requires 0 < mu_x <= L, got mu_x={mu_x:.6g}")
-    if L / mu < 2.0 - 1e-12:
-        raise InvalidInputError(f"requires kappa = L/mu >= 2, got {L / mu:.6g}")
-    b = math.sqrt(mu * (L + mu_x))
-    return QuadraticProblem(
-        A=[[mu]], B=[[b]], C=[[-L]], x_star=[0.0], y_star=[0.0], L=L, mu=mu
-    )
+    return _hard_1x1(L, mu, mu_x)
 
 
 def regularize(problem, delta):

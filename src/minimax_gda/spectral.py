@@ -171,57 +171,35 @@ def check_lemma_spectral(eigenvalues, M_norm, L, mu, mu_x, r):
     is_complex = np.abs(im) > REAL_EIG_RTOL * M_norm
     above = r > kappa
 
-    checks = []
+    def judged(margin, slack=tol):
+        margin = float(margin)
+        return margin >= -slack, margin
 
-    margin1 = float(math.sqrt(r) * L - np.max(np.abs(im)))
-    checks.append(LemmaCheck(1, True, margin1 >= -tol, margin1))
-
+    verdicts = {1: judged(math.sqrt(r) * L - np.max(np.abs(im)))}
     if above:
-        if np.any(is_complex):
-            margin2 = float(np.min(-mu * (r - kappa) / 2.0 - re[is_complex]))
-        else:
-            margin2 = math.inf
-        checks.append(LemmaCheck(2, True, margin2 >= -tol, margin2))
-    else:
-        checks.append(LemmaCheck(2, False, True, math.nan))
-
+        verdicts[2] = judged(np.min(-mu * (r - kappa) / 2.0 - re[is_complex],
+                                    initial=math.inf))
+        verdicts[4] = judged(np.min(-mu_x - re[~is_complex], initial=math.inf))
+        if mu_x > 0:
+            verdicts[5] = judged(-np.max(re))
     if r >= 1.0:
         try:
             M_sq = M_norm ** 2
-            margin3 = min(M_sq - float(np.max(re ** 2 + im ** 2)),
-                          4.0 * r ** 2 * L ** 2 - M_sq)
             # squared-scale quantities; tolerance scales accordingly
-            passed3 = margin3 >= -tol * M_norm
+            verdicts[3] = judged(min(M_sq - float(np.max(re ** 2 + im ** 2)),
+                                     4.0 * r ** 2 * L ** 2 - M_sq), tol * M_norm)
         except OverflowError:
             # a square leaves the floats: judge both bounds divided by
             # |M|_2^2, and keep the margin only where it is a finite double
             q = float(np.max(np.abs(lam))) / M_norm
             p = 2.0 * r * L / M_norm
             scaled = min(1.0 - q * q, p * p - 1.0)
-            passed3 = scaled >= -LEMMA_CHECK_RTOL
-            margin3 = M_norm * (M_norm * scaled)
-            if not math.isfinite(margin3):
-                margin3 = math.nan
-        checks.append(LemmaCheck(3, True, passed3, float(margin3)))
-    else:
-        checks.append(LemmaCheck(3, False, True, math.nan))
-
-    if above:
-        if np.any(~is_complex):
-            margin4 = float(np.min(-mu_x - re[~is_complex]))
-        else:
-            margin4 = math.inf
-        checks.append(LemmaCheck(4, True, margin4 >= -tol, margin4))
-    else:
-        checks.append(LemmaCheck(4, False, True, math.nan))
-
-    if above and mu_x > 0:
-        margin5 = float(-np.max(re))
-        checks.append(LemmaCheck(5, True, margin5 >= -tol, margin5))
-    else:
-        checks.append(LemmaCheck(5, False, True, math.nan))
-
-    return tuple(checks)
+            margin3 = float(M_norm * (M_norm * scaled))
+            verdicts[3] = (bool(scaled >= -LEMMA_CHECK_RTOL),
+                           margin3 if math.isfinite(margin3) else math.nan)
+    # an item that does not apply passes, with a NaN margin
+    return tuple(LemmaCheck(k, k in verdicts, *verdicts.get(k, (True, math.nan)))
+                 for k in range(1, 6))
 
 
 def classify_ratio(r, kappa):

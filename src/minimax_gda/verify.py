@@ -180,19 +180,15 @@ def check_eigensolver_oracle(corpus, rng):
             logprod = np.log(np.abs(lam)).sum()
             worst_det = max(worst_det, abs(math.exp(logprod - logdet) - 1.0))
 
-    worst_2x2 = 0.0
-    for _ in range(50):
-        M = rng.standard_normal((2, 2)) * rng.uniform(0.5, 4.0)
-        lam, _ = linalg.general_eig(M)
-        ref = _closed_form_2x2(M)
-        worst_2x2 = max(worst_2x2, float(np.max(np.abs(np.sort_complex(lam) - ref))))
+    mats = [rng.standard_normal((2, 2)) * rng.uniform(0.5, 4.0) for _ in range(50)]
     for kappa in (2.0, 8.0):
         p = prob.hard_ratio_instance(kappa, 1.0)
-        for r in (kappa / 2.0, kappa, 2.0 * kappa):
-            M = dyn.build_M(p, r)
-            lam, _ = linalg.general_eig(M)
-            ref = _closed_form_2x2(M)
-            worst_2x2 = max(worst_2x2, float(np.max(np.abs(np.sort_complex(lam) - ref))))
+        mats += [dyn.build_M(p, r) for r in (kappa / 2.0, kappa, 2.0 * kappa)]
+    worst_2x2 = 0.0
+    for M in mats:
+        lam, _ = linalg.general_eig(M)
+        err = np.abs(np.sort_complex(lam) - _closed_form_2x2(M))
+        worst_2x2 = max(worst_2x2, float(np.max(err)))
 
     passed = worst_residual <= 1e-8 and worst_trace <= 1e-8 and \
         worst_det <= 1e-8 and worst_2x2 <= 1e-12

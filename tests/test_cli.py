@@ -425,8 +425,9 @@ class TestNonFiniteInput:
 
 class TestRejectedBeforeWork:
     # a negative seed used to end in a numpy traceback, a bad sweep budget
-    # or target in an all-error CSV with exit 0, and a schur margin without
-    # --primal-convex in an instance with mu_x = 0
+    # or target in an all-error CSV with exit 0, a schur margin without
+    # --primal-convex in an instance with mu_x = 0, and --batch without
+    # --sigma in a noiseless run
     @pytest.mark.parametrize("args", [
         ("generate", "-n", "2", "-m", "2", "-L", "4", "--mu", "1", "--seed", "-1"),
         ("run", "{inst}", "-r", "200", "--seed", "-1"),
@@ -442,11 +443,14 @@ class TestRejectedBeforeWork:
         ("run", "{inst}", "-r", "200", "--algorithm", "sgda"),
         ("run", "{inst}", "-r", "200", "--algorithm", "gda", "--sigma", "1"),
         ("inspect", "{invalid}", "-r", "4"),
+        ("run", "{inst}", "-r", "200", "--batch", "4"),
+        ("sweep", "{inst}", "--ratios", "200", "--batch", "4"),
     ], ids=["generate-seed", "run-seed", "verify-mux-zero-seed",
             "verify-spectral-seed", "sweep-T", "sweep-eps-nan", "sweep-eps-0",
             "sweep-sgda-no-sigma", "sweep-gda-sgda-no-sigma",
             "generate-schur-margin-not-convex", "run-sgda-no-sigma",
-            "run-gda-sigma", "inspect-invalid-instance"])
+            "run-gda-sigma", "inspect-invalid-instance", "run-batch-no-sigma",
+            "sweep-batch-no-sigma"])
     def test_exits_one(self, args, instance_file, invalid_file, tmp_path, capsys):
         out = tmp_path / "out"
         argv = [a.format(inst=instance_file, invalid=invalid_file) for a in args]
@@ -503,6 +507,16 @@ class TestOutputErrors:
         )
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path):
+        def writer(fh):
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._write_atomic(str(tmp_path / "out.csv"), writer)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputMode:

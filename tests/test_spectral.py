@@ -108,6 +108,16 @@ class TestSpectralReport:
         with pytest.raises(InvalidInputError):
             rep.dominant_modulus_gap("adam")
 
+    def test_single_modulus_gap_is_inf(self):
+        # at r = 2*kappa the hard instance's M has a complex pair, whose
+        # transition eigenvalues share one modulus under GDA and EG alike
+        p = prob.hard_ratio_instance(8.0, 1.0)
+        eta_x, _ = dyn.default_stepsizes(p.L, 16.0)
+        rep = spec.spectral_report(p, 16.0, eta_x)
+        assert np.all(rep.eigenvalues.imag != 0)
+        assert rep.dominant_modulus_gap("gda") == math.inf
+        assert rep.dominant_modulus_gap("eg") == math.inf
+
     def test_report_json_stable_names(self):
         p = prob.hard_rate_instance(2.0, 1.0, 1.0)
         rep = spec.spectral_report(p, 4.0, 1.0 / 32)

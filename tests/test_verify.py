@@ -242,6 +242,19 @@ class TestSuiteDispatch:
         assert suite_calls == calls
 
 
+class TestSpectralBound:
+    def test_lemma_failure_is_recorded(self):
+        # |B|_2 = 100 against L = 2: the imaginary parts, about sqrt(r)*100,
+        # break lemma item 1's bound sqrt(r)*L at every ratio
+        p = prob.QuadraticProblem(A=[[1.0]], B=[[100.0]], C=[[1.0]],
+                                  x_star=[0.0], y_star=[0.0], L=2.0, mu=1.0)
+        result = verify.check_spectral_bound([(7, p)])
+        assert not result.passed
+        lemma = [f for f in result.details["failures"] if f["kind"] == "lemma"]
+        assert [f["r"] for f in lemma] == list(verify._ratio_set(2.0))
+        assert all(f["seed"] == 7 and 1 in f["items"] for f in lemma)
+
+
 class TestRatioThreshold:
     def test_certificate_failure_fails_check(self, contracting_hard_instance):
         check = verify.check_ratio_threshold(max_iters=2_000)
