@@ -260,10 +260,10 @@ def run(problem, config, z0=None):
     many as the one before, up to ``_CHUNK_CAP`` entries or ``_CAP_STEPS``
     steps, whichever is more, so a chunk's memory is bounded at every dim.
     A run with ``stride > 1`` keeps copies of its recorded points only, not
-    its chunks' distances.  An engine supplies only
-    ``advance(s, steps)``, the next ``steps`` states after ``s`` (or fewer)
-    as rows, and the measure of a stack of states.  Quadratic runs, exact
-    or noisy, advance ``w = z - z*`` through the affine engine
+    its chunks' distances.  An engine supplies only ``advance(s, steps)``,
+    the next ``steps`` states after ``s`` (or fewer) as rows, which its next
+    call may overwrite, and the measure of a stack of states.  Quadratic
+    runs, exact or noisy, advance ``w = z - z*`` through the affine engine
     (``_affine_advance``), measured by ``|w|``; non-quadratic runs advance
     ``z`` through the gradient oracle (``_oracle_engine``), measured by the
     exact gradient norm.
@@ -315,8 +315,8 @@ def run(problem, config, z0=None):
             if j is not None:
                 break
             S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
-            # measured after advance returns, when the previous chunk and the
-            # engine's temporaries are freed: measuring inside it ran slower
+            # measured after advance returns, when the engine's temporaries
+            # are freed: measuring inside it ran slower
             d = measure(S)
             k0 = last + 1
             blocks = min(2 * blocks, cap)
@@ -439,7 +439,7 @@ def _affine_advance(quad, config):
     most = -(-min(budget, _cap_blocks(quad.dim) * _BLOCK) // b)
     if G is None:
         return partial(_advance, T=T, P=P, Pb=_power_stack(Pb.T, most),
-                       G=None, rng=None)
+                       G=None, rng=None, bufs=[])
     # the squares (T^b)^(2^k) that a chunk's scan of block starts uses, up
     # to the first one that overflows (see _scan)
     levels = most.bit_length()
@@ -450,7 +450,7 @@ def _affine_advance(quad, config):
             break
         Q.append(square)
     return partial(_advance, T=T, P=P, Pb=Q, G=G,
-                   rng=np.random.default_rng(config.seed))
+                   rng=np.random.default_rng(config.seed), bufs=[])
 
 
 def _power_stack(T, b):
@@ -472,7 +472,7 @@ def _power_stack(T, b):
     return P.transpose(2, 0, 1).reshape(len(T), -1)
 
 
-def _advance(w, steps, T, P, Pb, G, rng):
+def _advance(w, steps, T, P, Pb, G, rng, bufs):
     """States ``w_1..w_steps`` of ``w_{k+1} = T w_k + G xi_k`` from ``w_0 = w``.
 
     ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``.  Every state
@@ -482,11 +482,21 @@ def _advance(w, steps, T, P, Pb, G, rng):
     noisy run adds ``r_i``, block ``i``'s response to its own noise from a
     zero start, to the block's states; it passes the squares
     ``(T^b)^(2^k)`` as ``Pb``, and its starts ``s_{i+1} = T^b s_i + r_i``
-    come from one scan of all of the chunk's blocks (``_scan``).
+    come from one scan of all of the chunk's blocks (``_scan``).  The states
+    returned, and a noisy run's draws, ``G xi`` and ``r_i``, fill the run's
+    ``bufs``, so the next call may overwrite the states returned.
     """
     dim = len(w)
     b = P.shape[1] // dim
     nb = -(-steps // b)
+    # a chunk fills the run's buffers, made again only when it outgrows
+    # them, a few times a run as chunks double (its states then go to a new
+    # array, which becomes the states buffer): arrays made every chunk past
+    # the allocator's mmap threshold would fault in afresh each time
+    out = bufs[0][:nb] if bufs and len(bufs[0]) >= nb else None
+    if out is None:
+        bufs[:] = [None] + ([] if G is None else [
+            np.empty((nb * b, G.shape[1])), np.empty((nb * b, dim)), np.empty((b, nb, dim))])
     if G is None:
         # block starts, len(Pb) of them per product, in a flat buffer with
         # room for the unused starts the last product computes
@@ -497,13 +507,14 @@ def _advance(w, steps, T, P, Pb, G, rng):
             np.matmul(S[i * dim:(i + 1) * dim], Pb,
                       out=S[(i + 1) * dim:(i + 1 + group) * dim])
         S = S.reshape(-1, dim)[:nb + 1]
-        W = (S[:-1] @ P).reshape(nb, b, dim)
     else:
+        _, Xi, E, R = bufs
         # the final chunk may end mid-block; the extra draws are never used
-        E = (rng.standard_normal((nb * b, G.shape[1])) @ G.T).reshape(nb, b, dim)
+        E = np.matmul(rng.standard_normal(out=Xi[:nb * b]), G.T,
+                      out=E[:nb * b]).reshape(nb, b, dim)
         # R[j, i]: block i's response to its own noise after j+1 steps, one
         # product per step of a block over all of the chunk's blocks
-        R = np.empty((b, nb, dim))
+        R = R[:, :nb]
         R[0] = E[:, 0]
         TT = T.T
         for j in range(1, b):
@@ -513,7 +524,11 @@ def _advance(w, steps, T, P, Pb, G, rng):
         S[0] = w
         S[1:] = R[-1]
         _scan(S, Pb)
-        W = (S[:-1] @ P).reshape(nb, b, dim)
+    W = np.matmul(S[:-1], P, out=out)
+    if out is None:
+        bufs[0] = W
+    W = W.reshape(nb, b, dim)
+    if G is not None:
         W += R.transpose(1, 0, 2)
     W[:, -1] = S[1:]
     return W.reshape(nb * b, dim)[:steps]

@@ -5,14 +5,22 @@ LAPACK (``numpy.linalg``; ``potrf``/``potrs`` called directly, as scipy's
 ``cho_factor``/``cho_solve`` cost more than the work at these sizes) and add
 the input checking and error taxonomy the rest of the package relies on.
 All functions are pure: inputs are never mutated, so concurrent use is safe.
+``dpotrf``/``dpotrs`` come from scipy's compiled ``scipy.linalg._flapack``
+extension, loaded from its file without the ``scipy.linalg`` package
+``__init__`` (two thirds of the library's import time, 0.33 of 0.51 s); a
+process initialises the extension once, so they are the objects
+``get_lapack_funcs(("potrf", "potrs"))`` returns for float64, whichever of
+the two is imported first.
 
 Tolerances are relative to the input norm with an absolute floor of 1e-14.
 """
 
 from __future__ import annotations
 
+import os
+from importlib import machinery, util
+
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     InvalidInputError,
@@ -21,7 +29,11 @@ from .errors import (
 )
 
 ABS_FLOOR = 1e-14
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+_FLAPACK = util.module_from_spec(machinery.FileFinder(
+    os.path.join(os.path.dirname(util.find_spec("scipy").origin), "linalg"),
+    (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+).find_spec("scipy.linalg._flapack"))
+_POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
 def _as_square(M, name="matrix"):

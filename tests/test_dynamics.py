@@ -655,14 +655,22 @@ def convex_instance(n, L=100.0, min_mu_x=0.5):
         seed += 1
 
 
+# A chunk schedule of one block doubling up to four: a run of up to 2000
+# steps takes up to 10 chunks, so its buffers are made again as its chunks
+# grow, reused once they stop growing, and the last chunk, which may end
+# anywhere in a block, fills only part of them.
+SHORT_CHUNKS = dict(_CHUNK_FIRST=1, _CHUNK_CAP=1, _CAP_STEPS=4 * dyn._BLOCK)
+
+
 class TestAffineEngine:
     """``run`` on quadratic instances against the per-step reference."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(engine_cases())
-    def test_matches_per_step_reference(self, case):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(engine_cases(), st.booleans())
+    def test_matches_per_step_reference(self, case, short_chunks):
         p, cfg, cap, z0 = case
-        with mock.patch.object(dyn, "TRAJECTORY_STORAGE_CAP", cap):
+        with mock.patch.multiple(dyn, TRAJECTORY_STORAGE_CAP=cap,
+                                 **(SHORT_CHUNKS if short_chunks else {})):
             assert_matches_reference(p, cfg, z0)
 
     def test_no_oracle_calls_on_quadratic(self, reference_instance, monkeypatch):

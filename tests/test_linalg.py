@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +195,36 @@ class TestCond2:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             linalg.cond_2(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports the library from this
+    checkout, so that nothing imported here decides its import order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+class TestLapackLoad:
+    """``linalg`` loads scipy's LAPACK extension without ``scipy.linalg``."""
+
+    def test_library_imports_without_scipy_linalg(self):
+        fresh_interpreter(
+            "import sys\n"
+            "import minimax_gda, minimax_gda.cli, minimax_gda.verify\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n")
+
+    @pytest.mark.parametrize("first", ["minimax_gda.linalg", "scipy.linalg"])
+    def test_routines_are_get_lapack_funcs(self, first):
+        # the routines scipy.linalg hands out for float64, in either import order
+        fresh_interpreter(
+            f"import {first}\n"
+            "import numpy as np\n"
+            "from scipy.linalg import get_lapack_funcs\n"
+            "from minimax_gda import linalg\n"
+            "potrf, potrs = get_lapack_funcs(('potrf', 'potrs'), (np.empty((1, 1)),))\n"
+            "assert linalg._POTRF is potrf and linalg._POTRS is potrs\n")
