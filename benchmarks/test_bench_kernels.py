@@ -4,8 +4,10 @@ Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
 (4x4 and 64x64), the dynamics matrix, one sampled instance (alone, and with
 its derived constants as one seed of a plain corpus scan), the whole
 ``verify.corpus_instances`` scan of certify-spectral's 120-instance 4x4
-corpus (the seeds it scans in ``extra_info["seeds"]``), and one
-``spectral_report`` at n = m = 4, 16 and 32.  These are not part of the test
+corpus (the seeds it scans in ``extra_info["seeds"]``), the eigenvalues-only
+solve and one ``spectral_report`` at n = m = 4, 16 and 32, and criterion 2's
+``check_spectral_bound`` on a fixed 10-instance corpus (30 reports).  These
+are not part of the test
 suite; run them from the root of a checkout with
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-json=bench.json
@@ -78,8 +80,20 @@ def test_corpus_instances(benchmark):
 
 
 @pytest.mark.parametrize("dim", [4, 16, 32])
+def test_eigenvalues(benchmark, dim):
+    p = _instance(dim)
+    benchmark(linalg.eigenvalues, dyn.build_M(p, 2.0 * prob.derive_constants(p).kappa))
+
+
+@pytest.mark.parametrize("dim", [4, 16, 32])
 def test_spectral_report(benchmark, dim):
     p = _instance(dim)
     r = 2.0 * prob.derive_constants(p).kappa
     eta_x, _ = dyn.default_stepsizes(p.L, r)
     benchmark(spec.spectral_report, p, r, eta_x)
+
+
+def test_check_spectral_bound(benchmark):
+    corpus = verify.corpus_instances(10)
+    benchmark.extra_info["reports"] = 3 * len(corpus)
+    benchmark(verify.check_spectral_bound, corpus)

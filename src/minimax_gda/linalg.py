@@ -87,6 +87,19 @@ def general_eig(M):
     return w[order], np.asarray(V, dtype=complex)[:, order]
 
 
+def eigenvalues(M):
+    """Eigenvalues of a general real square matrix, as ``general_eig``
+    returns them (complex, sorted by (real, imag)), without the eigenvectors:
+    LAPACK ``dgeev`` with no vectors requested."""
+    M = _as_square(M, "M")
+    try:
+        w = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"QR iteration failed to converge: {exc}") from exc
+    w = np.asarray(w, dtype=complex)
+    return w[np.lexsort((w.imag, w.real))]
+
+
 def spectral_norm(M):
     """Largest singular value, i.e. sqrt of the top eigenvalue of ``M.T @ M``."""
     M = np.asarray(M, dtype=float)

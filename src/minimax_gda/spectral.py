@@ -5,9 +5,12 @@ computes the eigenvalues of the block dynamics matrix M, the spectral radii
 ``rho1`` (GDA transition ``I + eta_x*M``) and ``rho2`` (EG transition
 ``I + eta_x*M + eta_x^2*M^2``), the proved radius bound
 ``1 - 1/(c * r * kappa_x)`` (c = 64 for the quarter stepsize scheme, 16 for
-the half scheme), the five structural checks on the spectrum of M, the
-condition number of the eigenvector basis, and the resulting iteration and
-noise-floor predictions.
+the half scheme) and the five structural checks on the spectrum of M, all
+from one eigenvalues-only solve.  The condition number ``C_P`` of the
+eigenvector basis, which the iteration and noise-floor predictions need, is
+computed from the report's M the first time a caller reads
+``basis_cond``, so a report whose ``basis_cond`` is never read solves for
+no eigenvectors.
 
 All functions are pure over immutable inputs and safe to call concurrently.
 """
@@ -15,8 +18,9 @@ All functions are pure over immutable inputs and safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,7 +66,6 @@ class SpectralReport:
     rho_bound: float
     rate_constant: int
     lemma_checks: tuple
-    basis_cond: Optional[float]  # condition number of the eigenvector basis
     M_norm: float
     r: float
     eta_x: float
@@ -71,6 +74,14 @@ class SpectralReport:
     mu_x: float
     kappa: float
     kappa_x: float
+    M: np.ndarray = field(compare=False, repr=False)  # read-only dynamics matrix
+
+    @functools.cached_property
+    def basis_cond(self) -> Optional[float]:
+        """Condition number ``C_P`` of the eigenvector basis of M, solved for
+        on first read; None when it exceeds ``DIAGONALIZABLE_COND_CAP``."""
+        cond = linalg.cond_2(linalg.general_eig(self.M)[1])
+        return cond if cond <= DIAGONALIZABLE_COND_CAP else None
 
     @property
     def diagonalizable(self):
@@ -107,24 +118,25 @@ class SpectralReport:
 
 
 def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
-    """Eigenvalues of M, transition radii, proved bound, structural checks,
-    and the eigenvector-basis condition number.
+    """Eigenvalues of M, transition radii, proved bound and structural
+    checks; the eigenvector-basis condition number on first read.
 
     The basis is usable (``diagonalizable``) when the eigensolver returns
     vectors whose condition number is at most ``DIAGONALIZABLE_COND_CAP``;
     otherwise ``basis_cond`` is None and no iteration count is predicted.
+    An eigenvector-solve failure surfaces at that first read.
     """
     if not (0 < r < math.inf and 0 < eta_x < math.inf):
         raise InvalidInputError("r and eta_x must be positive and finite")
     scheme = dynamics.Scheme(scheme)
     dc = prob.derive_constants(problem)
     M = dynamics.build_M(problem, r)
+    M.setflags(write=False)
     M_norm = linalg.spectral_norm(M)
-    lam, V = linalg.general_eig(M)
+    lam = linalg.eigenvalues(M)
 
     rho1, rho2 = (float(np.max(m)) for m in _transition_moduli(lam, eta_x))
 
-    cond = linalg.cond_2(V)
     c = scheme.rate_constant
 
     checks = check_lemma_spectral(lam, M_norm, problem.L, problem.mu, dc.mu_x, r)
@@ -135,7 +147,6 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
         rho_bound=1.0 - 1.0 / (c * r * dc.kappa_x),
         rate_constant=c,
         lemma_checks=checks,
-        basis_cond=cond if cond <= DIAGONALIZABLE_COND_CAP else None,
         M_norm=M_norm,
         r=float(r),
         eta_x=float(eta_x),
@@ -144,6 +155,7 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
         mu_x=dc.mu_x,
         kappa=dc.kappa,
         kappa_x=dc.kappa_x,
+        M=M,
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimax_gda import linalg
 from minimax_gda import problems as prob
 
 
@@ -42,3 +43,28 @@ def contracting_hard_instance(monkeypatch):
                                      x_star=[0.0], y_star=[0.0], L=L, mu=mu)
 
     monkeypatch.setattr(prob, "hard_ratio_instance", contracting)
+
+
+@pytest.fixture
+def eigvec_calls(monkeypatch):
+    """Count calls of the eigenvector kernels ``linalg.general_eig`` and
+    ``linalg.cond_2`` (a dict name -> count) while still running them."""
+    calls = dict.fromkeys(("general_eig", "cond_2"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    return calls
+
+
+@pytest.fixture
+def eig_fails(monkeypatch):
+    """Make every eigenvector solve (``np.linalg.eig``) fail to converge."""
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eig", fail)

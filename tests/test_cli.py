@@ -113,6 +113,15 @@ class TestInspect:
         assert code == 0
         assert out.read_text() == stdout
 
+    def test_eigenvector_failure_exits_numerical(self, instance_file, capsys, eig_fails):
+        # the basis condition number is solved for when the report is
+        # printed; its failure is still one line and the numerical exit
+        code, stdout, err = run_cli(capsys, "inspect", instance_file, "-r", "200")
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert stdout == ""
+        assert err.startswith("numerical failure: QR iteration")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_instance_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

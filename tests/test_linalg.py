@@ -6,8 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from minimax_gda import dynamics as dyn
 from minimax_gda import linalg
+from minimax_gda import problems as prob
+from minimax_gda import verify
 from minimax_gda.errors import InvalidInputError, NotPositiveDefiniteError
 
 
@@ -120,6 +125,54 @@ class TestGeneralEig:
         lam, V = linalg.general_eig(M)
         res = np.linalg.norm(M @ V - V * lam, axis=0) / np.linalg.norm(V, axis=0)
         assert np.all(res <= 1e-8 * linalg.spectral_norm(M))
+
+
+def _dynamics_matrices():
+    """The matrices the spectral checks solve: the 4x4 corpus at its three
+    reference ratios, and the hard instances at kappa = 2, 8 and 64 below,
+    at and above the threshold and at the reference ratios."""
+    mats = [dyn.build_M(p, r) for _, p in verify.corpus_instances(20)
+            for r in verify._ratio_set(prob.derive_constants(p).kappa)]
+    for kappa in (2.0, 8.0, 64.0):
+        threshold = prob.hard_ratio_instance(kappa, 1.0)
+        mats += [dyn.build_M(threshold, r) for r in (kappa / 2, kappa, 2 * kappa)]
+        rate = prob.hard_rate_instance(2.0, 2.0 / kappa, 0.2 / kappa)
+        mats += [dyn.build_M(rate, r) for r in verify._ratio_set(kappa)]
+    return mats
+
+
+class TestEigenvalues:
+    """``eigenvalues`` is ``general_eig`` without the eigenvectors."""
+
+    def test_bit_identical_on_dynamics_matrices(self):
+        for M in _dynamics_matrices():
+            lam = linalg.eigenvalues(M)
+            assert lam.dtype == complex
+            assert lam.tobytes() == linalg.general_eig(M)[0].tobytes()
+
+    # bound fixed before any draw: both routes run the same Hessenberg QR,
+    # so a difference beyond a few roundings of |M|_2 would be a different
+    # algorithm, not round-off
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+    def test_agrees_with_general_eig(self, n, seed, log_scale):
+        M = np.random.default_rng(seed).standard_normal((n, n)) * 10.0 ** log_scale
+        lam, ref = linalg.eigenvalues(M), linalg.general_eig(M)[0]
+        event(f"bit-identical: {lam.tobytes() == ref.tobytes()}")
+        assert np.max(np.abs(lam - ref)) <= 4 * np.finfo(float).eps * linalg.spectral_norm(M)
+
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
+    def test_non_square_rejected(self, M):
+        for solve in (linalg.eigenvalues, linalg.general_eig):
+            with pytest.raises(InvalidInputError, match="square"):
+                solve(M)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        M = np.array([[1.0, bad], [0.0, 1.0]])
+        for solve in (linalg.eigenvalues, linalg.general_eig):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                solve(M)
 
 
 class TestSpectralNorm:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
 from minimax_gda import harness
+from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
 from minimax_gda import verify
@@ -157,6 +158,48 @@ class TestSpectralReport:
             assert bits(d["margin"]) == bits(c.margin if math.isfinite(c.margin) else None)
 
 
+class TestLazyBasisCond:
+    """``spectral_report`` solves for eigenvalues only; ``basis_cond`` runs
+    the eigenvector solve and its SVD once, on first read."""
+
+    @pytest.mark.parametrize("case", ["corpus", "defective"])
+    def test_first_read_solves_once(self, case, reference_instance, eigvec_calls):
+        if case == "corpus":
+            p, r = reference_instance, 2 * prob.derive_constants(reference_instance).kappa
+        else:  # a Jordan block: the basis condition number exceeds the cap
+            p, r = prob.hard_rate_instance(2.0, 1.0, 0.25), 4.0
+        eta_x, _ = dyn.default_stepsizes(p.L, r)
+        rep = spec.spectral_report(p, r, eta_x)
+        assert eigvec_calls == {"general_eig": 0, "cond_2": 0}
+        first = rep.basis_cond
+        assert eigvec_calls == {"general_eig": 1, "cond_2": 1}
+        assert rep.basis_cond is first and rep.diagonalizable == (first is not None)
+        assert eigvec_calls == {"general_eig": 1, "cond_2": 1}
+        cond = linalg.cond_2(linalg.general_eig(dyn.build_M(p, r))[1])
+        assert first == (cond if cond <= spec.DIAGONALIZABLE_COND_CAP else None)
+        assert (first is None) == (case == "defective")
+
+    def test_replace_keeps_the_matrix(self, reference_instance):
+        r = 2 * prob.derive_constants(reference_instance).kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        slow = dataclasses.replace(rep, rho1=0.5)
+        assert slow.rho1 == 0.5 and slow.M is rep.M
+        assert slow.basis_cond == rep.basis_cond
+
+    def test_matrix_read_only_and_out_of_repr(self, reference_instance):
+        r = 2 * prob.derive_constants(reference_instance).kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        assert np.array_equal(rep.M, dyn.build_M(reference_instance, r))
+        assert not rep.M.flags.writeable
+        with pytest.raises(ValueError):
+            rep.M[0, 0] = 0.0
+        field = {f.name: f for f in dataclasses.fields(rep)}["M"]
+        assert not field.compare and not field.repr
+        assert "M=" not in repr(rep)
+
+
 class TestBasisCondCap:
     """``DIAGONALIZABLE_COND_CAP`` is the one usability rule: a condition
     number at or below it is kept as ``basis_cond``, anything above it
@@ -274,8 +317,10 @@ class TestPowerBound:
     @staticmethod
     def _report(basis_cond, rho1):
         p = prob.hard_rate_instance(2.0, 1.0, 1.0)
-        rep = spec.spectral_report(p, 4.0, 1.0 / 32)
-        return dataclasses.replace(rep, basis_cond=basis_cond, rho1=rho1)
+        rep = dataclasses.replace(spec.spectral_report(p, 4.0, 1.0 / 32), rho1=rho1)
+        # basis_cond is computed on first read; store the value to test as read
+        vars(rep)["basis_cond"] = basis_cond
+        return rep
 
     def test_diagonalizable_case(self):
         rep = self._report(3.0, 0.9)

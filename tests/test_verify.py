@@ -13,7 +13,11 @@ from minimax_gda import harness
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
 from minimax_gda import verify
-from minimax_gda.errors import GenerationFailureError, InvalidInputError
+from minimax_gda.errors import (
+    GenerationFailureError,
+    InvalidInputError,
+    NumericalFailureError,
+)
 
 
 def _plain_scan(count, start_seed, L, mu, min_mu_x, max_mu_x):
@@ -253,6 +257,42 @@ class TestSpectralBound:
         lemma = [f for f in result.details["failures"] if f["kind"] == "lemma"]
         assert [f["r"] for f in lemma] == list(verify._ratio_set(2.0))
         assert all(f["seed"] == 7 and 1 in f["items"] for f in lemma)
+
+
+class TestEigenvectorsOnDemand:
+    """Only readers of ``basis_cond`` pay for the eigenvector solve, and an
+    eigenvector-solve failure still ends each of them as it did when the
+    solve ran inside ``spectral_report``."""
+
+    def test_spectral_bound_solves_no_eigenvectors(self, eigvec_calls):
+        assert verify.check_spectral_bound(verify.corpus_instances(3)).passed
+        assert eigvec_calls == {"general_eig": 0, "cond_2": 0}
+
+    def test_ratio_sweep_solves_no_eigenvectors(self, small_instance, eigvec_calls):
+        kappa = prob.derive_constants(small_instance).kappa
+        sweep = harness.ratio_sweep(small_instance, (2 * kappa, 4 * kappa), 200, 1e-6)
+        assert all(c.rho is not None for c in sweep.cells)
+        assert eigvec_calls == {"general_eig": 0, "cond_2": 0}
+
+    def test_failure_surfaces_at_first_read(self, reference_instance, eig_fails):
+        r = 2 * prob.derive_constants(reference_instance).kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        rep = spec.spectral_report(reference_instance, r, eta_x)
+        assert rep.rho1 < 1.0
+        for _ in range(2):  # a failed solve is not cached
+            with pytest.raises(NumericalFailureError, match="QR iteration"):
+                rep.basis_cond
+
+    @pytest.mark.parametrize("reader", [
+        lambda: verify.check_rate_matches_prediction(verify.corpus_instances(1),
+                                                     max_iters=100),
+        lambda: harness.sgda_floor_sweep(verify.corpus_instances(1)[0][1], 200.0,
+                                         1.0, (16,), (0,)),
+        lambda: verify.check_nearly_quadratic(seed=0),
+    ], ids=["rate_matches_prediction", "sgda_floor_sweep", "nearly_quadratic"])
+    def test_readers_raise_the_solver_failure(self, reader, eig_fails):
+        with pytest.raises(NumericalFailureError, match="QR iteration"):
+            reader()
 
 
 class TestRatioThreshold:
