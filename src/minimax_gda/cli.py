@@ -166,9 +166,8 @@ def cmd_generate(args):
     )
     path = _write_atomic(args.out, lambda fh: prob.write_instance(problem, fh))
     dc = prob.derive_constants(problem)
-    kx = "inf" if math.isinf(dc.kappa_x) else f"{dc.kappa_x:.6g}"
     print(f"wrote {path}")
-    print(f"mu_x={dc.mu_x:.6g} kappa={dc.kappa:.6g} kappa_x={kx}")
+    print(f"mu_x={dc.mu_x:.6g} kappa={dc.kappa:.6g} kappa_x={dc.kappa_x:.6g}")
     return EXIT_OK
 
 

@@ -14,20 +14,19 @@ normal, so every quadratic run, exact or noisy, is the affine recurrence
 
 ``run`` advances every run a chunk of steps at a time and finds the stop
 iteration from the whole chunk's measures at once; the chunk loop, the stop
-rule and the recording live there alone.  Chunks are sized by the state
-entries (steps x dim) they hold, so a long run at a small dim takes few of
-them: a 10 000-step run at dim 2 takes two.  An engine only supplies the
-chunk's states.  The affine engine takes the states inside each block of
-``b`` steps from one product of its start with the stack ``T^1..T^b``.  An
-exact chunk is two products, its block starts coming from one product with
-the stack of powers of ``T^b``.  A noisy run takes blocks of 8 steps: one
-product per step of a block gives every block's response to its own noise,
-and a log-depth scan with the squares ``(T^b)^(2^k)`` gives the block
-starts.  Non-quadratic runs take their chunk's states from the gradient
-oracle, one step after another; an exact oracle's step reuses the gradient
-that the measure took.  A run owns its RNG (seeded from the config), and
-the noise it draws is the per-step oracle's stream, value for value;
-``gda_step``/``eg_step`` with ``make_oracle`` remain the per-step reference.
+rule and the recording live there alone (the chunk sizes are set out at
+``_CHUNK_FIRST``).  An engine only supplies the chunk's states.  The affine
+engine takes the states inside each block of ``b`` steps from one product
+of its start with the stack ``T^1..T^b``.  An exact chunk is two products,
+its block starts coming from one product with the stack of powers of
+``T^b``.  A noisy run takes blocks of 8 steps: one product per step of a
+block gives every block's response to its own noise, and a log-depth scan
+with the squares ``(T^b)^(2^k)`` gives the block starts.  Non-quadratic
+runs take their chunk's states from the gradient oracle, one step after
+another; an exact oracle's step reuses the gradient that the measure
+took.  A run owns its RNG (seeded from the config), and the noise it draws
+is the per-step oracle's stream, value for value; ``gda_step``/``eg_step``
+with ``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -176,7 +175,6 @@ def make_oracle(problem, noise=None):
     """Gradient oracle ``oracle(z, rng) -> (gx, gy)`` for a quadratic or
     non-quadratic instance: ``stochastic_grad`` under ``noise``, or the
     exact gradient (drawing nothing from ``rng``) when ``noise`` is None."""
-    noise = prob.NoiseModel(0.0) if noise is None else noise
     return lambda z, rng=None: prob.stochastic_grad(problem, z, noise, rng)
 
 
@@ -192,11 +190,9 @@ def eg_step(oracle, z, eta_x, eta_y, rng=None):
     """One extra-gradient step: evaluate at the half-point, update from z.
     For an exact quadratic oracle this equals
     ``z* + (I + eta_x*M + eta_x^2*M^2) (z - z*)``."""
-    gx, gy = oracle(z, rng)
+    gx, gy = oracle(gda_step(oracle, z, eta_x, eta_y, rng), rng)
     nx = gx.shape[0]
-    z_half = np.concatenate([z[:nx] - eta_x * gx, z[nx:] + eta_y * gy])
-    gx2, gy2 = oracle(z_half, rng)
-    return np.concatenate([z[:nx] - eta_x * gx2, z[nx:] + eta_y * gy2])
+    return np.concatenate([z[:nx] - eta_x * gx, z[nx:] + eta_y * gy])
 
 
 def default_initial_point(quad, seed):
@@ -255,15 +251,13 @@ def run(problem, config, z0=None):
     Every run goes through the one chunk loop below: it measures a chunk of
     states at once, finds the chunk's first stopping iteration, and takes
     the recorded points (every ``stride``-th iteration plus the stop) and
-    their gaps from the chunk's states as strided slices.  The first chunk
-    holds about ``_CHUNK_FIRST`` state entries and each later one twice as
-    many as the one before, up to ``_CHUNK_CAP`` entries or ``_CAP_STEPS``
-    steps, whichever is more, so a chunk's memory is bounded at every dim.
-    A run with ``stride > 1`` keeps copies of its recorded points only, not
-    its chunks' distances.  An engine supplies only ``advance(s, steps)``,
-    the next ``steps`` states after ``s`` (or fewer) as rows, which its next
-    call may overwrite, and the measure of a stack of states.  Quadratic
-    runs, exact or noisy, advance ``w = z - z*`` through the affine engine
+    their gaps from the chunk's states as strided slices, the chunks
+    growing as set out at ``_CHUNK_FIRST``.  A run with ``stride > 1``
+    keeps copies of its recorded points only, not its chunks' distances.
+    An engine supplies only ``advance(s, steps)``, the next ``steps``
+    states after ``s`` (or fewer) as rows, which its next call may
+    overwrite, and the measure of a stack of states.  Quadratic runs, exact
+    or noisy, advance ``w = z - z*`` through the affine engine
     (``_affine_advance``), measured by ``|w|``; non-quadratic runs advance
     ``z`` through the gradient oracle (``_oracle_engine``), measured by the
     exact gradient norm.
@@ -365,9 +359,10 @@ _NOISY_BLOCK = 8
 # blocks of _BLOCK steps: a run's first chunk holds about _CHUNK_FIRST
 # entries, so a run that stops early computes few states past its stop, and
 # each later one twice as many as the one before, up to _CHUNK_CAP entries
-# or _CAP_STEPS steps, whichever is more.  At dim 2 that is 4096 steps
-# doubling up to 16 384; at dim 8, 1024 up to 4096; above dim 8 the cap
-# stays at 4096 steps, so no dim takes more chunks than under a 4096-step cap.
+# or _CAP_STEPS steps, whichever is more, so a chunk's memory is bounded at
+# every dim.  At dim 2 that is 4096 steps doubling up to 16 384 (a 10 000-step
+# run takes two chunks); at dim 8, 1024 up to 4096; above dim 8 the cap stays
+# at 4096 steps, so no dim takes more chunks than under a 4096-step cap.
 _CHUNK_FIRST = 8192
 _CHUNK_CAP = 32768
 _CAP_STEPS = 4096
@@ -412,10 +407,8 @@ def _oracle_engine(problem, config):
         d[~np.isfinite(d)] = math.inf
         return d
 
-    noise = prob.NoiseModel(0.0) if config.noise is None else config.noise
-
     def oracle(z, rng):
-        return prob.add_noise(exact_grad(z), noise, rng)
+        return prob.add_noise(exact_grad(z), config.noise, rng)
     step = eg_step if config.algorithm is Algorithm.EG else gda_step
     rng = np.random.default_rng(config.seed)
 

@@ -208,6 +208,7 @@ def divergence_certificate(kappa, max_iters):
     """
     if not kappa >= 2:
         raise InvalidInputError("the threshold theorem needs kappa >= 2")
+    max_iters = prob.as_count(max_iters, "max_iters", 1)
     problem = prob.hard_ratio_instance(kappa, 1.0)
     cells = tuple(
         (r, eta_x, _power_norm_course(problem, r, eta_x, max_iters))
@@ -243,8 +244,13 @@ def sgda_floor_sweep(problem, r, sigma, batch_list, seeds):
     the unit initial offset decays to 0.1% of the smallest predicted RMS
     floor; the tail mean square averages the last 20% of iterations
     (``_TAIL_FRACTION``), and ``transient_decayed`` records whether the
-    envelope sits below 0.1x that floor where the tail begins.
+    envelope sits below 0.1x that floor where the tail begins.  No batch
+    size or no seed raises :class:`InvalidInputError` and nothing runs.
     """
+    if len(batch_list) == 0:
+        raise InvalidInputError("need at least one batch size")
+    if len(seeds) == 0:
+        raise InvalidInputError("need at least one seed")
     dc = prob.derive_constants(problem)
     if dc.mu_x <= 0:
         raise InvalidInputError("the floor bound needs mu_x > 0")

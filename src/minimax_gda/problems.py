@@ -269,9 +269,10 @@ def stochastic_grad(problem, z, noise, rng):
 
 def add_noise(g, noise, rng):
     """The exact gradient blocks ``g = (gx, gy)`` plus ``stochastic_grad``'s
-    noise, drawn from ``rng`` x block first; ``g`` itself is left as it is."""
+    noise, drawn from ``rng`` x block first; ``g`` itself is left as it is.
+    ``noise=None`` is the exact oracle, as ``sigma = 0`` is."""
     gx, gy = g
-    if noise.sigma == 0.0:
+    if noise is None or noise.sigma == 0.0:
         return gx, gy
     n, m = len(gx), len(gy)
     scale = noise.sigma / math.sqrt(noise.batch)

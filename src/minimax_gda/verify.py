@@ -82,6 +82,7 @@ def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
     clauses, ``eps*kappa^2*L`` in ``mu_x``) is far below both margins.  The
     exact path (``sample_instance``, ``derive_constants``) decides every
     other seed."""
+    count = prob.as_count(count, "count", 1)
     start_seed = prob.as_count(start_seed, "seed", 0)
     out = []
     seed = start_seed
@@ -145,7 +146,7 @@ def check_spectral_bound(corpus):
     return CheckResult(
         criterion=2,
         name="spectral_radius_bound",
-        passed=not failures,
+        passed=not failures and cells > 0,
         details={"cells": cells, "worst_radius_margin": worst_margin,
                  "failures": failures[:10]},
     )

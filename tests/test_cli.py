@@ -77,7 +77,7 @@ class TestGenerate:
             "--mu", "1", "--seed", "0", "--mu-x-zero", "-o", str(out),
         )
         assert code == 0
-        assert "mu_x=0 " in stdout
+        assert "mu_x=0 " in stdout and stdout.endswith(" kappa_x=inf\n")
         loaded = prob.load_instance(out)
         assert abs(prob.derive_constants(loaded).schur_min) <= 1e-9 * loaded.L
 
@@ -267,6 +267,13 @@ class TestSweep:
         assert code == 0
         row, = out.read_text().splitlines()[1:]
         assert row.split(",")[3].startswith("error: NotPositiveDefiniteError")
+
+    def test_no_seed_exits_one(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, "sweep", instance_file, "--ratios",
+                                    "200", "--seeds", "0", "-o", str(out))
+        assert (code, stdout, err) == (1, "", "error: need at least one seed\n")
+        assert not out.exists()
 
 
 class TestHugeRatios:
@@ -468,6 +475,41 @@ class TestRejectedBeforeWork:
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert stdout == ""
+        assert not out.exists()
+
+
+class TestMalformedInstanceFields:
+    # a file that parses but breaks a field's rule: L = 0, a NaN in A, or an
+    # x_star of the wrong length
+    @staticmethod
+    def _instance(tmp_path, key):
+        data = prob.to_json_dict(prob.sample_instance(2, 2, 4.0, 1.0, 0))
+        if key == "L":
+            data["L"] = 0.0
+        elif key == "A":
+            data["A"][0] = math.nan
+        else:
+            data["x_star"] = data["x_star"][:1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ("inspect", "-r", "200"), ("run", "-r", "200"), ("sweep",),
+    ], ids=["inspect", "run", "sweep"])
+    @pytest.mark.parametrize("key, message", [
+        ("L", "L and mu must be positive"),
+        ("A", "A has non-finite entries"),
+        ("x_star", "optimum shapes (1,)/(2,) do not match n=2, m=2"),
+    ], ids=["L0", "A-nan", "x_star-length"])
+    def test_exits_one(self, command, key, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command[0], self._instance(tmp_path, key),
+                *command[1:], "-o", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == f"error: malformed instance data: {message}\n"
         assert stdout == ""
         assert not out.exists()
 

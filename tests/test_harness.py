@@ -128,6 +128,15 @@ class TestRatioSweep:
         with pytest.raises(InvalidInputError, match="unknown algorithm 'adam'"):
             sweep(small_instance, [8.0], T=100, algorithms=("gda", "adam"))
 
+    @pytest.mark.parametrize("ratios, seeds, message", [
+        ((), (0,), "need at least one ratio"),
+        ((8.0,), (), "need at least one seed"),
+    ], ids=["no-ratio", "no-seed"])
+    def test_empty_sweep_rejected_before_any_cell(self, small_instance, ratios,
+                                                  seeds, message, no_cell_runs):
+        with pytest.raises(InvalidInputError, match=message):
+            sweep(small_instance, ratios, T=100, seeds=seeds)
+
     def test_final_gap_is_the_final_points_gap(self, small_instance, monkeypatch):
         # and no cell records a gap per step
         runs = []
@@ -285,6 +294,11 @@ class TestDivergenceCertificate:
             with pytest.raises(InvalidInputError):
                 harness.divergence_certificate(kappa, max_iters=100)
 
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5])
+    def test_budget_below_one_step_rejected(self, max_iters, no_cell_runs):
+        with pytest.raises(InvalidInputError, match="max_iters must be an integer >= 1"):
+            harness.divergence_certificate(2.0, max_iters=max_iters)
+
 
 @pytest.fixture(scope="module")
 def floor_instance():
@@ -311,3 +325,22 @@ class TestSgdaFloor:
         with pytest.raises(InvalidInputError):
             harness.sgda_floor_sweep(p, r=4.0, sigma=1.0,
                                      batch_list=(16,), seeds=range(2))
+
+    @pytest.mark.parametrize("batch_list, seeds, message", [
+        ((), (0,), "need at least one batch size"),
+        ((16,), (), "need at least one seed"),
+    ], ids=["no-batch", "no-seed"])
+    def test_empty_sweep_rejected_before_any_run(self, floor_instance, batch_list,
+                                                 seeds, message, no_cell_runs):
+        dc = prob.derive_constants(floor_instance)
+        with pytest.raises(InvalidInputError, match=message):
+            harness.sgda_floor_sweep(floor_instance, r=2 * dc.kappa, sigma=1.0,
+                                     batch_list=batch_list, seeds=seeds)
+
+    def test_non_contracting_ratio_rejected(self, no_cell_runs):
+        # the hard instance at kappa = 2 has mu_x = 2, and rho1 = 1.008 at
+        # the threshold ratio r = kappa
+        hard = prob.hard_ratio_instance(2.0, 1.0)
+        with pytest.raises(InvalidInputError, match=r"does not contract \(rho1 >= 1\)"):
+            harness.sgda_floor_sweep(hard, r=2.0, sigma=1.0, batch_list=(16,),
+                                     seeds=(0,))

@@ -194,6 +194,10 @@ class TestSpectralNorm:
             lam, _ = linalg.general_eig(M)
             assert np.max(np.abs(lam)) <= linalg.spectral_norm(M) * (1 + 1e-12)
 
+    def test_vector_rejected(self):
+        with pytest.raises(InvalidInputError, match="expected a matrix, got ndim=1"):
+            linalg.spectral_norm(np.ones(3))
+
 
 class TestSolveSpd:
     def test_identity(self, rng):
@@ -243,6 +247,10 @@ class TestCond2:
         # a rounding-level sigma_min gives a huge ratio, an exact 0 gives inf
         assert linalg.cond_2(np.array([[1.0, 1.0], [1.0, 1.0]])) > 1e15
         assert linalg.cond_2(np.zeros((2, 2))) == math.inf
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"P must be square, got shape \(2, 3\)"):
+            linalg.cond_2(np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):

@@ -141,6 +141,13 @@ class TestStochasticGrad:
         sx, sy = prob.stochastic_grad(reference_instance, z, prob.NoiseModel(0.0, 4), rng)
         assert np.array_equal(gx, sx) and np.array_equal(gy, sy)
 
+    def test_no_noise_model_is_exact(self, reference_instance):
+        # noise=None draws nothing, so it needs no generator
+        z = reference_instance.z_star + 1.0
+        gx, gy = prob.grad(reference_instance, z)
+        sx, sy = prob.stochastic_grad(reference_instance, z, None, None)
+        assert np.array_equal(gx, sx) and np.array_equal(gy, sy)
+
     def test_unbiased_monte_carlo(self, reference_instance):
         p = reference_instance
         rng = np.random.default_rng(7)

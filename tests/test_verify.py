@@ -1,4 +1,3 @@
-import inspect
 import math
 import re
 from unittest import mock
@@ -172,6 +171,11 @@ class TestCorpus:
         for _, p in a:
             assert prob.derive_constants(p).mu_x > 1e-3
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_count_below_one_or_fractional_rejected(self, count):
+        with pytest.raises(InvalidInputError, match="count must be an integer >= 1"):
+            verify.corpus_instances(count)
+
     def test_mu_x_window(self):
         out = verify.corpus_instances(2, start_seed=0, min_mu_x=10.0, max_mu_x=60.0)
         for _, p in out:
@@ -197,54 +201,6 @@ class TestSuiteDispatch:
         names = [c.name for c in results[0].checks]
         assert names == ["ratio_threshold_divergence", "rate_lower_bound"]
 
-    def test_budget_one_runs_acceptance_calls(self, monkeypatch):
-        # `verify all` at budget 1 calls every check with exactly the
-        # arguments of tests/test_acceptance.py, compared after binding to
-        # each signature (defaults filled in, generators by their state)
-        calls = []
-
-        def recorder(name):
-            signature = inspect.signature(getattr(verify, name))
-
-            def record(*args, **kwargs):
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                arguments = {
-                    key: value.bit_generator.state
-                    if isinstance(value, np.random.Generator) else value
-                    for key, value in bound.arguments.items()
-                }
-                calls.append((name, arguments))
-                if name == "corpus_instances":
-                    return ("corpus", *arguments.values())
-                return verify.CheckResult(criterion=0, name=name, passed=True)
-            return record
-
-        for name in ("corpus_instances", "check_spectral_bound",
-                     "check_eigensolver_oracle", "check_ratio_threshold",
-                     "check_rate_lower_bound", "check_rate_matches_prediction",
-                     "check_complexity_scaling", "check_nearly_quadratic",
-                     "check_sgda_floor", "check_mux_zero"):
-            monkeypatch.setattr(verify, name, recorder(name))
-
-        verify.verify_suite("all", seed=0, budget=1.0)
-        suite_calls, calls[:] = list(calls), []
-
-        # the acceptance tests' calls, in suite order (their corpus fixture
-        # is drawn once per suite here)
-        corpus = verify.corpus_instances(100, start_seed=0)
-        verify.check_spectral_bound(corpus)
-        verify.check_eigensolver_oracle(corpus, np.random.default_rng(1))
-        verify.check_ratio_threshold(max_iters=100_000)
-        verify.check_rate_lower_bound()
-        corpus = verify.corpus_instances(100, start_seed=0)
-        verify.check_rate_matches_prediction(corpus, max_iters=40_000)
-        verify.check_complexity_scaling(seed=0, count=10)
-        verify.check_nearly_quadratic(seed=0)
-        verify.check_sgda_floor(seed=0, n_seeds=32)
-        verify.check_mux_zero(seed=0)
-        assert suite_calls == calls
-
 
 class TestSpectralBound:
     def test_lemma_failure_is_recorded(self):
@@ -257,6 +213,18 @@ class TestSpectralBound:
         lemma = [f for f in result.details["failures"] if f["kind"] == "lemma"]
         assert [f["r"] for f in lemma] == list(verify._ratio_set(2.0))
         assert all(f["seed"] == 7 and 1 in f["items"] for f in lemma)
+
+    def test_empty_corpus_fails(self):
+        result = verify.check_spectral_bound([])
+        assert not result.passed
+        assert result.details == {"cells": 0, "worst_radius_margin": math.inf,
+                                  "failures": []}
+
+
+class TestComplexityScaling:
+    def test_no_instance_rejected(self):
+        with pytest.raises(InvalidInputError, match="count must be an integer >= 1"):
+            verify.check_complexity_scaling(count=0)
 
 
 class TestEigenvectorsOnDemand:
@@ -303,6 +271,12 @@ class TestRatioThreshold:
         assert check.details["failure"].startswith(
             "cell (kappa=2.0, r=1.0, eta_x=3.894e-04) contracted: ")
 
+    def test_zero_step_certificate_rejected(self):
+        # with no step the 72 cells would count as non-contracting from
+        # their start states alone
+        with pytest.raises(InvalidInputError, match="max_iters must be an integer >= 1"):
+            verify.check_ratio_threshold(max_iters=0)
+
     def test_control_without_convergence_fails_check(self, monkeypatch):
         # the kappa = 2 control converges after 512 steps; 100 are too few
         monkeypatch.setattr(harness, "_CONTROL_MAX_ITERS", 100)
@@ -328,6 +302,14 @@ class TestSgdaFloor:
         assert all(p["within_bound"] for p in check.details["points"])
         # quadrupling the batch twice halves the RMS floor twice (+-15%)
         assert check.details["slope"] == pytest.approx(-1.0, abs=0.15)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_seeds": 0}, "need at least one seed"),
+        ({"batches": ()}, "need at least one batch size"),
+    ], ids=["no-seed", "no-batch"])
+    def test_empty_sweep_rejected(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            verify.check_sgda_floor(seed=0, **kwargs)
 
     def test_short_budget_inconclusive(self, short_floor_budget):
         check = verify.check_sgda_floor(seed=0, batches=(16, 64), n_seeds=2)
