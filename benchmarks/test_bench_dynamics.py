@@ -17,7 +17,11 @@ chunks, as cli-stop's ``verify lower-bounds`` runs 74 of them; and one
 instance of that variant.  Each run case stores its step count in
 ``extra_info["steps"]`` (for the criterion-9 and early-stop runs, the steps
 to the stop), so the per-call median over it is microseconds per step; the
-sweep case stores its cell count in ``extra_info["cells"]``.
+sweep case stores its cell count in ``extra_info["cells"]``.  Every case
+stores in ``extra_info["minflt"]`` the minor page faults of one untimed call
+before the timed ones: a reading of how much memory a call maps afresh,
+reported and not gated, since the count also varies between fresh
+processes of the same code.
 These are not part of the test suite; run them from the root of a checkout
 with
 
@@ -27,6 +31,7 @@ and read the per-call medians from the JSON's ``stats``.
 """
 
 import dataclasses
+import resource
 from unittest import mock
 
 import pytest
@@ -37,6 +42,15 @@ from minimax_gda import problems as prob
 from minimax_gda import verify
 
 STEPS = 40_000
+
+
+def _bench(benchmark, fn, *args, **kwargs):
+    """Time ``fn(*args, **kwargs)`` after one untimed call, whose minor page
+    faults go to ``extra_info["minflt"]``."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn(*args, **kwargs)
+    benchmark.extra_info["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    benchmark(fn, *args, **kwargs)
 
 
 def _config(p, alg, seed, noise=None):
@@ -54,13 +68,13 @@ def _rates_cell(alg):
 def test_exact_run(benchmark, alg):
     p, cfg = _rates_cell(alg)
     benchmark.extra_info["steps"] = STEPS
-    benchmark(dyn.run, p, cfg)
+    _bench(benchmark, dyn.run, p, cfg)
 
 
 def test_exact_run_with_gaps(benchmark):
     p, cfg = _rates_cell(dyn.Algorithm.GDA)
     benchmark.extra_info["steps"] = STEPS
-    benchmark(dyn.run, p, dataclasses.replace(cfg, record_primal_gaps=True))
+    _bench(benchmark, dyn.run, p, dataclasses.replace(cfg, record_primal_gaps=True))
 
 
 @pytest.mark.parametrize("alg", [dyn.Algorithm.SGDA, dyn.Algorithm.EG])
@@ -68,7 +82,7 @@ def test_noisy_run(benchmark, alg):
     seed, p = verify.corpus_instances(1, min_mu_x=10.0, max_mu_x=60.0)[0]
     cfg = _config(p, alg, seed, prob.NoiseModel(sigma=1.0, batch=16))
     benchmark.extra_info["steps"] = STEPS
-    benchmark(dyn.run, p, cfg)
+    _bench(benchmark, dyn.run, p, cfg)
 
 
 def test_nonquad_run(benchmark):
@@ -77,7 +91,7 @@ def test_nonquad_run(benchmark):
         verify.check_nearly_quadratic()
     (nq, cfg), _ = spy.call_args
     benchmark.extra_info["steps"] = dyn.run(nq, cfg).status.step
-    benchmark(dyn.run, nq, cfg)
+    _bench(benchmark, dyn.run, nq, cfg)
 
 
 def test_early_stop_run(benchmark):
@@ -95,7 +109,7 @@ def test_early_stop_run(benchmark):
     cfg = dyn.SolverConfig(algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=eta_y,
                            max_iters=400_000, target_eps=1e-6)
     benchmark.extra_info["steps"] = dyn.run(p, cfg).status.step
-    benchmark(dyn.run, p, cfg)
+    _bench(benchmark, dyn.run, p, cfg)
 
 
 def test_certificate_basis_run(benchmark):
@@ -110,13 +124,13 @@ def test_certificate_basis_run(benchmark):
     z0 = p.z_star + [1.0, 0.0]
     assert dyn.run(p, cfg, z0).status.kind is dyn.StatusKind.BUDGET_EXHAUSTED
     benchmark.extra_info["steps"] = cfg.max_iters
-    benchmark(dyn.run, p, cfg, z0)
+    _bench(benchmark, dyn.run, p, cfg, z0)
 
 
 def test_estimate_rate(benchmark):
     traj = dyn.run(*_rates_cell(dyn.Algorithm.GDA))
     assert len(traj.distances) == STEPS + 1
-    benchmark(dyn.estimate_rate, traj)
+    _bench(benchmark, dyn.estimate_rate, traj)
 
 
 def test_ratio_sweep(benchmark):
@@ -127,4 +141,4 @@ def test_ratio_sweep(benchmark):
     ratios = harness.default_ratio_set(prob.derive_constants(p).kappa)
     algorithms = (dyn.Algorithm.GDA, dyn.Algorithm.EG)
     benchmark.extra_info["cells"] = len(ratios) * len(algorithms)
-    benchmark(harness.ratio_sweep, p, ratios, 400_000, 1e-6, algorithms=algorithms)
+    _bench(benchmark, harness.ratio_sweep, p, ratios, 400_000, 1e-6, algorithms=algorithms)

@@ -15,18 +15,21 @@ normal, so every quadratic run, exact or noisy, is the affine recurrence
 ``run`` advances every run a chunk of steps at a time and finds the stop
 iteration from the whole chunk's measures at once; the chunk loop, the stop
 rule and the recording live there alone (the chunk sizes are set out at
-``_CHUNK_FIRST``).  An engine only supplies the chunk's states.  The affine
-engine takes the states inside each block of ``b`` steps from one product
-of its start with the stack ``T^1..T^b``.  An exact chunk is two products,
-its block starts coming from one product with the stack of powers of
-``T^b``.  A noisy run takes blocks of 8 steps: one product per step of a
-block gives every block's response to its own noise, and a log-depth scan
-with the squares ``(T^b)^(2^k)`` gives the block starts.  Non-quadratic
-runs take their chunk's states from the gradient oracle, one step after
-another; an exact oracle's step reuses the gradient that the measure
-took.  A run owns its RNG (seeded from the config), and the noise it draws
-is the per-step oracle's stream, value for value; ``gda_step``/``eg_step``
-with ``make_oracle`` remain the per-step reference.
+``_CHUNK_FIRST``).  An engine only supplies the chunk's states and their
+measure.  The affine engine takes the states inside each block of ``b``
+steps from one product of its start with the stack ``T^1..T^b``.  An exact
+chunk is two products, its block starts coming from one product with the
+stack of powers of ``T^b``.  A noisy run takes blocks of 8 steps: its
+responses to its own noise are built up in place over the draws ``G xi``,
+one product per step of a block over every block at once, and a log-depth
+scan with the squares ``(T^b)^(2^k)`` gives the block starts.  The affine
+engine makes its state-sized arrays once per run, sized for the run's
+longest chunk, and every chunk fills them.  Non-quadratic runs take their
+chunk's states from the gradient oracle, one step after another; an exact
+oracle's step reuses the gradient that the measure took.  A run owns its
+RNG (seeded from the config), and the noise it draws is the per-step
+oracle's stream, value for value; ``gda_step``/``eg_step`` with
+``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -256,9 +259,9 @@ def run(problem, config, z0=None):
     keeps copies of its recorded points only, not its chunks' distances.
     An engine supplies only ``advance(s, steps)``, the next ``steps``
     states after ``s`` (or fewer) as rows, which its next call may
-    overwrite, and the measure of a stack of states.  Quadratic runs, exact
-    or noisy, advance ``w = z - z*`` through the affine engine
-    (``_affine_advance``), measured by ``|w|``; non-quadratic runs advance
+    overwrite, and ``measure``, the measure of a stack of states.  Quadratic
+    runs, exact or noisy, advance ``w = z - z*`` through the affine engine
+    (``_affine_engine``), measured by ``|w|``; non-quadratic runs advance
     ``z`` through the gradient oracle (``_oracle_engine``), measured by the
     exact gradient norm.
     """
@@ -280,11 +283,8 @@ def run(problem, config, z0=None):
     # overflow to inf is an expected outcome here: it classifies the run as
     # diverged rather than warranting a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if nonquad:
-            S, (advance, measure) = z0[None, :], _oracle_engine(problem, config)
-        else:
-            S, advance = (z0 - quad.z_star)[None, :], _affine_advance(quad, config)
-            measure = _norms
+        advance, measure = (_oracle_engine if nonquad else _affine_engine)(problem, config)
+        S = (z0 if nonquad else z0 - quad.z_star)[None, :]
         d = measure(S)
         limit = DIVERGENCE_FACTOR * d[0]
         parts = []  # (distances, gaps) recorded from each chunk
@@ -309,8 +309,7 @@ def run(problem, config, z0=None):
             if j is not None:
                 break
             S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
-            # measured after advance returns, when the engine's temporaries
-            # are freed: measuring inside it ran slower
+            # measured after advance returns: measuring inside it ran slower
             d = measure(S)
             k0 = last + 1
             blocks = min(2 * blocks, cap)
@@ -339,10 +338,11 @@ def run(problem, config, z0=None):
     )
 
 
-def _norms(W):
+def _norms(W, squares):
     """``|w|`` of each row of ``W``, ``inf`` where it is not finite: the
-    squares summed by one product with a ones vector."""
-    d = np.square(W) @ np.ones(W.shape[1])
+    squares, written to the leading rows of ``squares``, summed by one
+    product with a ones vector."""
+    d = np.square(W, out=squares[:len(W)]) @ np.ones(W.shape[1])
     np.sqrt(d, out=d)
     d[~np.isfinite(d)] = math.inf
     return d
@@ -420,19 +420,24 @@ def _oracle_engine(problem, config):
     return advance, measure
 
 
-def _affine_advance(quad, config):
-    """``advance(w, steps)`` of ``_advance`` for the run's ``linear_system``,
-    with its power stacks and generator."""
+def _affine_engine(quad, config):
+    """``(advance, measure)`` of a quadratic run: ``_advance`` for the run's
+    ``linear_system``, with its power stacks and generator, and ``_norms``.
+    Every state-sized array a chunk fills is made here, once, sized for the
+    run's longest chunk: the states, the measure's squares and, for a noisy
+    run, the draws and the responses."""
     T, G = linear_system(quad, config)
+    dim = quad.dim
     budget = max(1, config.max_iters)
     P = _power_stack(T, min(_BLOCK if G is None else _NOISY_BLOCK, budget))
-    b = P.shape[1] // quad.dim
-    Pb = np.ascontiguousarray(P[:, -quad.dim:])  # (T^b)'
+    b = P.shape[1] // dim
+    Pb = np.ascontiguousarray(P[:, -dim:])  # (T^b)'
     # blocks of b steps in the run's longest chunk
-    most = -(-min(budget, _cap_blocks(quad.dim) * _BLOCK) // b)
+    most = -(-min(budget, _cap_blocks(dim) * _BLOCK) // b)
+    W = np.empty((most, b * dim))
+    measure = partial(_norms, squares=np.empty((most * b, dim)))
     if G is None:
-        return partial(_advance, T=T, P=P, Pb=_power_stack(Pb.T, most),
-                       G=None, rng=None, bufs=[])
+        return partial(_advance, T=T, P=P, Pb=_power_stack(Pb.T, most), W=W), measure
     # the squares (T^b)^(2^k) that a chunk's scan of block starts uses, up
     # to the first one that overflows (see _scan)
     levels = most.bit_length()
@@ -442,8 +447,8 @@ def _affine_advance(quad, config):
         if not np.isfinite(square).all():
             break
         Q.append(square)
-    return partial(_advance, T=T, P=P, Pb=Q, G=G,
-                   rng=np.random.default_rng(config.seed), bufs=[])
+    return partial(_advance, T=T, P=P, Pb=Q, W=W, G=G, rng=np.random.default_rng(config.seed),
+                   Xi=np.empty((most * b, G.shape[1])), R=np.empty((most * b, dim))), measure
 
 
 def _power_stack(T, b):
@@ -465,7 +470,7 @@ def _power_stack(T, b):
     return P.transpose(2, 0, 1).reshape(len(T), -1)
 
 
-def _advance(w, steps, T, P, Pb, G, rng, bufs):
+def _advance(w, steps, T, P, Pb, W, G=None, rng=None, Xi=None, R=None):
     """States ``w_1..w_steps`` of ``w_{k+1} = T w_k + G xi_k`` from ``w_0 = w``.
 
     ``P`` is the power stack ``T^1..T^b`` of ``_power_stack``.  Every state
@@ -475,21 +480,14 @@ def _advance(w, steps, T, P, Pb, G, rng, bufs):
     noisy run adds ``r_i``, block ``i``'s response to its own noise from a
     zero start, to the block's states; it passes the squares
     ``(T^b)^(2^k)`` as ``Pb``, and its starts ``s_{i+1} = T^b s_i + r_i``
-    come from one scan of all of the chunk's blocks (``_scan``).  The states
-    returned, and a noisy run's draws, ``G xi`` and ``r_i``, fill the run's
-    ``bufs``, so the next call may overwrite the states returned.
+    come from one scan of all of the chunk's blocks (``_scan``).  The
+    states go to the leading rows of ``W``, a noisy run's draws to ``Xi``
+    and their ``G xi``, built up in place into the responses, to ``R``:
+    the run's arrays, which its next call overwrites.
     """
     dim = len(w)
     b = P.shape[1] // dim
     nb = -(-steps // b)
-    # a chunk fills the run's buffers, made again only when it outgrows
-    # them, a few times a run as chunks double (its states then go to a new
-    # array, which becomes the states buffer): arrays made every chunk past
-    # the allocator's mmap threshold would fault in afresh each time
-    out = bufs[0][:nb] if bufs and len(bufs[0]) >= nb else None
-    if out is None:
-        bufs[:] = [None] + ([] if G is None else [
-            np.empty((nb * b, G.shape[1])), np.empty((nb * b, dim)), np.empty((b, nb, dim))])
     if G is None:
         # block starts, len(Pb) of them per product, in a flat buffer with
         # room for the unused starts the last product computes
@@ -501,28 +499,21 @@ def _advance(w, steps, T, P, Pb, G, rng, bufs):
                       out=S[(i + 1) * dim:(i + 1 + group) * dim])
         S = S.reshape(-1, dim)[:nb + 1]
     else:
-        _, Xi, E, R = bufs
         # the final chunk may end mid-block; the extra draws are never used
-        E = np.matmul(rng.standard_normal(out=Xi[:nb * b]), G.T,
-                      out=E[:nb * b]).reshape(nb, b, dim)
-        # R[j, i]: block i's response to its own noise after j+1 steps, one
-        # product per step of a block over all of the chunk's blocks
-        R = R[:, :nb]
-        R[0] = E[:, 0]
-        TT = T.T
+        R = np.matmul(rng.standard_normal(out=Xi[:nb * b]), G.T,
+                      out=R[:nb * b]).reshape(nb, b, dim)
+        # R[i, j]: block i's response to its own noise after j+1 steps,
+        # built up in place over the draws' G xi, one product per step of a
+        # block over all of the chunk's blocks
         for j in range(1, b):
-            np.matmul(R[j - 1], TT, out=R[j])
-            R[j] += E[:, j]
+            R[:, j] += R[:, j - 1] @ T.T
         S = np.empty((nb + 1, dim))
         S[0] = w
-        S[1:] = R[-1]
+        S[1:] = R[:, -1]
         _scan(S, Pb)
-    W = np.matmul(S[:-1], P, out=out)
-    if out is None:
-        bufs[0] = W
-    W = W.reshape(nb, b, dim)
+    W = np.matmul(S[:-1], P, out=W[:nb]).reshape(nb, b, dim)
     if G is not None:
-        W += R.transpose(1, 0, 2)
+        W += R
     W[:, -1] = S[1:]
     return W.reshape(nb * b, dim)[:steps]
 

@@ -10,6 +10,7 @@ import pytest
 from minimax_gda import cli
 from minimax_gda import dynamics as dyn
 from minimax_gda import problems as prob
+from test_acceptance import RUNTIME_LIMITS
 
 
 def run_cli(capsys, *args):
@@ -362,7 +363,8 @@ class TestVerify:
                                   "--seed", "0")
         assert code == 0
         checks = [c for suite in json.loads(stdout)["suites"] for c in suite["checks"]]
-        assert len(checks) == 9
+        # one check per runtime limit, so a new check needs only its limit
+        assert sorted(c["name"] for c in checks) == sorted(RUNTIME_LIMITS)
         for check in checks:
             assert 0.0 <= check["elapsed_s"] < math.inf
 

@@ -656,9 +656,9 @@ def convex_instance(n, L=100.0, min_mu_x=0.5):
 
 
 # A chunk schedule of one block doubling up to four: a run of up to 2000
-# steps takes up to 10 chunks, so its buffers are made again as its chunks
-# grow, reused once they stop growing, and the last chunk, which may end
-# anywhere in a block, fills only part of them.
+# steps takes up to 10 chunks, so the chunks fill a growing part of the
+# arrays its engine made for four blocks, and the last chunk may end
+# anywhere in a block.
 SHORT_CHUNKS = dict(_CHUNK_FIRST=1, _CHUNK_CAP=1, _CAP_STEPS=4 * dyn._BLOCK)
 
 
@@ -727,6 +727,31 @@ class TestAffineEngine:
             assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
             ends = [k for k in chunk_ends(dim, 8) if k < steps]
             assert sizes == list(np.diff([0, *ends, steps]))
+
+    @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, prob.NoiseModel(1.0, 4))])
+    def test_chunks_fill_the_arrays_made_once(self, reference_instance, alg, noise):
+        # at dim 8 a run's chunks grow from 1024 to 2048, then 4096 steps;
+        # each chunk's states, and the squares its measure takes, go to the
+        # arrays the engine made, and no chunk allocates a state-sized array
+        p = reference_instance
+        assert list(np.diff([0, *chunk_ends(p.dim, 3)])) == [1024, 2048, 4096]
+        advance, measure = dyn._affine_engine(p, config(alg=alg, T=20_000, noise=noise))
+        states, squares = advance.keywords["W"], measure.keywords["squares"]
+        w = np.ones(p.dim)
+        for steps in (1024, 2048, 4096):
+            squares.fill(math.nan)
+            tracemalloc.start()
+            try:
+                S = advance(w, steps)
+                d = measure(S)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert S.shape == (steps, p.dim) and np.shares_memory(S, states)
+            assert np.array_equal(squares[:steps], np.square(S))
+            assert np.allclose(d, np.linalg.norm(S, axis=1), rtol=1e-14, atol=0)
+            assert peak < S.nbytes / 2
+            w = S[-1]
 
     @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, None),
                                            (SGDA, prob.NoiseModel(0.01, 4))])
@@ -892,7 +917,7 @@ class TestAffineEngine:
         steps = chunk_ends(2, 3)[-1] + 100
         cfg = dyn.SolverConfig(algorithm=SGDA, eta_x=eta_x, eta_y=eta_y, max_iters=steps,
                                target_eps=1e-300, noise=prob.NoiseModel(1.0, 16), seed=7)
-        assert len(dyn._affine_advance(p, cfg).keywords["Pb"]) == 12
+        assert len(dyn._affine_engine(p, cfg)[0].keywords["Pb"]) == 12
         traj = assert_matches_reference(p, cfg)
         assert traj.status == dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
 
@@ -910,7 +935,7 @@ class TestAffineEngine:
         cfg = dyn.SolverConfig(algorithm=alg, eta_x=1e-30, eta_y=0.5, max_iters=1000,
                                target_eps=1e-12, noise=prob.NoiseModel(1e-300, 1))
         with np.errstate(over="ignore"):
-            assert len(dyn._affine_advance(p, cfg).keywords["Pb"]) == levels
+            assert len(dyn._affine_engine(p, cfg)[0].keywords["Pb"]) == levels
         traj = assert_matches_reference(p, cfg, z0=np.array([0.0, 1.0]))
         assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, stop)
         assert traj.final_z[0] == 0.0

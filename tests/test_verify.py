@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from minimax_gda import dynamics as dyn
 from minimax_gda import harness
+from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda import spectral as spec
 from minimax_gda import verify
@@ -406,3 +407,14 @@ class TestOracleHelpers:
         M = np.array([[2.0, -2.0], [4.0, -2.0]])
         lam = verify._closed_form_2x2(M)
         assert np.allclose(lam, [-2j, 2j])
+
+    def test_eigensolver_oracle_checks_the_eigenvalues_kernel(self, monkeypatch):
+        # criterion 2 takes its radii from linalg.eigenvalues; a 1e-9 error
+        # there, with general_eig left exact, fails criterion 8's 2x2 check
+        corpus = verify.corpus_instances(1)
+        assert verify.check_eigensolver_oracle(corpus, np.random.default_rng(1)).passed
+        eigenvalues = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues", lambda M: eigenvalues(M) + 1e-9)
+        check = verify.check_eigensolver_oracle(corpus, np.random.default_rng(1))
+        assert not check.passed
+        assert 1e-9 <= check.details["worst_2x2_abs"] < 2e-9
