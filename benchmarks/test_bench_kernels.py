@@ -5,10 +5,11 @@ Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
 its derived constants as one seed of a plain corpus scan), the whole
 ``verify.corpus_instances`` scan of certify-spectral's 120-instance 4x4
 corpus (the seeds it scans in ``extra_info["seeds"]``), the eigenvalues-only
-solve and one ``spectral_report`` at n = m = 4, 16 and 32, and criterion 2's
-``check_spectral_bound`` on a fixed 10-instance corpus (30 reports).  These
-are not part of the test
-suite; run them from the root of a checkout with
+solve and one ``spectral_report`` at n = m = 4, 16 and 32, the five spectrum
+checks of one report (``check_lemma_spectral``) at n = m = 4 and 32, and
+criteria 2 and 8 (``check_spectral_bound``, ``check_eigensolver_oracle``) on
+a fixed 10-instance corpus (30 dynamics matrices).  These are not part of
+the test suite; run them from the root of a checkout with
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-json=bench.json
 
@@ -93,7 +94,22 @@ def test_spectral_report(benchmark, dim):
     benchmark(spec.spectral_report, p, r, eta_x)
 
 
+@pytest.mark.parametrize("dim", [4, 32])
+def test_check_lemma_spectral(benchmark, dim):
+    p = _instance(dim)
+    dc = prob.derive_constants(p)
+    M = dyn.build_M(p, 2.0 * dc.kappa)
+    lam, M_norm = linalg.eigenvalues(M), linalg.spectral_norm(M)
+    benchmark(spec.check_lemma_spectral, lam, M_norm, p.L, p.mu, dc.mu_x, 2.0 * dc.kappa)
+
+
 def test_check_spectral_bound(benchmark):
     corpus = verify.corpus_instances(10)
     benchmark.extra_info["reports"] = 3 * len(corpus)
     benchmark(verify.check_spectral_bound, corpus)
+
+
+def test_check_eigensolver_oracle(benchmark):
+    corpus = verify.corpus_instances(10)
+    benchmark.extra_info["matrices"] = 3 * len(corpus)
+    benchmark(lambda: verify.check_eigensolver_oracle(corpus, np.random.default_rng(1)))

@@ -164,13 +164,18 @@ def build_M(problem, r):
     """Block dynamics matrix [[-C, -B], [r*B', -r*A]] of shape (n+m, n+m)."""
     if not 0 < r < math.inf:
         raise InvalidInputError(f"r must be positive and finite, got {r}")
-    n = problem.n
-    M = np.empty((problem.dim, problem.dim))
-    M[:n, :n], M[:n, n:] = -problem.C, -problem.B
-    with np.errstate(over="ignore"):
-        M[n:, :n], M[n:, n:] = r * problem.B.T, -r * problem.A
-    if not np.isfinite(M[n:]).all():
+    n = len(problem.C)
+    M = np.empty((n + len(problem.A),) * 2)
+    M[:n, :n], M[:n, n:] = problem.C, problem.B
+    low = M[n:]
+    low[:, :n] = problem.B.T
+    np.negative(problem.A, out=low[:, n:])
+    # r*x rounds monotonically in |x|: it overflows somewhere exactly when
+    # it does at the largest entry
+    if not math.isfinite(float(r) * float(np.abs(low).max())):
         raise InvalidInputError("r is too large: r*B' or r*A overflows")
+    low *= r  # r * -A is -r * A, bit for bit
+    M[:n] *= -1.0
     return M
 
 
@@ -379,6 +384,17 @@ def _cap_blocks(dim):
     return max(_CAP_STEPS // _BLOCK, _chunk_blocks(dim, _CHUNK_CAP))
 
 
+def _longest_chunk(dim, steps):
+    """Steps in the longest chunk of a ``steps``-step run at ``dim``: the
+    last whole chunk of the schedule ``run`` follows, or the rest of the
+    budget after it, whichever is longer."""
+    size, cap = _chunk_blocks(dim, _CHUNK_FIRST) * _BLOCK, _cap_blocks(dim) * _BLOCK
+    longest = 0
+    while steps > size and size < cap:
+        longest, steps, size = size, steps - size, min(2 * size, cap)
+    return max(longest, min(steps, size))
+
+
 def _oracle_engine(problem, config):
     """``(advance, measure)`` of a non-quadratic run.  ``advance(z, steps)``
     gives the next iterates from ``z``, one oracle step after another,
@@ -424,8 +440,8 @@ def _affine_engine(quad, config):
     """``(advance, measure)`` of a quadratic run: ``_advance`` for the run's
     ``linear_system``, with its power stacks and generator, and ``_norms``.
     Every state-sized array a chunk fills is made here, once, sized for the
-    run's longest chunk: the states, the measure's squares and, for a noisy
-    run, the draws and the responses."""
+    run's longest chunk (``_longest_chunk``): the states, the measure's
+    squares and, for a noisy run, the draws and the responses."""
     T, G = linear_system(quad, config)
     dim = quad.dim
     budget = max(1, config.max_iters)
@@ -433,7 +449,7 @@ def _affine_engine(quad, config):
     b = P.shape[1] // dim
     Pb = np.ascontiguousarray(P[:, -dim:])  # (T^b)'
     # blocks of b steps in the run's longest chunk
-    most = -(-min(budget, _cap_blocks(dim) * _BLOCK) // b)
+    most = -(-_longest_chunk(dim, budget) // b)
     W = np.empty((most, b * dim))
     measure = partial(_norms, squares=np.empty((most * b, dim)))
     if G is None:

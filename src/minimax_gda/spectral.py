@@ -5,12 +5,13 @@ computes the eigenvalues of the block dynamics matrix M, the spectral radii
 ``rho1`` (GDA transition ``I + eta_x*M``) and ``rho2`` (EG transition
 ``I + eta_x*M + eta_x^2*M^2``), the proved radius bound
 ``1 - 1/(c * r * kappa_x)`` (c = 64 for the quarter stepsize scheme, 16 for
-the half scheme) and the five structural checks on the spectrum of M, all
-from one eigenvalues-only solve.  The condition number ``C_P`` of the
-eigenvector basis, which the iteration and noise-floor predictions need, is
-computed from the report's M the first time a caller reads
-``basis_cond``, so a report whose ``basis_cond`` is never read solves for
-no eigenvectors.
+the half scheme) and the five structural checks on the spectrum of M.  A
+report costs two LAPACK solves, the SVD for ``|M|_2`` and one eigenvalues-only
+solve, plus a small fixed overhead: the checks read the spectrum in one pass
+over Python floats.  The condition number ``C_P`` of the eigenvector basis,
+which the iteration and noise-floor predictions need, is computed from the
+report's M the first time a caller reads ``basis_cond``, so a report whose
+``basis_cond`` is never read solves for no eigenvectors.
 
 All functions are pure over immutable inputs and safe to call concurrently.
 """
@@ -40,7 +41,7 @@ class RatioClass(str, enum.Enum):
     PROVED_CONVERGENT = "proved_convergent"  # r >= 2*kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaCheck:
     item: int
     applicable: bool
@@ -112,9 +113,7 @@ class SpectralReport:
         is_eg = dynamics.Algorithm(algorithm) is dynamics.Algorithm.EG
         mods = np.sort(eg if is_eg else gda)[::-1]
         rest = mods[mods < mods[0] * (1.0 - 1e-12)]
-        if len(rest) == 0:
-            return math.inf
-        return float(mods[0] - rest[0])
+        return float(mods[0] - rest[0]) if len(rest) else math.inf
 
 
 def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
@@ -134,19 +133,15 @@ def spectral_report(problem, r, eta_x, scheme=dynamics.Scheme.QUARTER):
     M.setflags(write=False)
     M_norm = linalg.spectral_norm(M)
     lam = linalg.eigenvalues(M)
-
-    rho1, rho2 = (float(np.max(m)) for m in _transition_moduli(lam, eta_x))
-
+    gda, eg = _transition_moduli(lam, eta_x)
     c = scheme.rate_constant
-
-    checks = check_lemma_spectral(lam, M_norm, problem.L, problem.mu, dc.mu_x, r)
     return SpectralReport(
         eigenvalues=lam,
-        rho1=rho1,
-        rho2=rho2,
+        rho1=float(gda.max()),
+        rho2=float(eg.max()),
         rho_bound=1.0 - 1.0 / (c * r * dc.kappa_x),
         rate_constant=c,
-        lemma_checks=checks,
+        lemma_checks=check_lemma_spectral(lam, M_norm, problem.L, problem.mu, dc.mu_x, r),
         M_norm=M_norm,
         r=float(r),
         eta_x=float(eta_x),
@@ -177,29 +172,40 @@ def check_lemma_spectral(eigenvalues, M_norm, L, mu, mu_x, r):
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     M_norm = float(M_norm)
-    tol = LEMMA_CHECK_RTOL * M_norm
+    tol, real_tol = LEMMA_CHECK_RTOL * M_norm, REAL_EIG_RTOL * M_norm
     kappa = L / mu
-    re, im = lam.real, lam.imag
-    is_complex = np.abs(im) > REAL_EIG_RTOL * M_norm
-    above = r > kappa
+    # one pass over Python floats for the largest |imag|, squared modulus and
+    # real part (of complex and of real eigenvalues); a NaN met stays, as in np.max
+    top_im = top_sq = top_cx = top_re = -math.inf
+    for z in lam.tolist():
+        re, im = z.real, z.imag
+        a, sq = abs(im), re * re + im * im
+        top_im = a if a > top_im or a != a else top_im
+        top_sq = sq if sq > top_sq or sq != sq else top_sq
+        if a > real_tol:
+            top_cx = re if re > top_cx or re != re else top_cx
+        else:
+            top_re = re if re > top_re or re != re else top_re
+    top_all = top_cx if top_cx >= top_re or top_cx != top_cx else top_re
 
     def judged(margin, slack=tol):
         margin = float(margin)
         return margin >= -slack, margin
 
-    verdicts = {1: judged(math.sqrt(r) * L - np.max(np.abs(im)))}
-    if above:
-        verdicts[2] = judged(np.min(-mu * (r - kappa) / 2.0 - re[is_complex],
-                                    initial=math.inf))
-        verdicts[4] = judged(np.min(-mu_x - re[~is_complex], initial=math.inf))
+    verdicts = {1: judged(math.sqrt(r) * L - top_im)}
+    if r > kappa:
+        # min (bound - re) over a set is bound - max re: a difference rounds
+        # monotonically; +inf over an empty set
+        verdicts[2] = judged(-mu * (r - kappa) / 2.0 - top_cx)
+        verdicts[4] = judged(-mu_x - top_re)
         if mu_x > 0:
-            verdicts[5] = judged(-np.max(re))
+            verdicts[5] = judged(-top_all)
     if r >= 1.0:
         try:
             M_sq = M_norm ** 2
             # squared-scale quantities; tolerance scales accordingly
-            verdicts[3] = judged(min(M_sq - float(np.max(re ** 2 + im ** 2)),
-                                     4.0 * r ** 2 * L ** 2 - M_sq), tol * M_norm)
+            verdicts[3] = judged(min(M_sq - top_sq, 4.0 * r ** 2 * L ** 2 - M_sq),
+                                 tol * M_norm)
         except OverflowError:
             # a square leaves the floats: judge both bounds divided by
             # |M|_2^2, and keep the margin only where it is a finite double
@@ -247,16 +253,10 @@ def report_to_json_dict(report):
         "rho2": report.rho2,
         "rho_bound": report.rho_bound,
         "rate_constant": report.rate_constant,
-        "lemma_checks": [
-            {
-                "item": c.item,
-                "applicable": c.applicable,
-                "passed": c.passed,
-                # None for not-applicable or vacuous items
-                "margin": c.margin if math.isfinite(c.margin) else None,
-            }
-            for c in report.lemma_checks
-        ],
+        # margin None for not-applicable or vacuous items
+        "lemma_checks": [{"item": c.item, "applicable": c.applicable, "passed": c.passed,
+                          "margin": c.margin if math.isfinite(c.margin) else None}
+                         for c in report.lemma_checks],
         "diagonalizable": report.diagonalizable,
         "basis_cond": report.basis_cond,
         "s_assumed": 1,  # the envelope C_P * rho^k assumes no Jordan block

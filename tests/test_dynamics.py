@@ -728,6 +728,28 @@ class TestAffineEngine:
             ends = [k for k in chunk_ends(dim, 8) if k < steps]
             assert sizes == list(np.diff([0, *ends, steps]))
 
+    @pytest.mark.parametrize("dim", [2, 6, 8, 64])
+    def test_longest_chunk_follows_the_schedule(self, dim):
+        for steps in (1, 63, 64, 65, 1000, 4096, 4097, 10_000, 40_000, 10 ** 6):
+            ends = [k for k in chunk_ends(dim, steps // dyn._BLOCK + 1) if k < steps]
+            assert dyn._longest_chunk(dim, steps) == max(np.diff([0, *ends, steps]))
+
+    @pytest.mark.parametrize("alg,noise,b", [(GDA, None, 64), (EG, prob.NoiseModel(1.0, 4), 8)])
+    def test_arrays_sized_for_the_longest_chunk(self, alg, noise, b):
+        # a 10 000-step dim-2 run takes chunks of 4096 and 5904 steps, so
+        # its arrays hold the 5904 steps of the second, not the whole budget;
+        # an exact run's stack of powers of T^b holds as many block starts
+        p = convex_instance(1, L=4.0, min_mu_x=0.2)
+        assert list(np.diff([0, *chunk_ends(2, 1), 10_000])) == [4096, 5904]
+        advance, measure = dyn._affine_engine(p, config(alg=alg, T=10_000, noise=noise))
+        most = -(-5904 // b)
+        assert advance.keywords["W"].shape == (most, b * 2)
+        assert measure.keywords["squares"].shape == (most * b, 2)
+        if noise is None:
+            assert advance.keywords["Pb"].shape == (2, most * 2)
+        else:
+            assert advance.keywords["Xi"].shape[0] == advance.keywords["R"].shape[0] == most * b
+
     @pytest.mark.parametrize("alg,noise", [(GDA, None), (EG, prob.NoiseModel(1.0, 4))])
     def test_chunks_fill_the_arrays_made_once(self, reference_instance, alg, noise):
         # at dim 8 a run's chunks grow from 1024 to 2048, then 4096 steps;

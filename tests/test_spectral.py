@@ -249,6 +249,104 @@ class TestRadiiMatchDynamics:
             assert abs(np.abs(np.linalg.eigvals(T)).max() - rho) <= self.TOL
 
 
+def _reference_report(problem, r, eta_x, scheme):
+    """The report's fields as ``spectral_report`` computed them with numpy
+    reductions over the spectrum, before its checks took one pass over
+    Python floats: a copy of that code, ``build_M`` included."""
+    n, dc = problem.n, prob.derive_constants(problem)
+    M = np.empty((problem.dim, problem.dim))
+    M[:n, :n], M[:n, n:] = -problem.C, -problem.B
+    with np.errstate(over="ignore"):
+        M[n:, :n], M[n:, n:] = r * problem.B.T, -r * problem.A
+    M_norm = linalg.spectral_norm(M)
+    lam = linalg.eigenvalues(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = eta_x * lam
+        t1 = 1.0 + h
+        gda, eg = np.fmin(np.abs(t1), math.inf), np.fmin(np.abs(t1 + h ** 2), math.inf)
+    c = dyn.Scheme(scheme).rate_constant
+
+    L, mu, mu_x = problem.L, problem.mu, dc.mu_x
+    tol = spec.LEMMA_CHECK_RTOL * M_norm
+    kappa = L / mu
+    re, im = lam.real, lam.imag
+    is_complex = np.abs(im) > spec.REAL_EIG_RTOL * M_norm
+
+    def judged(margin, slack=tol):
+        margin = float(margin)
+        return margin >= -slack, margin
+
+    verdicts = {1: judged(math.sqrt(r) * L - np.max(np.abs(im)))}
+    if r > kappa:
+        verdicts[2] = judged(np.min(-mu * (r - kappa) / 2.0 - re[is_complex],
+                                    initial=math.inf))
+        verdicts[4] = judged(np.min(-mu_x - re[~is_complex], initial=math.inf))
+        if mu_x > 0:
+            verdicts[5] = judged(-np.max(re))
+    if r >= 1.0:
+        try:
+            M_sq = M_norm ** 2
+            verdicts[3] = judged(min(M_sq - float(np.max(re ** 2 + im ** 2)),
+                                     4.0 * r ** 2 * L ** 2 - M_sq), tol * M_norm)
+        except OverflowError:
+            q = float(np.max(np.abs(lam))) / M_norm
+            p = 2.0 * r * L / M_norm
+            scaled = min(1.0 - q * q, p * p - 1.0)
+            margin3 = float(M_norm * (M_norm * scaled))
+            verdicts[3] = (bool(scaled >= -spec.LEMMA_CHECK_RTOL),
+                           margin3 if math.isfinite(margin3) else math.nan)
+    checks = [(k, k in verdicts, *verdicts.get(k, (True, math.nan))) for k in range(1, 6)]
+    return {"eigenvalues": lam, "M": M, "rho1": float(np.max(gda)), "rho2": float(np.max(eg)),
+            "rho_bound": 1.0 - 1.0 / (c * r * dc.kappa_x), "M_norm": M_norm,
+            "lemma_checks": checks}
+
+
+class TestReportMatchesReference:
+    """``spectral_report`` gives the reference's bits, with two LAPACK
+    calls per report and no eigenvector solve."""
+
+    KERNELS = ("spectral_norm", "eigenvalues", "general_eig", "cond_2")
+
+    @staticmethod
+    def bits(x):
+        return "nan" if x != x else np.float64(x).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(list(dyn.Scheme)),
+           st.sampled_from(["below 1", "kappa", "squares overflow"]), st.floats(0.0, 1.0))
+    def test_bit_identical(self, n, m, seed, scheme, kind, u):
+        p = prob.sample_instance(n, m, 100.0, 1.0, seed)
+        # r < 1 leaves item 3 vacuous; above about 1e154, |M|_2^2 leaves the
+        # floats and item 3 is judged on scaled bounds
+        r = {"below 1": 0.01 + 0.98 * u,
+             "kappa": prob.derive_constants(p).kappa * 2.0 ** (16.0 * u - 4.0),
+             "squares overflow": 10.0 ** (155.0 + 145.0 * u)}[kind]
+        eta_x, _ = dyn.default_stepsizes(p.L, r, scheme)
+        want = _reference_report(p, r, eta_x, scheme)
+        calls = dict.fromkeys(self.KERNELS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.KERNELS:
+                mp.setattr(linalg, name, counted(name, getattr(linalg, name)))
+            rep = spec.spectral_report(p, r, eta_x, scheme)
+        assert calls == {"spectral_norm": 1, "eigenvalues": 1, "general_eig": 0, "cond_2": 0}
+        assert rep.eigenvalues.tobytes() == want["eigenvalues"].tobytes()
+        assert rep.M.tobytes() == want["M"].tobytes()
+        for key in ("rho1", "rho2", "rho_bound", "M_norm"):
+            assert self.bits(getattr(rep, key)) == self.bits(want[key]), key
+        for c, (item, applicable, passed, margin) in zip(rep.lemma_checks,
+                                                         want["lemma_checks"], strict=True):
+            assert (c.item, c.applicable, c.passed) == (item, applicable, passed)
+            assert type(c.passed) is type(passed) is bool
+            assert self.bits(c.margin) == self.bits(margin), item
+
+
 class TestLemmaChecks:
     def test_corpus_all_pass(self):
         for p in corpus(30):

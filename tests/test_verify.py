@@ -202,6 +202,27 @@ class TestSuiteDispatch:
         names = [c.name for c in results[0].checks]
         assert names == ["ratio_threshold_divergence", "rate_lower_bound"]
 
+    @pytest.mark.parametrize("suite", ["all", "spectral", "rates"])
+    def test_corpus_drawn_once_per_call(self, monkeypatch, suite):
+        # the spectral and rate suites check the same 4x4 corpus: one call
+        # draws it once and hands every check the same list
+        draws, corpora = [], []
+        draw = verify.corpus_instances
+        monkeypatch.setattr(verify, "corpus_instances",
+                            lambda *a, **k: draws.append((a, k)) or draw(*a, **k))
+
+        def stub(name):
+            def check(*args, **kwargs):
+                corpora.extend(a for a in args if isinstance(a, list))
+                return verify.CheckResult(0, name, True)
+            return check
+        for name in [n for n in vars(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, stub(name))
+        verify.verify_suite(suite, seed=3, budget=0.1)
+        assert draws == [((10,), {"start_seed": 3})]
+        assert len(corpora) == {"all": 3, "spectral": 2, "rates": 1}[suite]
+        assert all(c is corpora[0] for c in corpora)
+
 
 class TestSpectralBound:
     def test_lemma_failure_is_recorded(self):
@@ -407,6 +428,26 @@ class TestOracleHelpers:
         M = np.array([[2.0, -2.0], [4.0, -2.0]])
         lam = verify._closed_form_2x2(M)
         assert np.allclose(lam, [-2j, 2j])
+
+    @pytest.mark.parametrize("part", ["corpus", "2x2"])
+    def test_eigensolver_oracle_fails_on_nan_eigenvalues(self, monkeypatch, part):
+        # a NaN eigenvalue for every corpus matrix (or every 2x2 one) fails
+        # the check with its errors reading NaN; a fold with Python's max
+        # would not, as max(x, nan) keeps x
+        corpus = verify.corpus_instances(1)
+        general_eig = linalg.general_eig
+
+        def nan_eig(M):
+            lam, V = general_eig(M)
+            if (len(M) > 2) == (part == "corpus"):
+                lam = np.where(np.arange(len(lam)) == 0, np.nan, lam)
+            return lam, V
+        monkeypatch.setattr(linalg, "general_eig", nan_eig)
+        check = verify.check_eigensolver_oracle(corpus, np.random.default_rng(1))
+        assert not check.passed
+        nan_keys = (["worst_residual_rel", "worst_trace_rel", "worst_det_rel"]
+                    if part == "corpus" else ["worst_2x2_abs"])
+        assert [k for k, v in check.details.items() if math.isnan(v)] == nan_keys
 
     def test_eigensolver_oracle_checks_the_eigenvalues_kernel(self, monkeypatch):
         # criterion 2 takes its radii from linalg.eigenvalues; a 1e-9 error
