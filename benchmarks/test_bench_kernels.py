@@ -1,7 +1,9 @@
 """Per-call timings of the kernels on the instance -> spectral path.
 
 Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
-(4x4 and 64x64), the dynamics matrix, one sampled instance (alone, and with
+(4x4 and 64x64; ``cond_2`` on the complex eigenvector basis of the matrix
+``general_eig`` solves, as a report's ``basis_cond`` reads it), the
+dynamics matrix, one sampled instance (alone, and with
 its derived constants as one seed of a plain corpus scan), the whole
 ``verify.corpus_instances`` scan of certify-spectral's 120-instance 4x4
 corpus (the seeds it scans in ``extra_info["seeds"]``), the eigenvalues-only
@@ -46,6 +48,17 @@ def _instance(dim):
 def test_spectral_norm(benchmark, n):
     M = np.random.default_rng(n).standard_normal((n, n))
     benchmark(linalg.spectral_norm, M)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_general_eig(benchmark, n):
+    benchmark(linalg.general_eig, np.random.default_rng(n).standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_cond_2(benchmark, n):
+    P = linalg.general_eig(np.random.default_rng(n).standard_normal((n, n)))[1]
+    benchmark(linalg.cond_2, P)
 
 
 @pytest.mark.parametrize("n", [4, 64])

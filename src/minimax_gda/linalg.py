@@ -1,16 +1,17 @@
 """Dense linear-algebra kernels for small matrices (dimension up to ~64).
 
-Matrices are plain ``numpy.ndarray`` in row-major order.  The kernels wrap
-LAPACK (``numpy.linalg``; ``potrf``/``potrs`` called directly, as scipy's
-``cho_factor``/``cho_solve`` cost more than the work at these sizes) and add
-the input checking and error taxonomy the rest of the package relies on.
-All functions are pure: inputs are never mutated, so concurrent use is safe.
-``dpotrf``/``dpotrs`` come from scipy's compiled ``scipy.linalg._flapack``
-extension, loaded from its file without the ``scipy.linalg`` package
-``__init__`` (two thirds of the library's import time, 0.33 of 0.51 s); a
-process initialises the extension once, so they are the objects
-``get_lapack_funcs(("potrf", "potrs"))`` returns for float64, whichever of
-the two is imported first.
+Matrices are plain ``numpy.ndarray`` in row-major order.  The kernels call
+LAPACK without the library wrappers, which cost as much as the work at these
+sizes, and add the input checking and error taxonomy the rest of the package
+relies on.  All functions are pure: inputs are never mutated, so concurrent
+use is safe.  The eigen- and singular-value kernels call the gufuncs that
+``numpy.linalg`` runs (``numpy.linalg._umath_linalg``); ``_lapack`` maps the
+FP-invalid flag by which they report non-convergence to
+:class:`NumericalFailureError`.  ``dpotrf``/``dpotrs`` come from scipy's
+``scipy.linalg._flapack`` extension, loaded from its file without the
+``scipy.linalg`` package ``__init__`` (0.33 of the library's 0.51 s import);
+a process initialises the extension once, so they are the objects
+``get_lapack_funcs(("potrf", "potrs"))`` returns for float64.
 
 Tolerances are relative to the input norm with an absolute floor of 1e-14.
 """
@@ -21,6 +22,7 @@ import os
 from importlib import machinery, util
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InvalidInputError,
@@ -34,6 +36,10 @@ _FLAPACK = util.module_from_spec(machinery.FileFinder(
     (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
 ).find_spec("scipy.linalg._flapack"))
 _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
+_EIG, _EIGVALS, _EIGH, _SVD = (_umath_linalg.eig, _umath_linalg.eigvals,
+                               _umath_linalg.eigh_lo, _umath_linalg.svd)
+_QR_FAILED = "QR iteration failed to converge: Eigenvalues did not converge"
+_SVD_FAILED = "SVD failed: SVD did not converge"
 
 
 def _as_square(M, name="matrix"):
@@ -55,6 +61,18 @@ def _check_symmetric(S, rel_tol, name="matrix"):
         )
 
 
+def _lapack(gufunc, M, signature, failure):
+    """``gufunc(M)``, raising ``NumericalFailureError(failure)`` when LAPACK
+    does not converge; the errstate is made per call, as threads must not
+    share one."""
+    def fail(err, flag):
+        raise NumericalFailureError(failure)
+
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gufunc(M, signature=signature)
+
+
 def sym_eig(S):
     """Eigendecomposition of a symmetric matrix.
 
@@ -63,11 +81,8 @@ def sym_eig(S):
     """
     S = _as_square(S, "S")
     _check_symmetric(S, 1e-12, "S")
-    try:
-        w, V = np.linalg.eigh(0.5 * (S + S.T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
-    return w, V
+    return _lapack(_EIGH, 0.5 * (S + S.T), "d->dd",
+                   "symmetric eigensolver failed: Eigenvalues did not converge")
 
 
 def general_eig(M):
@@ -77,26 +92,16 @@ def general_eig(M):
     the matching eigenvector columns (``M @ V = V @ diag(w)``).  Complex
     eigenvalues of a real input come in conjugate pairs.
     """
-    M = _as_square(M, "M")
-    try:
-        w, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"QR iteration failed to converge: {exc}") from exc
-    w = np.asarray(w, dtype=complex)
+    w, V = _lapack(_EIG, _as_square(M, "M"), "d->DD", _QR_FAILED)
     order = np.lexsort((w.imag, w.real))
-    return w[order], np.asarray(V, dtype=complex)[:, order]
+    return w[order], V[:, order]
 
 
 def eigenvalues(M):
     """Eigenvalues of a general real square matrix, as ``general_eig``
     returns them (complex, sorted by (real, imag)), without the eigenvectors:
     LAPACK ``dgeev`` with no vectors requested."""
-    M = _as_square(M, "M")
-    try:
-        w = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"QR iteration failed to converge: {exc}") from exc
-    w = np.asarray(w, dtype=complex)
+    w = _lapack(_EIGVALS, _as_square(M, "M"), "d->D", _QR_FAILED)
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -109,11 +114,8 @@ def spectral_norm(M):
         raise InvalidInputError("matrix has non-finite entries")
     if M.size == 0:
         return 0.0
-    try:
-        # the SVD that np.linalg.norm(M, 2) runs, without its axis handling
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    # the SVD that np.linalg.norm(M, 2) runs
+    return float(_lapack(_SVD, M, "d->d", _SVD_FAILED)[0])
 
 
 def solve_spd(A, b):
@@ -153,9 +155,6 @@ def cond_2(P):
         raise InvalidInputError(f"P must be square, got shape {P.shape}")
     if not np.isfinite(P).all():
         raise InvalidInputError("P has non-finite entries")
-    try:
-        sigma = np.linalg.svd(P, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    sigma = _lapack(_SVD, P, "D->d" if np.iscomplexobj(P) else "d->d", _SVD_FAILED)
     smin = float(sigma[-1])
     return float(sigma[0]) / smin if smin > 0 else np.inf

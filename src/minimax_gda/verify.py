@@ -165,7 +165,7 @@ def check_eigensolver_oracle(corpus, rng):
     closed-form cross-check on every dynamics matrix of the corpus.  Each
     kernel runs once per matrix; the arithmetic on their outputs runs once
     per instance, over the stack of its matrices at the three ratios.  A
-    NaN error fails the check."""
+    NaN error, or an empty corpus, fails the check."""
     residual, trace, det = [], [], []
     for _, p in corpus:
         mats = [dyn.build_M(p, r) for r in _ratio_set(prob.derive_constants(p).kappa)]
@@ -199,8 +199,8 @@ def check_eigensolver_oracle(corpus, rng):
 
     worst_residual, worst_trace, worst_det, worst_2x2 = (
         worst(parts) for parts in (residual, trace, det, [err.ravel()]))
-    passed = worst_residual <= 1e-8 and worst_trace <= 1e-8 and \
-        worst_det <= 1e-8 and worst_2x2 <= 1e-12
+    passed = bool(residual) and worst_residual <= 1e-8 and worst_trace <= 1e-8 \
+        and worst_det <= 1e-8 and worst_2x2 <= 1e-12
     return CheckResult(
         criterion=8,
         name="eigensolver_oracle",

@@ -63,8 +63,17 @@ def eigvec_calls(monkeypatch):
 
 
 @pytest.fixture
-def eig_fails(monkeypatch):
-    """Make every eigenvector solve (``np.linalg.eig``) fail to converge."""
-    def fail(M):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(np.linalg, "eig", fail)
+def lapack_fails(monkeypatch):
+    """``lapack_fails(name)`` replaces ``linalg``'s gufunc binding ``name``
+    (``"_EIG"``, ``"_EIGVALS"``, ``"_EIGH"``, ``"_SVD"``) by a stand-in that
+    fails as LAPACK non-convergence does: it raises the FP-invalid flag."""
+    def fail(M, signature):
+        return np.divide(0.0, 0.0)
+
+    return lambda name: monkeypatch.setattr(linalg, name, fail)
+
+
+@pytest.fixture
+def eig_fails(lapack_fails):
+    """Make every eigenvector solve (the ``eig`` gufunc) fail to converge."""
+    lapack_fails("_EIG")

@@ -1,5 +1,6 @@
 """Bit-identity of the direct kernel routes against the library routes they
-stand in for, and the number of factorisations one sampled instance costs.
+stand in for (``numpy.linalg``'s wrappers, scipy's Cholesky wrappers), and
+the number of factorisations one sampled instance costs.
 
 Each fast route calls the same LAPACK routine on the same data as the
 reference route, so the comparisons are exact (``np.array_equal``, ``==``),
@@ -18,6 +19,8 @@ from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda import verify
 from minimax_gda.errors import InvalidInputError, NotPositiveDefiniteError
+
+umath_linalg = np.linalg._umath_linalg
 
 dims = st.integers(min_value=1, max_value=64)
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -65,6 +68,106 @@ class TestSpectralNormIdentity:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             linalg.spectral_norm(np.array([[1.0, np.nan]]))
+
+
+def _crafted(kind, n, seed, scale):
+    """An ``n x n`` test matrix of the named kind, times ``scale``."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    if kind == "symmetric":
+        M = M + M.T
+    elif kind == "triangular":
+        M = np.triu(M)
+    elif kind == "signed_zero_diagonal":
+        # an all-real spectrum holding -0.0 and +0.0
+        M = np.diag(rng.choice([-0.0, 0.0, 1.0, -2.0], n))
+    elif kind == "complex_pairs":
+        M = M - M.T
+    elif kind == "singular":
+        M[:, 0] = M[:, -1]
+    return M * scale
+
+
+def _public_eig(M):
+    # general_eig's route before it called the gufunc
+    w, V = np.linalg.eig(M)
+    w = np.asarray(w, dtype=complex)
+    order = np.lexsort((w.imag, w.real))
+    return w[order], np.asarray(V, dtype=complex)[:, order]
+
+
+def _public_eigenvalues(M):
+    w = np.asarray(np.linalg.eigvals(M), dtype=complex)
+    return w[np.lexsort((w.imag, w.real))]
+
+
+def _public_cond_2(P):
+    sigma = np.linalg.svd(P, compute_uv=False)
+    return float(sigma[0]) / float(sigma[-1]) if sigma[-1] > 0 else np.inf
+
+
+def _bytes(x):
+    return tuple(np.asarray(a).tobytes() for a in (x if isinstance(x, tuple) else (x,)))
+
+
+kinds = st.sampled_from(["general", "symmetric", "triangular", "signed_zero_diagonal",
+                         "complex_pairs", "singular"])
+
+
+class TestNumpyLinalgRoutes:
+    """The eigen- and singular-value kernels call ``numpy.linalg``'s own
+    gufuncs, so their outputs equal the public ``numpy.linalg`` routes
+    they replaced, byte for byte (signed zeros included)."""
+
+    def test_gufuncs_are_numpy_linalg_routines(self):
+        assert linalg._EIG is umath_linalg.eig
+        assert linalg._EIGVALS is umath_linalg.eigvals
+        assert linalg._EIGH is umath_linalg.eigh_lo
+        assert linalg._SVD is umath_linalg.svd
+
+    @identity_settings
+    @given(kinds, dims, seeds, scales)
+    @example("signed_zero_diagonal", 8, 0, 1.0)
+    @example("complex_pairs", 64, 1, 1e8)
+    @example("singular", 64, 2, 1e-8)
+    def test_general_kernels(self, kind, n, seed, scale):
+        M = _crafted(kind, n, seed, scale)
+        assert _bytes(linalg.eigenvalues(M)) == _bytes(_public_eigenvalues(M))
+        assert _bytes(linalg.general_eig(M)) == _bytes(_public_eig(M))
+        assert _bytes(linalg.spectral_norm(M)) == _bytes(
+            float(np.linalg.svd(M, compute_uv=False)[0]))
+        assert _bytes(linalg.cond_2(M)) == _bytes(_public_cond_2(M))
+
+    @identity_settings
+    @given(kinds, dims, seeds, scales)
+    @example("signed_zero_diagonal", 8, 0, 1.0)
+    @example("general", 64, 1, 1e8)
+    def test_sym_eig(self, kind, n, seed, scale):
+        M = _crafted(kind, n, seed, scale)
+        S = M + M.T
+        assert _bytes(linalg.sym_eig(S)) == _bytes(tuple(np.linalg.eigh(0.5 * (S + S.T))))
+
+    @identity_settings
+    @given(kinds, dims, seeds, scales)
+    @example("complex_pairs", 64, 0, 1.0)
+    @example("singular", 16, 1, 1e-8)
+    def test_complex_cond_2(self, kind, n, seed, scale):
+        # the complex eigenvector bases basis_cond reads, and a complex
+        # matrix with both parts drawn
+        M = _crafted(kind, n, seed, scale)
+        P = linalg.general_eig(M)[1]
+        Z = M + 1j * _crafted(kind, n, seed + 1, scale)
+        for Q in (P, Z):
+            assert _bytes(linalg.cond_2(Q)) == _bytes(_public_cond_2(Q))
+
+    @pytest.mark.parametrize("M", [
+        np.diag([-0.0, 0.0, -1.0]),
+        -0.0 * np.triu(np.ones((4, 4))),
+        np.array([[0.0, -0.0], [0.0, -0.0]]),
+    ], ids=["mixed_zeros", "negative_zero_triangle", "negative_zero_column"])
+    def test_signed_zero_spectra(self, M):
+        assert _bytes(linalg.eigenvalues(M)) == _bytes(_public_eigenvalues(M))
+        assert _bytes(linalg.general_eig(M)) == _bytes(_public_eig(M))
 
 
 class TestSolveSpdIdentity:

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,11 @@ from minimax_gda import dynamics as dyn
 from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda import verify
-from minimax_gda.errors import InvalidInputError, NotPositiveDefiniteError
+from minimax_gda.errors import (
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    NumericalFailureError,
+)
 
 
 def det_cofactor(M):
@@ -256,6 +262,90 @@ class TestCond2:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             linalg.cond_2(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+# each kernel, the gufunc binding it calls, and its non-convergence message
+GUFUNC_KERNELS = [
+    ("eigenvalues", "_EIGVALS", "QR iteration failed to converge: Eigenvalues did not"),
+    ("general_eig", "_EIG", "QR iteration failed to converge: Eigenvalues did not"),
+    ("sym_eig", "_EIGH", "symmetric eigensolver failed: Eigenvalues did not"),
+    ("spectral_norm", "_SVD", "SVD failed: SVD did not converge"),
+    ("cond_2", "_SVD", "SVD failed: SVD did not converge"),
+]
+REJECTED = {
+    "non_finite": np.array([[1.0, math.nan], [0.0, 1.0]]),
+    "infinite": np.array([[math.inf, 0.0], [0.0, 1.0]]),
+    "vector": np.ones(3),
+    "non_square": np.ones((2, 3)),
+    "asymmetric": np.array([[1.0, 2.0], [0.0, 1.0]]),
+    "complex_non_finite": np.array([[1.0, complex(0.0, math.inf)], [0.0, 1.0]]),
+}
+
+
+def _rejected(kernel):
+    """The ``REJECTED`` inputs ``kernel`` refuses (``spectral_norm`` takes
+    any matrix)."""
+    return ["non_finite", "infinite", "vector"] + {
+        "spectral_norm": [], "sym_eig": ["non_square", "asymmetric"],
+        "cond_2": ["non_square", "complex_non_finite"]}.get(kernel, ["non_square"])
+
+
+class TestLapackFailure:
+    """A gufunc reports LAPACK non-convergence by raising the FP-invalid
+    flag.  Every kernel turns it into ``NumericalFailureError`` (not
+    ``LinAlgError``, not a ``RuntimeWarning``) whatever errstate its caller
+    holds, and rejects bad input before LAPACK runs."""
+
+    @pytest.mark.parametrize("caller", [{}, {"all": "ignore"}, {"all": "raise"}],
+                             ids=["default", "ignore", "raise"])
+    @pytest.mark.parametrize("kernel,binding,message", GUFUNC_KERNELS,
+                             ids=[k for k, _, _ in GUFUNC_KERNELS])
+    def test_non_convergence_raises_numerical_failure(self, lapack_fails, kernel,
+                                                      binding, message, caller):
+        lapack_fails(binding)
+        with warnings.catch_warnings(), np.errstate(**caller):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match=message) as info:
+                getattr(linalg, kernel)(np.eye(3))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("kernel,binding,bad", [
+        (k, b, bad) for k, b, _ in GUFUNC_KERNELS for bad in _rejected(k)],
+        ids=[f"{k}-{bad}" for k, _, _ in GUFUNC_KERNELS for bad in _rejected(k)])
+    def test_bad_input_rejected_before_lapack(self, monkeypatch, kernel, binding, bad):
+        calls = []
+        monkeypatch.setattr(linalg, binding, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidInputError):
+            getattr(linalg, kernel)(REJECTED[bad])
+        assert calls == []
+
+    def test_concurrent_calls_keep_their_own_errstate(self, monkeypatch):
+        # both threads are inside their errstate at once; the failing one
+        # raises, the other returns LAPACK's answer
+        barrier = threading.Barrier(2, timeout=30)
+        eigvals = linalg._EIGVALS
+
+        def stand_in(M, signature):
+            barrier.wait()
+            return np.divide(0.0, 0.0) if M[0, 0] < 0 else eigvals(M, signature=signature)
+
+        monkeypatch.setattr(linalg, "_EIGVALS", stand_in)
+        results = {}
+
+        def call(sign):
+            try:
+                results[sign] = linalg.eigenvalues(sign * np.eye(2))
+            except Exception as exc:  # recorded for the asserts below
+                results[sign] = exc
+
+        threads = [threading.Thread(target=call, args=(s,)) for s in (1.0, -1.0)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(results[-1.0], NumericalFailureError)
+        assert np.array_equal(results[1.0], [1.0, 1.0])
 
 
 def fresh_interpreter(code):

@@ -449,6 +449,15 @@ class TestOracleHelpers:
                     if part == "corpus" else ["worst_2x2_abs"])
         assert [k for k, v in check.details.items() if math.isnan(v)] == nan_keys
 
+    def test_eigensolver_oracle_fails_on_empty_corpus(self):
+        # the 56 2x2 matrices still pass; the corpus errors are 0.0 having
+        # measured nothing
+        check = verify.check_eigensolver_oracle([], np.random.default_rng(1))
+        assert not check.passed
+        assert [check.details[k] for k in
+                ("worst_residual_rel", "worst_trace_rel", "worst_det_rel")] == [0.0] * 3
+        assert check.details["worst_2x2_abs"] <= 1e-12
+
     def test_eigensolver_oracle_checks_the_eigenvalues_kernel(self, monkeypatch):
         # criterion 2 takes its radii from linalg.eigenvalues; a 1e-9 error
         # there, with general_eig left exact, fails criterion 8's 2x2 check
