@@ -12,12 +12,16 @@ GDA trajectory; one GDA run that diverges at step 1150, in its second
 chunk (the first sweep cell of the cli-stop workload's first variant on its
 indefinite instance); one basis run of criterion 1's divergence
 certificate, a dim-2 run that exhausts its 10 000-step budget in two
-chunks, as cli-stop's ``verify lower-bounds`` runs 74 of them; and one
-``ratio_sweep`` of GDA and EG over the default ratios on the convex
-instance of that variant.  Each run case stores its step count in
-``extra_info["steps"]`` (for the criterion-9 and early-stop runs, the steps
-to the stop), so the per-call median over it is microseconds per step; the
-sweep case stores its cell count in ``extra_info["cells"]``.  Every case
+chunks, as cli-stop's ``verify lower-bounds`` runs 74 of them, and one that
+diverges at step 54, in its first chunk, as most of the other 35 do; the
+build of the affine engine alone (``_affine_engine``: the transition
+matrix and both power stacks), for that dim-2 run and for the GDA and EG
+runs of criterion 3; and one ``ratio_sweep`` of GDA and EG over the
+default ratios on the convex instance of that variant.  Each run case
+stores its step count in ``extra_info["steps"]`` (for the criterion-9,
+early-stop and diverging runs, the steps to the stop), so the per-call
+median over it is microseconds per step; the sweep case stores its cell
+count in ``extra_info["cells"]``.  Every case
 stores in ``extra_info["minflt"]`` the minor page faults of one untimed call
 before the timed ones: a reading of how much memory a call maps afresh,
 reported and not gated, since the count also varies between fresh
@@ -112,19 +116,42 @@ def test_early_stop_run(benchmark):
     _bench(benchmark, dyn.run, p, cfg)
 
 
-def test_certificate_basis_run(benchmark):
-    # one basis trajectory of criterion 1's divergence certificate, as the
+def _certificate_cell(eta_x):
+    # a basis trajectory of criterion 1's divergence certificate, as the
     # cli-stop workload's verify lower-bounds runs it: GDA on the dim-2
-    # hard_ratio_instance(8, 1) at r = kappa from z* + e_1, exhausting its
-    # 10 000-step budget
+    # hard_ratio_instance(8, 1) at r = kappa from z* + e_1, with a budget of
+    # 10 000 steps
     p = prob.hard_ratio_instance(8.0, 1.0)
-    eta_x = float(harness._ETA_GRID[0])
     cfg = dyn.SolverConfig(algorithm=dyn.Algorithm.GDA, eta_x=eta_x, eta_y=8.0 * eta_x,
                            max_iters=10_000, target_eps=harness._EPS_NEVER)
-    z0 = p.z_star + [1.0, 0.0]
+    return p, cfg, p.z_star + [1.0, 0.0]
+
+
+def test_certificate_basis_run(benchmark):
+    # at the grid's least stepsize the run exhausts its budget
+    p, cfg, z0 = _certificate_cell(float(harness._ETA_GRID[0]))
     assert dyn.run(p, cfg, z0).status.kind is dyn.StatusKind.BUDGET_EXHAUSTED
     benchmark.extra_info["steps"] = cfg.max_iters
     _bench(benchmark, dyn.run, p, cfg, z0)
+
+
+def test_diverging_certificate_run(benchmark):
+    # at the grid's third-largest stepsize the run diverges at step 54
+    p, cfg, z0 = _certificate_cell(float(harness._ETA_GRID[-3]))
+    status = dyn.run(p, cfg, z0).status
+    assert status == dyn.Status(dyn.StatusKind.DIVERGED, 54)
+    benchmark.extra_info["steps"] = status.step
+    _bench(benchmark, dyn.run, p, cfg, z0)
+
+
+@pytest.mark.parametrize("case", ["gda-2", "gda-8", "eg-8"])
+def test_engine_build(benchmark, case):
+    # the certificate's dim-2 run, or criterion 3's 40 000-step dim-8 ones
+    if case == "gda-2":
+        p, cfg, _ = _certificate_cell(float(harness._ETA_GRID[0]))
+    else:
+        p, cfg = _rates_cell(dyn.Algorithm(case[:-2]))
+    _bench(benchmark, dyn._affine_engine, p, cfg)
 
 
 def test_estimate_rate(benchmark):

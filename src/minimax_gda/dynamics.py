@@ -16,20 +16,21 @@ normal, so every quadratic run, exact or noisy, is the affine recurrence
 iteration from the whole chunk's measures at once; the chunk loop, the stop
 rule and the recording live there alone (the chunk sizes are set out at
 ``_CHUNK_FIRST``).  An engine only supplies the chunk's states and their
-measure.  The affine engine takes the states inside each block of ``b``
-steps from one product of its start with the stack ``T^1..T^b``.  An exact
-chunk is two products, its block starts coming from one product with the
-stack of powers of ``T^b``.  A noisy run takes blocks of 8 steps: its
-responses to its own noise are built up in place over the draws ``G xi``,
-one product per step of a block over every block at once, and a log-depth
-scan with the squares ``(T^b)^(2^k)`` gives the block starts.  The affine
-engine makes its state-sized arrays once per run, sized for the run's
-longest chunk, and every chunk fills them.  Non-quadratic runs take their
-chunk's states from the gradient oracle, one step after another; an exact
-oracle's step reuses the gradient that the measure took.  A run owns its
-RNG (seeded from the config), and the noise it draws is the per-step
-oracle's stream, value for value; ``gda_step``/``eg_step`` with
-``make_oracle`` remain the per-step reference.
+measure, NaN or ``inf`` where a state is not finite; such a measure stops
+the run, and ``run`` records it as ``inf``, at the stop alone.  The affine
+engine takes the states inside each block of ``b`` steps from one product of
+its start with the stack ``T^1..T^b``.  An exact chunk is two products, its
+block starts coming from one product with the stack of powers of ``T^b``.  A
+noisy run takes blocks of 8 steps: its responses to its own noise are built
+up in place over the draws ``G xi``, one product per step of a block over
+every block at once, and a log-depth scan with the squares ``(T^b)^(2^k)``
+gives the block starts.  The affine engine makes its state-sized arrays once
+per run, sized for the run's longest chunk, and every chunk fills them.
+Non-quadratic runs take their chunk's states from the gradient oracle, one
+step after another; an exact oracle's step reuses the gradient that the
+measure took.  A run owns its RNG (seeded from the config), and the noise it
+draws is the per-step oracle's stream, value for value;
+``gda_step``/``eg_step`` with ``make_oracle`` remain the per-step reference.
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ def run(problem, config, z0=None):
     Stops at the first iteration where the measure is at most
     ``target_eps`` (converged), else at least ``DIVERGENCE_FACTOR`` (1e8)
     times its initial value or non-finite (diverged), else at ``max_iters``
-    (budget exhausted), checked in that order.  Distances are recorded
+    (budget exhausted), checked in that order; a non-finite measure, the
+    last one recorded, is recorded as ``inf``.  A ``z0`` of the wrong length
+    or not finite raises :class:`InvalidInputError`.  Distances are recorded
     every iteration, or every ``ceil(T/1e6)`` iterations for very long
     budgets (the terminal point is always recorded).  Deterministic given
     ``(problem, config, z0)``; when ``z0`` is omitted it defaults to the
@@ -289,8 +292,13 @@ def run(problem, config, z0=None):
     # diverged rather than warranting a warning
     with np.errstate(over="ignore", invalid="ignore"):
         advance, measure = (_oracle_engine if nonquad else _affine_engine)(problem, config)
-        S = (z0 if nonquad else z0 - quad.z_star)[None, :]
+        z_star = None if nonquad else quad.z_star
+        S = (z0 if nonquad else z0 - z_star)[None, :]
         d = measure(S)
+        # inf and NaN carry through either measure: only a start whose
+        # measure is not finite can have entries that are not
+        if not math.isfinite(d[0]) and not np.isfinite(z0).all():
+            raise InvalidInputError("z0 must be finite")
         limit = DIVERGENCE_FACTOR * d[0]
         parts = []  # (distances, gaps) recorded from each chunk
 
@@ -302,22 +310,25 @@ def run(problem, config, z0=None):
                           if record_gaps else None))
 
         k0 = 0  # iteration of S[0]
-        blocks = _chunk_blocks(quad.dim, _CHUNK_FIRST)
-        cap = _cap_blocks(quad.dim)
+        size, cap = _chunk_sizes(quad.dim)
         while True:
-            stop = (d <= eps) | (d >= limit)
+            go = d < limit  # inside (eps, limit), where NaN is not
+            go &= d > eps
+            j = int(go.argmin())
             last = k0 + len(d) - 1
-            j = int(np.argmax(stop)) if stop.any() else (
-                len(d) - 1 if last == max_iters else None)
+            if go[j]:
+                j = len(d) - 1 if last == max_iters else None
+            elif math.isnan(d[j]):  # the only recorded one that may be NaN
+                d[j] = math.inf
             # every stride-th iteration of the chunk, up to its stop
             record(slice(-k0 % stride, len(d) if j is None else j + 1, stride))
             if j is not None:
                 break
-            S = advance(S[-1], min(max_iters - last, blocks * _BLOCK))
+            S = advance(S[-1], min(max_iters - last, size))
             # measured after advance returns: measuring inside it ran slower
             d = measure(S)
             k0 = last + 1
-            blocks = min(2 * blocks, cap)
+            size = min(2 * size, cap)
         final = k0 + j
         iters = np.arange(0, final + 1, stride)
         if final % stride:
@@ -326,7 +337,7 @@ def run(problem, config, z0=None):
     wall = time.perf_counter() - start
     if d[j] <= eps:
         status = Status(StatusKind.CONVERGED, final)
-    elif d[j] >= limit:
+    elif not d[j] < limit:  # the limit is NaN where the start's measure is
         status = Status(StatusKind.DIVERGED, final)
     else:
         status = Status(StatusKind.BUDGET_EXHAUSTED)
@@ -339,18 +350,16 @@ def run(problem, config, z0=None):
         metric="grad_norm" if nonquad else "distance",
         wall_time=wall,
         config=config,
-        final_z=S[j].copy() if nonquad else quad.z_star + S[j],
+        final_z=S[j].copy() if nonquad else z_star + S[j],
     )
 
 
-def _norms(W, squares):
-    """``|w|`` of each row of ``W``, ``inf`` where it is not finite: the
-    squares, written to the leading rows of ``squares``, summed by one
-    product with a ones vector."""
-    d = np.square(W, out=squares[:len(W)]) @ np.ones(W.shape[1])
-    np.sqrt(d, out=d)
-    d[~np.isfinite(d)] = math.inf
-    return d
+def _norms(W, squares, ones):
+    """``|w|`` of each row of ``W``: the squares, written to the leading rows
+    of ``squares``, summed by one product with the vector ``ones``.  A row
+    that is not finite gives NaN or ``inf``."""
+    d = np.square(W, out=squares[:len(W)]) @ ones
+    return np.sqrt(d, out=d)
 
 
 # Block length b of the affine engine: a run precomputes T^1..T^b once and
@@ -373,22 +382,17 @@ _CHUNK_CAP = 32768
 _CAP_STEPS = 4096
 
 
-def _chunk_blocks(dim, entries):
-    """Blocks of ``_BLOCK`` steps in a chunk of about ``entries`` state
-    entries at ``dim``, at least one."""
-    return max(1, entries // (dim * _BLOCK))
-
-
-def _cap_blocks(dim):
-    """Blocks of ``_BLOCK`` steps in a run's largest chunk at ``dim``."""
-    return max(_CAP_STEPS // _BLOCK, _chunk_blocks(dim, _CHUNK_CAP))
+def _chunk_sizes(dim):
+    """Steps in a run's first and largest chunks at ``dim`` (see above)."""
+    blocks = _CHUNK_FIRST // (dim * _BLOCK), _CHUNK_CAP // (dim * _BLOCK)
+    return max(1, blocks[0]) * _BLOCK, max(_CAP_STEPS // _BLOCK, blocks[1]) * _BLOCK
 
 
 def _longest_chunk(dim, steps):
     """Steps in the longest chunk of a ``steps``-step run at ``dim``: the
     last whole chunk of the schedule ``run`` follows, or the rest of the
     budget after it, whichever is longer."""
-    size, cap = _chunk_blocks(dim, _CHUNK_FIRST) * _BLOCK, _cap_blocks(dim) * _BLOCK
+    size, cap = _chunk_sizes(dim)
     longest = 0
     while steps > size and size < cap:
         longest, steps, size = size, steps - size, min(2 * size, cap)
@@ -401,7 +405,7 @@ def _oracle_engine(problem, config):
     drawing the noise from the run's generator; a chunk holds at most one
     block, since its steps past a stop are paid in full.  ``measure(Z)`` is
     the exact gradient norm ``hypot(|gx|, |gy|)`` at each row of ``Z``,
-    ``inf`` where it is not finite.  A step and the measure share one
+    NaN or ``inf`` where it is not finite.  A step and the measure share one
     ``nonquad_grad`` call per iterate: a noisy step adds its draws to the
     exact gradient that the measure takes."""
     # exact gradients by their iterate's bytes: a chunk's, until it is
@@ -418,10 +422,8 @@ def _oracle_engine(problem, config):
         grads = [exact_grad(z) for z in Z]
         held.clear()
         held[Z[-1].tobytes()] = grads[-1]
-        d = np.array([math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
-                      for gx, gy in grads])
-        d[~np.isfinite(d)] = math.inf
-        return d
+        return np.array([math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy)))
+                         for gx, gy in grads])
 
     def oracle(z, rng):
         return prob.add_noise(exact_grad(z), config.noise, rng)
@@ -447,17 +449,17 @@ def _affine_engine(quad, config):
     budget = max(1, config.max_iters)
     P = _power_stack(T, min(_BLOCK if G is None else _NOISY_BLOCK, budget))
     b = P.shape[1] // dim
-    Pb = np.ascontiguousarray(P[:, -dim:])  # (T^b)'
+    Pb = P[:, -dim:]  # (T^b)'
     # blocks of b steps in the run's longest chunk
     most = -(-_longest_chunk(dim, budget) // b)
     W = np.empty((most, b * dim))
-    measure = partial(_norms, squares=np.empty((most * b, dim)))
+    measure = partial(_norms, squares=np.empty((most * b, dim)), ones=np.ones(dim))
     if G is None:
         return partial(_advance, T=T, P=P, Pb=_power_stack(Pb.T, most), W=W), measure
     # the squares (T^b)^(2^k) that a chunk's scan of block starts uses, up
     # to the first one that overflows (see _scan)
     levels = most.bit_length()
-    Q = [Pb]
+    Q = [np.ascontiguousarray(Pb)]
     while len(Q) < levels:
         square = Q[-1] @ Q[-1]
         if not np.isfinite(square).all():
@@ -477,12 +479,13 @@ def _power_stack(T, b):
     P[0] = T
     have = 1
     while have < b:
-        add = min(have, b - have)
+        add = have if 2 * have <= b else b - have
         np.matmul(P[:add], P[have - 1], out=P[have:have + add])
         have += add
-    finite = np.isfinite(P).all(axis=(1, 2))
-    if not finite.all():
-        P = P[:max(1, int(np.argmin(finite)))]
+    if not math.isfinite(P.sum()):  # a finite sum has finite terms
+        finite = np.isfinite(P).all(axis=(1, 2))
+        if not finite.all():
+            P = P[:max(1, int(np.argmin(finite)))]
     return P.transpose(2, 0, 1).reshape(len(T), -1)
 
 

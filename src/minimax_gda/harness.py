@@ -174,7 +174,6 @@ def _power_norm_course(problem, r, eta_x, max_iters):
     non-normal, so individual distances can dip during partial rotations
     even when every eigenvalue lies outside the unit circle.
     """
-    dim = problem.dim
     config = dyn.SolverConfig(
         algorithm=dyn.Algorithm.GDA,
         eta_x=eta_x,
@@ -183,9 +182,7 @@ def _power_norm_course(problem, r, eta_x, max_iters):
         target_eps=_EPS_NEVER,
     )
     courses = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
+    for e in np.eye(problem.dim):
         traj = dyn.run(problem, config, z0=problem.z_star + e)
         if traj.status.kind is dyn.StatusKind.DIVERGED:
             return None

@@ -415,6 +415,17 @@ class TestRun:
         with pytest.raises(InvalidInputError, match="z0 must have length 8"):
             dyn.run(reference_instance, config(T=5), z0=np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("nonquad", [False, True], ids=["quadratic", "nonquad"])
+    def test_z0_not_finite_rejected(self, small_instance, bad, nonquad):
+        # invalid input, not a run that diverges at step 0
+        p = prob.NonQuadraticProblem(base=small_instance, a=1.0, b=np.zeros(small_instance.n)) \
+            if nonquad else small_instance
+        z0 = small_instance.z_star.copy()
+        z0[1] = bad
+        with pytest.raises(InvalidInputError, match="z0 must be finite"):
+            dyn.run(p, config(T=5), z0=z0)
+
     def test_overflowing_gap_recorded_as_inf(self):
         # one step of eta = 4.5e152 takes x to (-3e153, -6e153): the distance
         # is finite but the gap's quadratic form overflows, which must not
@@ -579,17 +590,14 @@ def engine_cases(draw, nonquad=False):
     cap = draw(st.sampled_from([dyn.TRAJECTORY_STORAGE_CAP, 1, 37, 500]))
     # mostly the default start; else an edge of the stop rule: the optimum
     # (d0 = 0), just inside eps, 1e150 out (a finite measure that leaves the
-    # floats before it grows 1e8-fold), 1e301 out (1e8 * d0 overflows; the
-    # measure's squares do too) or an inf entry
-    offset = draw(st.sampled_from([None] * 6 + [0.0, 0.5 * eps, 1e150, 1e301, math.inf]))
+    # floats before it grows 1e8-fold) or 1e301 out (1e8 * d0 overflows; the
+    # measure's squares do too)
+    offset = draw(st.sampled_from([None] * 6 + [0.0, 0.5 * eps, 1e150, 1e301]))
     if offset is None:
         return p, cfg, cap, None
     quad = getattr(p, "base", p)
     v = rng.standard_normal(quad.dim)
-    z0 = quad.z_star + (offset if offset < math.inf else 1.0) * v / np.linalg.norm(v)
-    if offset == math.inf:
-        z0[draw(st.integers(0, quad.dim - 1))] = math.inf
-    return p, cfg, cap, z0
+    return p, cfg, cap, quad.z_star + offset * v / np.linalg.norm(v)
 
 
 def growth_case(alg, steps, factor=1e8, n=1):
@@ -853,6 +861,23 @@ class TestAffineEngine:
         traj = assert_matches_reference(p, cfg, z0=np.array([1.0, 0.0]))
         assert traj.status.kind is dyn.StatusKind.CONVERGED
 
+    def test_power_stack_drops_powers_from_the_first_that_overflows(self):
+        # T swaps and scales the axes: T^2 = 1e140 I and T^4 = 1e280 I stay
+        # finite, but T^3 = 1e140 T overflows; doubling takes T^4 from T^2,
+        # not from T^3, so the last power is finite while a middle one is not
+        T = np.array([[0.0, 1e200], [1e-60, 0.0]])
+        T2 = T @ T
+        with np.errstate(over="ignore"):
+            P = dyn._power_stack(T, 4)
+            assert np.isinf(T @ T2).any() and np.isfinite(T2 @ T2).all()
+        assert np.array_equal(P, np.hstack([T.T, T2.T]))
+        # powers whose entries are finite but whose sum overflows all stay;
+        # a first power that is not finite stays alone
+        big = np.array([[1e308, 0.0], [0.0, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(dyn._power_stack(big, 1), big)
+            assert dyn._power_stack(2.0 * big, 8).shape == (2, 2)
+
     @pytest.mark.parametrize("alg", [GDA, EG])
     def test_long_exact_run_equals_matrix_power(self, rng, alg):
         # chunks of 4096 and 8192 steps at dim 2 (1024 and 2048 at dim 8)
@@ -1007,6 +1032,95 @@ class TestOracleEngine:
             algorithm=alg, eta_x=h, eta_y=h, max_iters=100, target_eps=1e-300,
             noise=noise), z0)
         assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 100)
+
+
+PATHS = [(GDA, None), (EG, None), (SGDA, prob.NoiseModel(1.0, 1)),
+         (EG, prob.NoiseModel(1.0, 1))]
+PATH_IDS = ["gda", "eg", "sgda", "noisy-eg"]
+
+
+class TestStopsAtTheEdges:
+    """Runs that stop at step 0, and runs whose measure first turns NaN:
+    ``run`` writes ``inf`` for the measure at the stop alone, the only
+    recorded one that can be non-finite."""
+
+    @pytest.mark.parametrize("alg,noise", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("nonquad", [False, True], ids=["affine", "oracle"])
+    def test_converges_at_step_0(self, small_instance, alg, noise, nonquad):
+        # the optimum is a zero of the gradient of the perturbed instance too
+        p = small_instance
+        problem = prob.NonQuadraticProblem(base=p, a=1.0, b=p.x_star) if nonquad else p
+        traj = dyn.run(problem, config(alg=alg, T=10_000, eps=1e-12, noise=noise,
+                                       record_primal_gaps=True), z0=p.z_star)
+        assert traj.status == dyn.Status(dyn.StatusKind.CONVERGED, 0)
+        assert list(traj.iters) == [0] and list(traj.distances) == [0.0]
+        assert np.array_equal(traj.final_z, p.z_star)
+
+    @pytest.mark.parametrize("alg,noise", PATHS, ids=PATH_IDS)
+    def test_affine_measure_turns_nan(self, alg, noise):
+        # an affine state is a sum of products with finite powers of T,
+        # which overflows to inf, not NaN, so the measure of a run can first
+        # be NaN only where T is not finite itself: here eta_x * C overflows
+        # (T_xx = -inf) and x starts at x* = 0 exactly, so x is -inf * 0 =
+        # NaN after one step, in the run's first chunk.  (The per-step
+        # oracle, which forms no T, keeps x at 0.)
+        q = prob.QuadraticProblem(A=[[1.0]], B=[[0.0]], C=[[1e300]], x_star=[0.0],
+                                  y_star=[0.0], L=1.0, mu=1.0)
+        cfg = dyn.SolverConfig(algorithm=alg, eta_x=1e10, eta_y=0.5, max_iters=10_000,
+                               target_eps=1e-300, noise=noise)
+        w0 = np.array([0.0, 1.0])
+        traj = dyn.run(q, cfg, z0=w0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 1)
+        assert list(traj.iters) == [0, 1] and list(traj.distances) == [1.0, math.inf]
+        assert np.isnan(traj.final_z[0])
+        # the state is the one step T w0 + G xi, with the run's first draws
+        with np.errstate(over="ignore", invalid="ignore"):
+            T, G = dyn.linear_system(q, cfg)
+            w1 = T @ w0
+            if G is not None:
+                w1 += G @ np.random.default_rng(cfg.seed).standard_normal(G.shape[1])
+        assert np.allclose(traj.final_z, w1, rtol=1e-12, atol=0, equal_nan=True)
+
+    def test_oracle_start_measure_nan(self):
+        # a finite start whose gradient is NaN: C x overflows to inf and
+        # B y to -inf in the same x entry, while the y gradient is 1e9; the
+        # run diverges at step 0, its limit 1e8 * NaN notwithstanding
+        base = prob.QuadraticProblem(
+            A=[[1.0]], B=[[0.0], [1e300]], C=[[1.0, 1.7e308], [1.7e308, 1.0]],
+            x_star=[0.0, 0.0], y_star=[0.0], L=1.0, mu=1.0)
+        nq = prob.NonQuadraticProblem(base=base, a=0.0, b=[0.0, 0.0])
+        z0 = np.array([10.0, 0.0, -1e9])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx, gy = prob.nonquad_grad(nq, z0)
+        assert math.isnan(gx[1]) and gy[0] == 1e9
+        traj = dyn.run(nq, config(T=100), z0=z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 0)
+        assert list(traj.distances) == [math.inf]
+        assert np.array_equal(traj.final_z, z0)
+
+    @pytest.mark.parametrize("cap", [dyn.TRAJECTORY_STORAGE_CAP, 300])
+    def test_oracle_measure_turns_nan(self, monkeypatch, cap):
+        # the gradient is 1e-160 of the iterate: x1 doubles per step and
+        # leaves the floats at step 5, inside the first chunk, while the
+        # gradient norm is near 1e148; the gradient there is NaN (0 * inf),
+        # not inf.  Under a cap of 300 the run records every 4th point, and
+        # the stop apart
+        monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", cap)
+        base = prob.QuadraticProblem(
+            A=[[0.5e-160]], B=[[0.0], [0.0]], C=[[-1e-160, 0.0], [0.0, 0.5e-160]],
+            x_star=[0.0, 0.0], y_star=[0.0], L=1.0, mu=1.0)
+        nq = prob.NonQuadraticProblem(base=base, a=1e-170, b=[0.0, 0.0])
+        cfg = dyn.SolverConfig(algorithm=GDA, eta_x=1e160, eta_y=1e160, max_iters=1000,
+                               target_eps=1e-300)
+        z0 = np.array([1e307, 1.0, 1.0])
+        traj = assert_matches_reference(nq, cfg, z0=z0)
+        assert traj.status == dyn.Status(dyn.StatusKind.DIVERGED, 5)
+        assert list(traj.iters) == (list(range(6)) if cap > 1000 else [0, 4, 5])
+        assert math.isfinite(traj.distances[-2]) and traj.distances[-1] == math.inf
+        with np.errstate(invalid="ignore"):
+            gx, gy = prob.nonquad_grad(nq, traj.final_z)
+        assert math.isnan(math.hypot(math.sqrt(gx.dot(gx)), math.sqrt(gy.dot(gy))))
+        assert np.array_equal(traj.final_z, reference_run(nq, cfg, z0)[4])
 
 
 def synthetic_trajectory(distances, iters=None):
