@@ -22,7 +22,9 @@ drifts by 2x within minutes, which separate processes run minutes apart
 would read as a difference between the trees; timings taken side by side,
 interleaved, share the drift.  Prints one JSON object: per case, each
 side's median microseconds per call over the rounds, the change's median
-over the parent's, and the rounds in which the change was faster.
+over the parent's, the rounds in which the change was faster, and each
+side's median minor page faults per call over the rounds (the memory a
+call maps afresh; a gain from faulting fewer pages shows there).
 """
 
 import argparse
@@ -32,6 +34,7 @@ import functools
 import importlib.util
 import json
 import math
+import resource
 import statistics
 import sys
 import time
@@ -129,14 +132,20 @@ def digest(obj):
         return ("partial", obj.func.__name__)
     if isinstance(obj, (tuple, list)):
         return tuple(digest(x) for x in obj)
+    if isinstance(obj, dict):
+        return ("dict", tuple((k, digest(v)) for k, v in obj.items()))
     raise TypeError(f"no digest for {type(obj).__name__}")
 
 
 def per_call(fn, number):
+    """Seconds and minor page faults per call, over ``number`` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(number):
         fn()
-    return (time.perf_counter() - start) / number
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return seconds / number, faults / number
 
 
 def main(argv=None):
@@ -157,14 +166,17 @@ def main(argv=None):
         return 1
 
     cases = list(sides["parent"])
-    number = {case: max(1, round(args.seconds / per_call(sides["parent"][case], 1)))
+    number = {case: max(1, round(args.seconds / per_call(sides["parent"][case], 1)[0]))
               for case in cases}
     times = {case: {"parent": [], "change": []} for case in cases}
+    faults = {case: {"parent": [], "change": []} for case in cases}
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for case in cases:
             for side in order:
-                times[case][side].append(per_call(sides[side][case], number[case]))
+                seconds, minflt = per_call(sides[side][case], number[case])
+                times[case][side].append(seconds)
+                faults[case][side].append(minflt)
     report = {"rounds": args.rounds, "identical_outputs": True, "cases": {}}
     for case in cases:
         parent, change = times[case]["parent"], times[case]["change"]
@@ -174,6 +186,8 @@ def main(argv=None):
             "change_us": round(1e6 * statistics.median(change), 3),
             "change_over_parent": round(statistics.median(change) / statistics.median(parent), 3),
             "change_wins": sum(c < q for c, q in zip(change, parent)),
+            "parent_minflt": round(statistics.median(faults[case]["parent"]), 1),
+            "change_minflt": round(statistics.median(faults[case]["change"]), 1),
         }
     print(json.dumps(report, indent=1))
     return 0

@@ -17,11 +17,14 @@ diverges at step 54, in its first chunk, as most of the other 35 do; the
 build of the affine engine alone (``_affine_engine``: the transition
 matrix and both power stacks), for that dim-2 run and for the GDA and EG
 runs of criterion 3; and one ``ratio_sweep`` of GDA and EG over the
-default ratios on the convex instance of that variant.  Each run case
+default ratios on the convex instance of that variant; and one
+``check_rate_matches_prediction`` over the certify-rates workload's corpus
+at its first variant (the first 8 corpus instances, 40 000 steps), whose
+48 GDA and EG runs are criterion 3's cells.  Each run case
 stores its step count in ``extra_info["steps"]`` (for the criterion-9,
 early-stop and diverging runs, the steps to the stop), so the per-call
-median over it is microseconds per step; the sweep case stores its cell
-count in ``extra_info["cells"]``.  Every case
+median over it is microseconds per step; the sweep and criterion-3 cases
+store their cell counts in ``extra_info["cells"]``.  Every case
 stores in ``extra_info["minflt"]`` the minor page faults of one untimed call
 before the timed ones: a reading of how much memory a call maps afresh,
 reported and not gated, since the count also varies between fresh
@@ -169,3 +172,13 @@ def test_ratio_sweep(benchmark):
     algorithms = (dyn.Algorithm.GDA, dyn.Algorithm.EG)
     benchmark.extra_info["cells"] = len(ratios) * len(algorithms)
     _bench(benchmark, harness.ratio_sweep, p, ratios, 400_000, 1e-6, algorithms=algorithms)
+
+
+def test_check_rate_matches_prediction(benchmark):
+    # the certify-rates workload's body at its first variant: corpus seeds
+    # from 0, 3 ratios x {GDA, EG} per instance
+    corpus = verify.corpus_instances(8)
+    check = verify.check_rate_matches_prediction(corpus, max_iters=STEPS)
+    assert check.passed
+    benchmark.extra_info["cells"] = check.details["cells"]
+    _bench(benchmark, verify.check_rate_matches_prediction, corpus, max_iters=STEPS)

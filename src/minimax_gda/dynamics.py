@@ -40,7 +40,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -136,7 +136,9 @@ class Trajectory:
     ``problems.primal_gap``'s form on the x deviation of point ``i``, even
     where its measure is ``inf``.  Non-finite measures are recorded as
     ``inf``, and ``status`` follows the stop rule of ``run``: converged,
-    else diverged, else budget exhausted.
+    else diverged, else budget exhausted.  A run that records every
+    iteration (``max_iters <= TRAJECTORY_STORAGE_CAP``) gets as ``iters`` a
+    read-only view of one index shared by all such runs.
     """
 
     iters: np.ndarray
@@ -208,10 +210,37 @@ def default_initial_point(quad, seed):
     # unit-norm offset from the optimum of the quadratic instance (a
     # non-quadratic one's base), drawn before any noise so SGDA and GDA see
     # the same start for a given seed
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(quad.dim)
-    v /= np.linalg.norm(v)
-    return quad.z_star + v
+    return quad.z_star + _unit_direction(seed, quad.dim)
+
+
+@lru_cache(maxsize=256)
+def _unit_direction(seed, dim):
+    # read-only, since every call with this (seed, dim) gets the same array;
+    # sqrt(v.v) is what np.linalg.norm computes for a real vector
+    v = np.random.default_rng(seed).standard_normal(dim)
+    v /= math.sqrt(v.dot(v))
+    v.flags.writeable = False
+    return v
+
+
+# np.arange(n) as one read-only array that every stride-1 run's iters views:
+# a run that allocated its own would hand its pages back to the allocator
+# when the run ends, and the next run would fault them in afresh
+_INDEX = np.arange(0)
+_INDEX.flags.writeable = False
+
+
+def _iteration_index(n):
+    """``np.arange(n)`` (int64) as a read-only view of ``_INDEX``, which is
+    grown to ``n`` entries when it is shorter.  Stride-1 runs alone call
+    this, so ``n`` is at most ``TRAJECTORY_STORAGE_CAP + 1``."""
+    global _INDEX
+    index = _INDEX  # one read: another thread may replace _INDEX meanwhile
+    if len(index) < n:
+        index = np.arange(n)
+        index.flags.writeable = False
+        _INDEX = index
+    return index[:n]
 
 
 def linear_system(problem, config):
@@ -253,7 +282,10 @@ def run(problem, config, z0=None):
     last one recorded, is recorded as ``inf``.  A ``z0`` of the wrong length
     or not finite raises :class:`InvalidInputError`.  Distances are recorded
     every iteration, or every ``ceil(T/1e6)`` iterations for very long
-    budgets (the terminal point is always recorded).  Deterministic given
+    budgets (the terminal point is always recorded); a run that records
+    every iteration gets as ``iters`` a read-only view of one shared
+    ``np.arange``, and a longer run replaces that index rather than writing
+    to it.  Deterministic given
     ``(problem, config, z0)``; when ``z0`` is omitted it defaults to the
     optimum plus a unit direction drawn from ``config.seed``.  The oracle
     noise is drawn from a generator seeded with ``config.seed``, in the
@@ -330,10 +362,13 @@ def run(problem, config, z0=None):
             k0 = last + 1
             size = min(2 * size, cap)
         final = k0 + j
-        iters = np.arange(0, final + 1, stride)
-        if final % stride:
-            record(slice(j, j + 1))
-            iters = np.append(iters, final)
+        if stride == 1:
+            iters = _iteration_index(final + 1)
+        else:
+            iters = np.arange(0, final + 1, stride)
+            if final % stride:
+                record(slice(j, j + 1))
+                iters = np.append(iters, final)
     wall = time.perf_counter() - start
     if d[j] <= eps:
         status = Status(StatusKind.CONVERGED, final)
@@ -594,8 +629,8 @@ def estimate_rate(trajectory):
         diffs = np.diff(ld)
         nblocks = len(diffs) // b
         if nblocks >= 2:
-            means = [diffs[i * b:(i + 1) * b].mean() for i in range(nblocks)]
-            scale = min(means)
+            means = diffs[:nblocks * b].reshape(nblocks, b).mean(axis=1)
+            scale = means.min()
             cut = nblocks
             if scale < 0:
                 while cut > 1 and means[cut - 1] >= 0.25 * scale:

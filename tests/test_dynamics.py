@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -467,6 +469,122 @@ class TestRun:
             dyn.Status(dyn.StatusKind.CONVERGED, k)
         assert dyn.run(p, dyn.SolverConfig(max_iters=k - 1, **kw)).status == \
             dyn.Status(dyn.StatusKind.BUDGET_EXHAUSTED)
+
+    def test_default_initial_point_is_the_seeded_unit_draw(self):
+        # the direction is drawn once per (seed, dim); every call gets its
+        # own start, bit-identical to a fresh draw normalised by its norm
+        for dim, seed in ((2, 0), (8, 0), (8, 7), (32, 2 ** 40)):
+            p = prob.sample_instance(dim // 2, dim // 2, 10.0, 1.0, seed % 97)
+            v = np.random.default_rng(seed).standard_normal(dim)
+            expected = p.z_star + v / np.linalg.norm(v)
+            first = dyn.default_initial_point(p, seed)
+            first[:] = 0.0
+            second = dyn.default_initial_point(p, seed)
+            assert second.tobytes() == expected.tobytes()
+            assert second.flags.writeable and not np.shares_memory(first, second)
+
+
+class TestIterationIndex:
+    """A run that records every iteration views one shared, read-only
+    ``np.arange`` as its ``iters``; a longer run replaces the index."""
+
+    @pytest.fixture(autouse=True)
+    def empty_index(self, monkeypatch):
+        # each test grows the index from nothing; the shared one comes back
+        monkeypatch.setattr(dyn, "_INDEX", np.arange(0))
+
+    def test_iters_are_a_read_only_index(self, reference_instance):
+        for T in (0, 1, 64, 5000, 1000):
+            traj = dyn.run(reference_instance, config(T=T))
+            assert traj.status.kind is dyn.StatusKind.BUDGET_EXHAUSTED
+            assert traj.iters.dtype == np.int64
+            assert np.array_equal(traj.iters, np.arange(T + 1))
+            assert not traj.iters.flags.writeable
+            with pytest.raises(ValueError):
+                traj.iters[0] = 1
+        assert len(dyn._INDEX) == 5001
+
+    def test_longer_run_leaves_earlier_iters(self, reference_instance):
+        early = [dyn.run(reference_instance, config(T=T)) for T in (10, 100, 3000, 50)]
+        assert len(dyn._INDEX) == 3001
+        for traj, T in zip(early, (10, 100, 3000, 50)):
+            assert np.array_equal(traj.iters, np.arange(T + 1))
+
+    def test_index_never_exceeds_the_cap(self, monkeypatch):
+        p = prob.hard_ratio_instance(8.0, 1.0)
+        cap = dyn.TRAJECTORY_STORAGE_CAP
+        for T in (cap, cap + 1, 3 * cap + 7):
+            dyn.run(p, config(eta_x=1e-9, r=1.0, T=T))
+            assert len(dyn._INDEX) == cap + 1
+        monkeypatch.setattr(dyn, "_INDEX", np.arange(0))
+        monkeypatch.setattr(dyn, "TRAJECTORY_STORAGE_CAP", 37)
+        for T in (5, 37, 38, 1000):
+            dyn.run(p, config(eta_x=1e-9, r=1.0, T=T))
+            assert len(dyn._INDEX) == (6 if T == 5 else 38)
+
+    def test_budget_over_the_cap_takes_the_strided_path(self):
+        # stride 2: every other iteration, then the odd final one appended,
+        # in an array of the run's own
+        p = prob.hard_ratio_instance(8.0, 1.0)
+        T = dyn.TRAJECTORY_STORAGE_CAP + 1
+        traj = dyn.run(p, config(eta_x=1e-9, r=1.0, T=T))
+        assert traj.status.kind is dyn.StatusKind.BUDGET_EXHAUSTED
+        assert np.array_equal(traj.iters, np.append(np.arange(0, T + 1, 2), T))
+        assert traj.iters.dtype == np.int64 and traj.iters.flags.writeable
+        assert len(traj.distances) == len(traj.iters) and len(dyn._INDEX) == 0
+
+    def test_threads_each_get_their_own_iters(self, reference_instance):
+        # more threads than cores, each running lengths in its own order,
+        # with a short switch interval so that the growths interleave
+        lengths = [[7, 300, 40, 2000, 1], [2500, 3, 900, 64, 65],
+                   [1200, 1700, 0, 130], [99, 4000, 12, 3100]]
+        done, wrong = [], []
+
+        def work(Ts):
+            for T in Ts:
+                traj = dyn.run(reference_instance, config(T=T))
+                done.append((traj, T))
+                if not np.array_equal(traj.iters, np.arange(T + 1)):
+                    wrong.append(T)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(Ts,)) for Ts in lengths]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and len(done) == sum(map(len, lengths))
+        for traj, T in done:
+            assert np.array_equal(traj.iters, np.arange(T + 1))
+            assert not traj.iters.flags.writeable
+
+    def test_concurrent_growth_never_tears(self):
+        # four threads whose requests interleave, nearly each one longer
+        # than the index: a thread that read the index twice could slice one
+        # that another thread had replaced by a shorter one
+        short = []
+
+        def work(t):
+            for i in range(3000):
+                n = 4 * i + t
+                if len(dyn._iteration_index(n)) != n:
+                    short.append(n)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not short
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow classifies a divergence
@@ -1223,6 +1341,70 @@ class TestEstimateRate:
         traj = synthetic_trajectory(0.9 ** np.arange(8))
         with pytest.raises(InsufficientDataError):
             dyn.estimate_rate(traj)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(20, 400), st.integers(400, 60_000)),
+           st.floats(-12.0, 3.0), st.floats(0.5, 25.0), st.floats(0.0, 1.0),
+           st.sampled_from([None, 0.05, 0.3, 0.7]), st.booleans(), st.integers(0, 2 ** 16))
+    def test_block_means_match_the_per_block_loop(self, length, log_scale, decay, noise,
+                                                  plateau, floored, seed):
+        # the plateau trim's block means, taken in one reduction, give the
+        # bits of the per-block loop: on a geometric course with noise, a
+        # trailing plateau over the last `plateau` share of it, or a tail
+        # below the machine floor
+        g = np.random.default_rng(seed)
+        k = np.arange(length)
+        dist = 10.0 ** log_scale * np.exp(-decay / length * k + noise * g.standard_normal(length))
+        if plateau is not None:
+            start = length - int(plateau * length)
+            dist[start:] = dist[start] * (1.0 + 1e-3 * g.standard_normal(length - start))
+        if floored:
+            dist[-length // 5:] = 0.0
+        traj = synthetic_trajectory(dist)
+        try:
+            expected = loop_estimate_rate(traj)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                dyn.estimate_rate(traj)
+            return
+        assert dyn.estimate_rate(traj).hex() == expected.hex()
+
+
+def loop_block_means(diffs, b):
+    """The means of the whole blocks of ``b`` entries of ``diffs``, one
+    block at a time; checked against the one-reduction form it feeds."""
+    nblocks = len(diffs) // b
+    means = [diffs[i * b:(i + 1) * b].mean() for i in range(nblocks)]
+    reduced = diffs[:nblocks * b].reshape(nblocks, b).mean(axis=1)
+    assert reduced.tobytes() == np.array(means).tobytes()
+    return means
+
+
+def loop_estimate_rate(trajectory):
+    """``estimate_rate`` with its plateau trim's block means taken one block
+    at a time, as a reference for the one-reduction form."""
+    half = len(trajectory.distances) // 2
+    d = np.asarray(trajectory.distances[half:], dtype=float)
+    it = np.asarray(trajectory.iters[half:], dtype=float)
+    floor = 1e3 * np.finfo(float).eps * trajectory.distances[0]
+    usable = np.isfinite(d) & (d > max(floor, 0.0))
+    d, it = d[usable], it[usable]
+    ld = np.log(d)
+    if len(ld) >= 20:
+        b = max(5, len(ld) // 10)
+        diffs = np.diff(ld)
+        nblocks = len(diffs) // b
+        if nblocks >= 2:
+            means = loop_block_means(diffs, b)
+            scale = min(means)
+            cut = nblocks
+            if scale < 0:
+                while cut > 1 and means[cut - 1] >= 0.25 * scale:
+                    cut -= 1
+            ld, it = ld[:cut * b + 1], it[:cut * b + 1]
+    if len(ld) < 10:
+        raise InsufficientDataError("fewer than 10 usable points")
+    return math.exp(dyn.fit_slope(it, ld))
 
 
 class TestTrajectoryCsv:
