@@ -2,13 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/ab_in_process.py PARENT_SRC CHANGE_SRC
+    OPENBLAS_NUM_THREADS=1 python benchmarks/ab_in_process.py PARENT_SRC CHANGE_SRC \
+        [--bench FILE ...] [-k SUBSTRING]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that each hold a
 ``minimax_gda`` package (the ``src/`` of two checkouts).  Both are loaded
 into this process, as the packages ``ab_parent`` and ``ab_change``, and
-``test_bench_dynamics.py`` is loaded once against each, so the two sides
-run the same cases, built by the same code.  Every case is first called on
+each benchmark file (``--bench``, by default ``test_bench_dynamics.py``
+beside this script) is loaded once against each, so the two sides run the
+same cases, built by the same code; ``-k`` keeps only the cases whose id
+holds the substring (``--bench benchmarks/test_bench_kernels.py -k
+corpus_instances`` takes the corpus scans).  Every case is first called on
 both sides and its outputs compared by their bytes (a run's iterations,
 distances, gaps, final point and status; wall times left out).  An engine
 build's output, the arrays and keywords internal to each tree, is compared
@@ -59,13 +63,14 @@ def load_package(name, src):
     return pkg
 
 
-def load_bench(pkg):
-    """``test_bench_dynamics.py``, with its ``minimax_gda`` imports bound to
+def load_bench(pkg, path):
+    """The benchmark file ``path``, with its ``minimax_gda`` imports bound to
     ``pkg``."""
     saved = sys.modules.get("minimax_gda")
     sys.modules["minimax_gda"] = pkg
     try:
-        spec = importlib.util.spec_from_file_location(f"{pkg.__name__}_bench", BENCH)
+        spec = importlib.util.spec_from_file_location(
+            f"{pkg.__name__}_{Path(path).stem}", path)
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
     finally:
@@ -88,9 +93,10 @@ class _Capture:
         self.call = functools.partial(fn, *args, **kwargs)
 
 
-def collect_cases(bench):
-    """``{case id: zero-argument call}`` of every benchmark in ``bench``,
-    one per parameter set, with pytest's ids (``test_exact_run[gda]``)."""
+def collect_cases(bench, match=""):
+    """``{case id: zero-argument call}`` of every benchmark in ``bench``
+    whose id holds ``match``, one per parameter set, with pytest's ids
+    (``test_exact_run[gda]``); only those cases' bodies run."""
     cases = {}
     for name in dir(bench):
         test = getattr(bench, name)
@@ -106,10 +112,12 @@ def collect_cases(bench):
             params = [{**p, **dict(zip(argnames, v if len(argnames) > 1 else (v,)))}
                       for p in params for v in values]
         for kwargs in params:
-            capture = _Capture()
-            test(capture, **kwargs)
             ids = "-".join(str(getattr(v, "value", v)) for v in kwargs.values())
-            cases[f"{name}[{ids}]" if ids else name] = capture.call
+            case = f"{name}[{ids}]" if ids else name
+            if match in case:
+                capture = _Capture()
+                test(capture, **kwargs)
+                cases[case] = capture.call
     return cases
 
 
@@ -152,13 +160,17 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_src")
     p.add_argument("change_src")
+    p.add_argument("--bench", nargs="+", default=[str(BENCH)], metavar="FILE")
+    p.add_argument("-k", default="", metavar="SUBSTRING")
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--seconds", type=float, default=0.05)
     args = p.parse_args(argv)
 
     sides = {}
     for name, src in (("parent", args.parent_src), ("change", args.change_src)):
-        sides[name] = collect_cases(load_bench(load_package(f"ab_{name}", src)))
+        pkg = load_package(f"ab_{name}", src)
+        sides[name] = {case: call for path in args.bench
+                       for case, call in collect_cases(load_bench(pkg, path), args.k).items()}
     mismatched = [case for case in sides["parent"]
                   if digest(sides["parent"][case]()) != digest(sides["change"][case]())]
     if mismatched:

@@ -20,10 +20,14 @@ runs of criterion 3; and one ``ratio_sweep`` of GDA and EG over the
 default ratios on the convex instance of that variant; and one
 ``check_rate_matches_prediction`` over the certify-rates workload's corpus
 at its first variant (the first 8 corpus instances, 40 000 steps), whose
-48 GDA and EG runs are criterion 3's cells.  Each run case
+48 GDA and EG runs are criterion 3's cells; one ``check_ratio_threshold``
+at cli-stop's 10 000-step certificate budget (criterion 1: three divergence
+certificates of 24 cells each); and one ``check_sgda_floor`` as the
+certify-sgda-floor workload runs it at its first variant (criterion 6:
+batches 16 to 1024, one noise seed).  Each run case
 stores its step count in ``extra_info["steps"]`` (for the criterion-9,
 early-stop and diverging runs, the steps to the stop), so the per-call
-median over it is microseconds per step; the sweep and criterion-3 cases
+median over it is microseconds per step; the sweep and criterion cases
 store their cell counts in ``extra_info["cells"]``.  Every case
 stores in ``extra_info["minflt"]`` the minor page faults of one untimed call
 before the timed ones: a reading of how much memory a call maps afresh,
@@ -182,3 +186,20 @@ def test_check_rate_matches_prediction(benchmark):
     assert check.passed
     benchmark.extra_info["cells"] = check.details["cells"]
     _bench(benchmark, verify.check_rate_matches_prediction, corpus, max_iters=STEPS)
+
+
+def test_check_ratio_threshold(benchmark):
+    # criterion 1 as cli-stop's verify lower-bounds --budget 0.1 runs it
+    check = verify.check_ratio_threshold(max_iters=10_000)
+    assert check.passed
+    benchmark.extra_info["cells"] = sum(k["cells"] for k in check.details["per_kappa"])
+    _bench(benchmark, verify.check_ratio_threshold, max_iters=10_000)
+
+
+def test_check_sgda_floor(benchmark):
+    # the certify-sgda-floor workload's body at its first variant
+    batches = (16, 64, 256, 1024)
+    check = verify.check_sgda_floor(seed=0, batches=batches, n_seeds=1)
+    assert check.passed and not check.inconclusive
+    benchmark.extra_info["cells"] = len(batches)
+    _bench(benchmark, verify.check_sgda_floor, seed=0, batches=batches, n_seeds=1)

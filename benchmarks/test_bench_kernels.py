@@ -5,8 +5,9 @@ Layers, bottom up: the ``linalg`` kernels at the two ends of the size range
 ``general_eig`` solves, as a report's ``basis_cond`` reads it), the
 dynamics matrix, one sampled instance (alone, and with
 its derived constants as one seed of a plain corpus scan), the whole
-``verify.corpus_instances`` scan of certify-spectral's 120-instance 4x4
-corpus (the seeds it scans in ``extra_info["seeds"]``), the eigenvalues-only
+``verify.corpus_instances`` scan of certify-rates' 8-instance and
+certify-spectral's 120-instance 4x4 corpora (the seeds each scans in
+``extra_info["seeds"]``), the eigenvalues-only
 solve and one ``spectral_report`` at n = m = 4, 16 and 32, the five spectrum
 checks of one report (``check_lemma_spectral``) at n = m = 4 and 32, and
 criteria 2 and 8 (``check_spectral_bound``, ``check_eigensolver_oracle``) on
@@ -87,10 +88,12 @@ def test_corpus_scan_step(benchmark):
     benchmark(lambda: prob.derive_constants(prob.sample_instance(4, 4, L, MU, 0)).mu_x)
 
 
-def test_corpus_instances(benchmark):
-    corpus = verify.corpus_instances(120)
+@pytest.mark.parametrize("count", [8, 120])
+def test_corpus_instances(benchmark, count):
+    # the first-variant corpora of certify-rates (8) and certify-spectral (120)
+    corpus = verify.corpus_instances(count)
     benchmark.extra_info["seeds"] = corpus[-1][0] + 1
-    benchmark(verify.corpus_instances, 120)
+    benchmark(verify.corpus_instances, count)
 
 
 @pytest.mark.parametrize("dim", [4, 16, 32])

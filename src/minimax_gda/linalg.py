@@ -39,6 +39,7 @@ _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 _EIG, _EIGVALS, _EIGH, _SVD = (_umath_linalg.eig, _umath_linalg.eigvals,
                                _umath_linalg.eigh_lo, _umath_linalg.svd)
 _QR_FAILED = "QR iteration failed to converge: Eigenvalues did not converge"
+_EIGH_FAILED = "symmetric eigensolver failed: Eigenvalues did not converge"
 _SVD_FAILED = "SVD failed: SVD did not converge"
 
 
@@ -81,8 +82,7 @@ def sym_eig(S):
     """
     S = _as_square(S, "S")
     _check_symmetric(S, 1e-12, "S")
-    return _lapack(_EIGH, 0.5 * (S + S.T), "d->dd",
-                   "symmetric eigensolver failed: Eigenvalues did not converge")
+    return _lapack(_EIGH, 0.5 * (S + S.T), "d->dd", _EIGH_FAILED)
 
 
 def general_eig(M):

@@ -344,18 +344,30 @@ def _draw_stack(rngs, n, m, L, mu, beta, gamma):
     return A, _rescaled(G, beta, L), _rescaled(0.5 * (H + H.mT), gamma, L), H
 
 
-def _first_draw_screen(seeds, n, m, L, mu):
-    """Per seed, whether the first attempt of ``sample_instance(n, m, L, mu,
-    seed)`` passes each ``validate`` clause by half its tolerance (so it is
-    the instance), and its ``mu_x``; one stack, exact to round-off."""
+def _first_draws(seeds, n, m, L, mu):
+    """The stacked first attempts ``A``, ``B``, ``C`` of ``sample_instance(n,
+    m, L, mu, seed)`` and their ``mu_x``, bit for bit as the LAPACK calls of
+    ``validate`` and ``derive_constants`` give it; NaN where an attempt is
+    not finite, ``validate`` rejects it or ``derive_constants`` would raise."""
     A, B, C, _ = _draw_stack([np.random.default_rng(s) for s in seeds],
                              n, m, L, mu, 0.5, 0.5)
-    eigs_A = np.linalg.eigvalsh(A)
-    norm_B, norm_C = (np.linalg.svd(M, compute_uv=False)[:, 0] for M in (B, C))
-    room = np.min([eigs_A[:, 0] - mu, L - eigs_A[:, -1], L - norm_B, L - norm_C],
-                  axis=0) >= -0.5 * VALIDATION_RTOL * L
-    schur = C + B @ np.linalg.solve(A, B.mT)
-    return room, _clip_mu_x(np.linalg.eigvalsh(0.5 * (schur + schur.mT))[:, 0], L)
+    S, mu_x = 0.5 * (A + A.mT), np.full(len(A), np.nan)  # as sym_eig, solve_spd
+    ok = np.flatnonzero(np.all([np.isfinite(M).all((1, 2)) for M in (S, B, C)], 0))
+    eigs_A = linalg._lapack(linalg._EIGH, S[ok], "d->dd", linalg._EIGH_FAILED)[0]
+    norm_B, norm_C = (linalg._lapack(linalg._SVD, M[ok], "d->d", linalg._SVD_FAILED)[:, 0]
+                      for M in (B, C))
+    ok = ok[np.min([eigs_A[:, 0] - mu, L - eigs_A[:, -1], L - norm_B, L - norm_C], 0)
+            >= -VALIDATION_RTOL * L]
+    schur = np.full_like(C, np.nan)
+    for k in ok:
+        factor, info = linalg._POTRF(S[k], lower=1, clean=0)
+        if info == 0:
+            schur[k] = C[k] + B[k] @ linalg._POTRS(factor, B[k].T, lower=1)[0]
+    schur = 0.5 * (schur + schur.mT)
+    ok = np.flatnonzero(np.isfinite(schur).all((1, 2)))
+    mu_x[ok] = _clip_mu_x(linalg._lapack(linalg._EIGH, schur[ok], "d->dd",
+                                         linalg._EIGH_FAILED)[0][:, 0], L)
+    return A, B, C, mu_x
 
 
 def sample_instance(

@@ -62,54 +62,41 @@ class SuiteResult:
         }
 
 
-# seeds per stacked first-attempt draw in corpus_instances: the first block
-# holds _SCREEN_FIRST per instance asked for, and each next block twice the
-# one before, up to _SCREEN_BLOCK
-_SCREEN_FIRST = 16
-_SCREEN_BLOCK = 64
-
-
 def corpus_instances(count, start_seed=0, L=100.0, mu=1.0, min_mu_x=1e-3,
                      max_mu_x=None):
     """Seeded 4x4 instances filtered to ``mu_x`` above (and optionally
     below) a threshold; scans seeds in order so the corpus is reproducible.
 
-    A stacked first-attempt draw (``problems._first_draw_screen``) screens
-    the seeds after the first, a block at a time, the blocks growing from
-    one sized from ``count``: a seed is skipped only if every clause passes
-    by half its ``1e-9*L`` tolerance and ``mu_x`` lies ``1e-6*L`` or more
-    outside the window.  The screen runs only with ``kappa <= 1e3`` and
-    ``1e-100 <= L <= 1e100``, where its round-off (about ``eps*L`` in the
-    clauses, ``eps*kappa^2*L`` in ``mu_x``) is far below both margins.  The
-    exact path (``sample_instance``, ``derive_constants``) decides every
-    other seed."""
+    After the first seed, which checks the arguments, the first attempts of
+    the seeds are drawn and judged in stacked blocks, 16 seeds per instance
+    asked for and then twice the block before, up to 64
+    (``problems._first_draws``).  Only a seed that judge leaves undecided
+    goes through ``sample_instance``, so every verdict, kept instance and
+    error is the plain seed-by-seed scan's.  A NaN bound, ``min_mu_x = inf``
+    or ``max_mu_x <= min_mu_x`` raises InvalidInputError."""
     count = prob.as_count(count, "count", 1)
     start_seed = prob.as_count(start_seed, "seed", 0)
-    out = []
-    seed = start_seed
-    # skip[i]: the screen rejects seed lo + i; the first seed has checked
-    # the arguments, so the screen starts after it
-    lo, skip = start_seed + 1, np.zeros(0, dtype=bool)
-    size = min(_SCREEN_BLOCK, _SCREEN_FIRST * count)
-    while len(out) < count:
-        scanned = seed - start_seed
-        if scanned > 500 * count + 1000:
-            raise GenerationFailureError(
-                f"scanned {scanned} seeds but found only {len(out)} "
-                f"instances with mu_x > {min_mu_x}"
-            )
-        if seed == lo + len(skip) and L / mu <= 1e3 and 1e-100 <= L <= 1e100:
-            room, mu_x = prob._first_draw_screen(range(seed, seed + size), 4, 4, L, mu)
-            lo, skip = seed, room & ((mu_x <= min_mu_x - 1e-6 * L) | (
-                max_mu_x is not None and mu_x >= max_mu_x + 1e-6 * L))
-            size = min(2 * size, _SCREEN_BLOCK)
-        if not (lo <= seed < lo + len(skip) and skip[seed - lo]):
+    if not min_mu_x < math.inf or not (max_mu_x is None or max_mu_x > min_mu_x):
+        raise InvalidInputError(f"no mu_x lies in ({min_mu_x}, {max_mu_x})")
+    # seed lo + i: first draw A[i], B[i], C[i] and its mu_x, NaN if undecided
+    out, lo, (A, B, C, mu_xs) = [], start_seed, (None, None, None, [math.nan])
+    size, limit = min(64, 16 * count), 500 * count + 1001
+    for seed in range(start_seed, start_seed + limit):
+        if seed - lo == len(mu_xs):
+            lo, (A, B, C, mu_xs) = seed, prob._first_draws(
+                range(seed, seed + size), 4, 4, L, mu)
+            size = min(2 * size, 64)
+        p, mu_x = None, mu_xs[seed - lo]
+        if math.isnan(mu_x):
             p = prob.sample_instance(4, 4, L, mu, seed)
             mu_x = prob.derive_constants(p).mu_x
-            if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
-                out.append((seed, p))
-        seed += 1
-    return out
+        if mu_x > min_mu_x and (max_mu_x is None or mu_x < max_mu_x):
+            out.append((seed, p if p is not None else prob.QuadraticProblem(
+                *(M[seed - lo] for M in (A, B, C)), np.zeros(4), np.zeros(4), L, mu)))
+            if len(out) == count:
+                return out
+    raise GenerationFailureError(f"scanned {limit} seeds but found only {len(out)} "
+                                 f"instances with mu_x > {min_mu_x}")
 
 
 # dominant-modulus gap above which a rate-check cell counts as well separated

@@ -16,12 +16,13 @@ from minimax_gda import verify
 from minimax_gda.errors import (
     GenerationFailureError,
     InvalidInputError,
+    MinimaxGdaError,
     NumericalFailureError,
 )
 
 
 def _plain_scan(count, start_seed, L, mu, min_mu_x, max_mu_x):
-    # the seed scan without the screen: every seed through the exact path
+    # the seed scan without stacked draws: every seed through sample_instance
     out, seed = [], start_seed
     while len(out) < count:
         p = prob.sample_instance(4, 4, L, mu, seed)
@@ -32,14 +33,24 @@ def _plain_scan(count, start_seed, L, mu, min_mu_x, max_mu_x):
     return out
 
 
+def _outcome(scan, **kwargs):
+    # a scan's seeds and instance bytes, or the type and text of its error
+    try:
+        return [(seed, p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
+                for seed, p in scan(**kwargs)]
+    except MinimaxGdaError as exc:
+        return type(exc), str(exc)
+
+
 @st.composite
 def corpus_scans(draw):
     """Arguments of a ``corpus_instances`` call whose window some draws
-    meet: kappa from 10 (8% of draws have mu_x > 0) to 1e4 (past the
-    screen's 1e3 limit), and windows with a lower end, a band, a lower end
-    at or below 0, or one end within 1e-12 of a draw's exact mu_x."""
-    L = 10.0 ** draw(st.floats(-2.0, 3.0))
-    mu = L / 10.0 ** draw(st.floats(1.0, 4.0))
+    meet: L from 1e-300 to 1e300, kappa from 10 (8% of draws have mu_x > 0)
+    to 1e8, and windows with a lower end, a band, a lower end at or below 0,
+    or one end within 1e-12*L of a draw's mu_x."""
+    L = 10.0 ** draw(st.floats(*draw(st.sampled_from(
+        [(-2.0, 3.0), (-300.0, -100.0), (100.0, 298.0)]))))
+    mu = L / 10.0 ** draw(st.floats(1.0, 8.0))
     start = draw(st.integers(0, 10 ** 6))
     kind = draw(st.sampled_from(["low", "band", "nonpositive", "edge_low", "edge_high"]))
     lo, hi = L * draw(st.floats(0.0, 0.02)), None
@@ -51,25 +62,53 @@ def corpus_scans(draw):
     elif kind.startswith("edge"):
         mu_x = [prob.derive_constants(prob.sample_instance(4, 4, L, mu, s)).mu_x
                 for s in range(start, start + 60)]
-        delta = draw(st.floats(-1e-12, 1e-12))
+        delta = L * draw(st.floats(-1e-12, 1e-12))
         if kind == "edge_low":
             lo = min([m for m in mu_x if m > 0], default=0.0) + delta
         else:
-            lo, hi = -1.0, max(mu_x) + delta
+            lo, hi = -L, max(mu_x) + delta
     return dict(count=draw(st.integers(1, 40)), start_seed=start, L=L, mu=mu,
                 min_mu_x=lo, max_mu_x=hi)
 
 
 class TestCorpus:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(scan=corpus_scans())
     def test_screened_scan_equals_plain_scan(self, scan):
-        got = verify.corpus_instances(**scan)
-        want = _plain_scan(**scan)
-        assert [s for s, _ in got] == [s for s, _ in want]
-        for (_, p), (_, q) in zip(got, want):
-            for name in ("A", "B", "C"):
-                assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+        assert _outcome(verify.corpus_instances, **scan) == _outcome(_plain_scan, **scan)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(start=st.integers(0, 10 ** 6),
+           log_L=st.one_of(st.floats(-300.0, 300.0), st.floats(305.0, 308.25)),
+           log_kappa=st.floats(0.1, 17.0))
+    def test_first_draws_judge_as_validate_and_derive_constants(self, start, log_L,
+                                                                log_kappa):
+        # per seed, the stacked first attempt and its mu_x are
+        # sample_instance's instance and derive_constants' mu_x, bit for bit;
+        # mu_x is NaN exactly where validate rejects the first attempt or
+        # sample_instance or derive_constants raises; and a scan from the
+        # first judged seed, past the undecided ones, raises what the plain
+        # scan raises
+        L = 10.0 ** log_L
+        mu, seeds = L / 10.0 ** log_kappa, range(start, start + 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, B, C, mu_x = prob._first_draws(seeds, 4, 4, L, mu)
+            for k, seed in enumerate(seeds):
+                try:
+                    p = prob.sample_instance(4, 4, L, mu, seed)
+                    want = prob.derive_constants(p).mu_x
+                except MinimaxGdaError:
+                    assert math.isnan(mu_x[k])
+                    continue
+                first = all(getattr(p, name).tobytes() == M[k].tobytes()
+                            for name, M in zip("ABC", (A, B, C)))
+                assert math.isnan(mu_x[k]) is not first
+                if first:
+                    assert float(mu_x[k]).hex() == want.hex()
+            judged = next((s for s, m in zip(seeds, mu_x) if not math.isnan(m)), start)
+            scan = dict(count=len(seeds), start_seed=judged, L=L, mu=mu,
+                        min_mu_x=-1.0, max_mu_x=None)
+            assert _outcome(verify.corpus_instances, **scan) == _outcome(_plain_scan, **scan)
 
     def test_scan_limit_and_message_unchanged(self):
         # a count-1 scan reads at most 1501 seeds (500 * count + 1000 after
@@ -85,48 +124,59 @@ class TestCorpus:
         with pytest.raises(GenerationFailureError, match=f"^{re.escape(message)}$"):
             verify.corpus_instances(1, start_seed=s - 1501, min_mu_x=lo, max_mu_x=hi)
 
-    def test_window_edge_between_screen_and_exact_mu_x(self):
-        # the screen's mu_x differs from the exact one at round-off (about
-        # 1e-13 here): a window edge between the two keeps the seed
-        seeds = range(1, 200)
-        _, screened = prob._first_draw_screen(list(seeds), 4, 4, 100.0, 1.0)
-        screened = dict(zip(seeds, screened))
-        exact = {s: prob.derive_constants(prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x
-                 for s in seeds}
-        low = next(s for s in seeds if 0 < screened[s] < exact[s])
-        high = next(s for s in seeds if screened[s] > exact[s] > 0)
-        for s, lo, hi in ((low, (screened[low] + exact[low]) / 2, 2 * exact[low]),
-                          (high, exact[high] / 2, (screened[high] + exact[high]) / 2)):
-            assert lo < exact[s] < hi
-            found = verify.corpus_instances(1, start_seed=s - 1, min_mu_x=lo, max_mu_x=hi)
-            assert [seed for seed, _ in found] == [seed for seed, _ in _plain_scan(
-                1, s - 1, 100.0, 1.0, lo, hi)] == [s]
+    def test_window_edge_at_one_ulp_of_mu_x(self):
+        # a window end one ulp past a seed's mu_x keeps the seed, and an end
+        # at its mu_x drops it, as the plain scan judges; the seeds are the
+        # first three after the first with mu_x > 0, each judged in a block
+        seeds = [s for s in range(1, 60) if prob.derive_constants(
+            prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x > 0][:3]
+        for s in seeds:
+            m = prob.derive_constants(prob.sample_instance(4, 4, 100.0, 1.0, s)).mu_x
+            for lo, hi, kept in ((math.nextafter(m, 0.0), 2 * m, True), (m, 2 * m, False),
+                                 (m / 2, math.nextafter(m, math.inf), True),
+                                 (m / 2, m, False)):
+                scan = dict(count=2, start_seed=s - 1, L=100.0, mu=1.0,
+                            min_mu_x=lo, max_mu_x=hi)
+                found = _outcome(verify.corpus_instances, **scan)
+                assert found == _outcome(_plain_scan, **scan)
+                assert (s in [seed for seed, *_ in found]) is kept
 
     @pytest.mark.parametrize("clause", ["A_lower", "A_upper", "B_norm", "C_norm"])
     def test_screen_needs_room_in_every_clause(self, clause):
-        # a first attempt whose clause holds by less than half the 1e-9*L
-        # tolerance is left to the exact path, whatever its mu_x
-        draw, L = prob._draw_stack, 100.0
+        # at the two adjacent values of one clause's eigen- or singular
+        # value between which validate's verdict flips, at margin -1e-9*L,
+        # _first_draws gives the passing attempt derive_constants' mu_x and
+        # leaves the other undecided (NaN); the blocks are rotated, so their
+        # spectra carry LAPACK's round-off, by eight rotations, since
+        # another solver's round-off moves the flip at about half of them
+        L, mu = 100.0, 1.0
+        edge, step = (mu, -2e-9 * L) if clause == "A_lower" else (L, 2e-9 * L)
+        for seed in range(8):
+            Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
 
-        def shift(A, B, C, k, frac):
-            d = frac * 1e-9 * L
-            if clause == "A_lower":
-                A[k] -= d * np.eye(4)
-            elif clause == "A_upper":
-                A[k] += d * np.eye(4)
-            else:  # B and C are drawn at norm L/2; move them to L + d
-                M = B if clause == "B_norm" else C
-                M[k] *= (L + d) / np.linalg.norm(M[k], 2)
+            def draw(v):
+                spectra = {"A": [mu, 30.0, 60.0, L], "B": [50.0, 40.0, 30.0, 20.0],
+                           "C": [50.0, -20.0, 10.0, 5.0]}
+                spectra[clause[0]][3 if clause == "A_upper" else 0] = v
+                A, B, C = ((Q * spectra[block]) @ Q.T for block in "ABC")
+                return 0.5 * (A + A.T), B, 0.5 * (C + C.T)
 
-        def shifted(*args):
-            A, B, C, H = draw(*args)
-            shift(A, B, C, 1, 0.6)
-            shift(A, B, C, 2, 0.4)
-            return A, B, C, H
+            def instance(v):
+                return prob.QuadraticProblem(*draw(v), np.zeros(4), np.zeros(4), L, mu)
 
-        with mock.patch.object(prob, "_draw_stack", shifted):
-            room, _ = prob._first_draw_screen([0, 1, 2], 4, 4, L, 1.0)
-        assert room.tolist() == [True, False, True]
+            # bisect the bit patterns between a passing and a failing value
+            good, bad = (int(np.float64(v).view(np.int64)) for v in (edge, edge + step))
+            while abs(bad - good) > 1:
+                mid = (good + bad) // 2
+                failed = prob.validate(instance(np.int64(mid).view(np.float64)))
+                good, bad = (good, mid) if failed else (mid, bad)
+            pair = [float(np.int64(bits).view(np.float64)) for bits in (good, bad)]
+            assert [prob.validate(instance(v)) for v in pair] == [(), (clause,)]
+            stack = [np.array(M) for M in zip(*map(draw, pair))]
+            with mock.patch.object(prob, "_draw_stack", lambda *args: (*stack, None)):
+                mu_x = prob._first_draws([0, 1], 4, 4, L, mu)[3]
+            want = prob.derive_constants(instance(pair[0])).mu_x
+            assert float(mu_x[0]).hex() == want.hex() and math.isnan(mu_x[1])
 
     def test_integral_float_start_seed_counts_as_int(self):
         # seeds count from int(start_seed), so a float seed at 2**53 still
@@ -137,22 +187,36 @@ class TestCorpus:
         with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
             verify.corpus_instances(1, start_seed=1.5)
 
-    def test_screen_leaves_kept_seeds_to_exact_path(self):
-        # the 120-instance corpus scans 1057 seeds; the exact path sees the
-        # first seed, the 120 kept ones and any near the window's edges
-        with mock.patch.object(prob, "sample_instance", wraps=prob.sample_instance) as spy:
+    @pytest.mark.parametrize("undecided", [None, 7])
+    def test_sample_instance_only_for_first_and_undecided_seeds(self, undecided):
+        # the 120-instance corpus scans seeds 0-1056: sample_instance draws
+        # the first seed and each one _first_draws leaves undecided (none
+        # here, or every 7th when marked so), and builds no kept instance
+        judged, first_draws = [], prob._first_draws
+
+        def judge(seeds, *args):
+            A, B, C, mu_x = first_draws(seeds, *args)
+            if undecided:
+                mu_x[np.array(seeds) % undecided == 0] = math.nan
+            judged.extend(zip(seeds, mu_x))
+            return A, B, C, mu_x
+
+        with mock.patch.object(prob, "_first_draws", judge), \
+                mock.patch.object(prob, "sample_instance", wraps=prob.sample_instance) as spy:
             corpus = verify.corpus_instances(120)
-        assert corpus[-1][0] == 1056
-        assert spy.call_count <= 125
+        last = corpus[-1][0]
+        assert last == 1056
+        assert [call.args[4] for call in spy.call_args_list] == [0] + [
+            s for s, m in judged if s <= last and math.isnan(m)]
+        assert _outcome(lambda: corpus) == _outcome(verify.corpus_instances, count=120)
 
     def test_screen_blocks_grow_from_count(self):
         # the first block holds 16 seeds per instance asked for, up to 64,
         # and each next one twice the one before: the criterion-6 instance,
         # 16 seeds in, takes one block of 16, and a count-1 scan that finds
-        # nothing screens 16, 32 and then 64 seeds at a time
+        # nothing draws 16, 32 and then 64 seeds at a time
         def sizes(*args, **kw):
-            with mock.patch.object(prob, "_first_draw_screen",
-                                   wraps=prob._first_draw_screen) as spy:
+            with mock.patch.object(prob, "_first_draws", wraps=prob._first_draws) as spy:
                 try:
                     found = verify.corpus_instances(*args, **kw)
                 except GenerationFailureError:
@@ -164,6 +228,16 @@ class TestCorpus:
         found, blocks = sizes(1, min_mu_x=1e9)
         assert found is None and blocks[:3] == [16, 32, 64] and set(blocks[3:]) == {64}
         assert sizes(4)[1][0] == 64
+
+    @pytest.mark.parametrize("lo, hi", [
+        (math.nan, None), (math.nan, 1.0), (0.0, math.nan), (math.inf, None),
+        (2.0, 1.0), (1.0, 1.0)])
+    def test_window_no_mu_x_can_meet_rejected_before_drawing(self, lo, hi):
+        with mock.patch.object(prob, "_draw_stack", side_effect=AssertionError) as draws:
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    f"no mu_x lies in ({lo}, {hi})")):
+                verify.corpus_instances(3, min_mu_x=lo, max_mu_x=hi)
+        assert draws.call_count == 0
 
     def test_deterministic_and_filtered(self):
         a = verify.corpus_instances(5, start_seed=0)
