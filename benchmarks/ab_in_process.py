@@ -25,10 +25,14 @@ many calls as take about ``--seconds`` on the parent.  The host's speed
 drifts by 2x within minutes, which separate processes run minutes apart
 would read as a difference between the trees; timings taken side by side,
 interleaved, share the drift.  Prints one JSON object: per case, each
-side's median microseconds per call over the rounds, the change's median
-over the parent's, the rounds in which the change was faster, and each
-side's median minor page faults per call over the rounds (the memory a
-call maps afresh; a gain from faulting fewer pages shows there).
+side's median and interquartile range of microseconds per call over the
+rounds, the change's median over the parent's, the rounds in which the
+change was faster, and each side's median minor page faults per call over
+the rounds (the memory a call maps afresh; a gain from faulting fewer pages
+shows there).  A difference between the medians is resolved only when it
+exceeds the parent's interquartile range.  Run the script once with one
+tree on both sides (``src src``) to read this host's spread of the ratio
+before citing a ratio within a few percent of 1.
 """
 
 import argparse
@@ -145,6 +149,14 @@ def digest(obj):
     raise TypeError(f"no digest for {type(obj).__name__}")
 
 
+def iqr(values):
+    """Interquartile range of ``values``; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def per_call(fn, number):
     """Seconds and minor page faults per call, over ``number`` calls."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -196,6 +208,8 @@ def main(argv=None):
             "calls_per_timing": number[case],
             "parent_us": round(1e6 * statistics.median(parent), 3),
             "change_us": round(1e6 * statistics.median(change), 3),
+            "parent_iqr_us": round(1e6 * iqr(parent), 3),
+            "change_iqr_us": round(1e6 * iqr(change), 3),
             "change_over_parent": round(statistics.median(change) / statistics.median(parent), 3),
             "change_wins": sum(c < q for c, q in zip(change, parent)),
             "parent_minflt": round(statistics.median(faults[case]["parent"]), 1),

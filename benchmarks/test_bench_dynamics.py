@@ -22,9 +22,15 @@ default ratios on the convex instance of that variant; and one
 at its first variant (the first 8 corpus instances, 40 000 steps), whose
 48 GDA and EG runs are criterion 3's cells; one ``check_ratio_threshold``
 at cli-stop's 10 000-step certificate budget (criterion 1: three divergence
-certificates of 24 cells each); and one ``check_sgda_floor`` as the
+certificates of 24 cells each); one ``check_sgda_floor`` as the
 certify-sgda-floor workload runs it at its first variant (criterion 6:
-batches 16 to 1024, one noise seed).  Each run case
+batches 16 to 1024, one noise seed); and, with the arguments the acceptance
+suite gives them, one ``check_rate_lower_bound`` (criterion 4: one
+1000-step run), one ``check_complexity_scaling`` at seed 0 and count 10
+(criterion 5: its corpus and two runs per instance), one
+``check_nearly_quadratic`` at seed 0 (criterion 9: its corpus and one
+oracle run) and one ``check_mux_zero`` at seed 0 (criterion 7: two
+regularized runs).  Each run case
 stores its step count in ``extra_info["steps"]`` (for the criterion-9,
 early-stop and diverging runs, the steps to the stop), so the per-call
 median over it is microseconds per step; the sweep and criterion cases
@@ -203,3 +209,33 @@ def test_check_sgda_floor(benchmark):
     assert check.passed and not check.inconclusive
     benchmark.extra_info["cells"] = len(batches)
     _bench(benchmark, verify.check_sgda_floor, seed=0, batches=batches, n_seeds=1)
+
+
+def test_check_rate_lower_bound(benchmark):
+    # criterion 4 as the acceptance suite runs it
+    assert verify.check_rate_lower_bound().passed
+    benchmark.extra_info["cells"] = 1
+    _bench(benchmark, verify.check_rate_lower_bound)
+
+
+def test_check_complexity_scaling(benchmark):
+    # criterion 5 as the acceptance suite runs it
+    check = verify.check_complexity_scaling(seed=0, count=10)
+    assert check.passed
+    benchmark.extra_info["cells"] = 2 * check.details["instances"]
+    _bench(benchmark, verify.check_complexity_scaling, seed=0, count=10)
+
+
+def test_check_nearly_quadratic(benchmark):
+    # criterion 9 as the acceptance suite runs it
+    assert verify.check_nearly_quadratic(seed=0).passed
+    benchmark.extra_info["cells"] = 1
+    _bench(benchmark, verify.check_nearly_quadratic, seed=0)
+
+
+def test_check_mux_zero(benchmark):
+    # criterion 7 as the acceptance suite runs it
+    check = verify.check_mux_zero(seed=0)
+    assert check.passed
+    benchmark.extra_info["cells"] = len(check.details["runs"])
+    _bench(benchmark, verify.check_mux_zero, seed=0)

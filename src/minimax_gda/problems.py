@@ -6,9 +6,9 @@ An instance encodes
 
 with symmetric ``A`` (m x m, the concave block), coupling ``B`` (n x m) and
 symmetric ``C`` (n x n).  The validity contract is ``mu*I <= A <= L*I`` and
-``|B|_2, |C|_2 <= L``; the primal Hessian is the Schur complement
-``C + B A^-1 B'`` whose smallest eigenvalue (clipped at ``L``, floored at 0)
-is ``mu_x``.
+``|B|_2, |C|_2 <= L`` (``validate``); the primal Hessian is the Schur
+complement ``C + B A^-1 B'``, PSD when ``derive_constants(p).primal_convex``,
+whose smallest eigenvalue (clipped at ``L``, floored at 0) is ``mu_x``.
 
 The module provides exact and mini-batch-noisy gradient oracles, validators,
 derived constants, random and adversarial instance generators, the
@@ -178,30 +178,23 @@ class NonQuadraticProblem:
         return self.base.L / self.base.n
 
 
-def validate(problem, require_primal_convex=False):
-    """Names of the failed clauses of the instance contract, in the order
-    ``A_lower``, ``A_upper``, ``B_norm``, ``C_norm``, ``schur_psd``; empty
-    when the instance is valid.
+def _clauses_hold(eigs_A, norm_B, norm_C, L, mu):
+    """``{clause: whether it holds}`` for the contract's four clauses, from A's
+    ascending eigenvalues and the norms of B and C (one instance's, or stacks):
+    a clause holds when its margin (bound minus value) is >= ``-1e-9 * L``."""
+    tol = -VALIDATION_RTOL * L
+    return {"A_lower": eigs_A[..., 0] - mu >= tol, "A_upper": L - eigs_A[..., -1] >= tol,
+            "B_norm": L - norm_B >= tol, "C_norm": L - norm_C >= tol}
 
-    A clause fails when its signed margin (bound minus value) is below
-    ``-1e-9 * L``.  The Schur complement PSD clause is only checked when
-    ``require_primal_convex`` is set, from the cached
-    :func:`derive_constants`, and always fails when A is not positive
-    definite.
-    """
-    L, mu = problem.L, problem.mu
-    eigs_A, _ = linalg.sym_eig(problem.A)
-    margins = {
-        "A_lower": eigs_A[0] - mu,
-        "A_upper": L - eigs_A[-1],
-        "B_norm": L - linalg.spectral_norm(problem.B),
-        "C_norm": L - linalg.spectral_norm(problem.C),
-    }
-    if require_primal_convex:
-        margins["schur_psd"] = (derive_constants(problem).schur_min
-                                if eigs_A[0] > 0 else -math.inf)
-    tol = VALIDATION_RTOL * L
-    return tuple(name for name, margin in margins.items() if not margin >= -tol)
+
+def validate(problem):
+    """Names of the failed clauses of the instance contract, of ``A_lower``,
+    ``A_upper``, ``B_norm`` and ``C_norm`` in turn, each failing when its
+    margin (bound minus value) is below ``-1e-9 * L``; empty when valid.  A
+    PSD Schur complement is ``derive_constants(problem).primal_convex``."""
+    held = _clauses_hold(linalg.sym_eig(problem.A)[0], linalg.spectral_norm(problem.B),
+                         linalg.spectral_norm(problem.C), problem.L, problem.mu)
+    return tuple(name for name, ok in held.items() if not ok)
 
 
 def _clip_mu_x(schur_min, L):
@@ -210,10 +203,15 @@ def _clip_mu_x(schur_min, L):
     return np.where(mu_x <= VALIDATION_RTOL * L, 0.0, mu_x)
 
 
+def _schur(C, B, X):
+    """The symmetrised Schur complement ``C + B X``, ``X = A^-1 B'`` (or stacks)."""
+    S = C + B @ X
+    return 0.5 * (S + S.mT)
+
+
 def _compute_constants(problem):
     L, mu = problem.L, problem.mu
-    schur = problem.C + problem.B @ linalg.solve_spd(problem.A, problem.B.T)
-    schur = 0.5 * (schur + schur.T)
+    schur = _schur(problem.C, problem.B, linalg.solve_spd(problem.A, problem.B.T))
     schur_min = float(linalg.sym_eig(schur)[0][0])
     mu_x = float(_clip_mu_x(schur_min, L))
     kappa_x = math.inf if mu_x == 0.0 else L / mu_x
@@ -302,18 +300,17 @@ def primal_gap(problem, x):
 
 def _gap_form(schur, D):
     """``1/2 d' schur d >= 0`` of each row ``d = x - x*`` of ``D``; inf where
-    ``d`` is non-finite or the form overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = 0.5 * np.einsum("ij,ij->i", D @ schur, D)
-        redo = ~np.isfinite(gap)
-        if redo.any():
-            # redo a row whose form met an inf or nan scaled by a power of
-            # two (exactly), so that it overflows only if its value does
-            s = np.ldexp(1.0, np.frexp(np.abs(D[redo]).max(axis=1))[1] - 1)
-            U = D[redo] / s[:, None]
-            gap[redo] = 0.5 * np.einsum("ij,ij->i", U @ schur, U) * s * s
-            gap[~np.isfinite(D).all(axis=1)] = math.inf
-        return np.fmax(gap, 0.0, out=gap)
+    ``d`` is non-finite or the form overflows, under the caller's errstate."""
+    gap = 0.5 * np.einsum("ij,ij->i", D @ schur, D)
+    redo = ~np.isfinite(gap)
+    if redo.any():
+        # redo a row whose form met an inf or nan scaled by a power of
+        # two (exactly), so that it overflows only if its value does
+        s = np.ldexp(1.0, np.frexp(np.abs(D[redo]).max(axis=1))[1] - 1)
+        U = D[redo] / s[:, None]
+        gap[redo] = 0.5 * np.einsum("ij,ij->i", U @ schur, U) * s * s
+        gap[~np.isfinite(D).all(axis=1)] = math.inf
+    return np.fmax(gap, 0.0, out=gap)
 
 
 def _haar_orthogonal(G):
@@ -356,14 +353,13 @@ def _first_draws(seeds, n, m, L, mu):
     eigs_A = linalg._lapack(linalg._EIGH, S[ok], "d->dd", linalg._EIGH_FAILED)[0]
     norm_B, norm_C = (linalg._lapack(linalg._SVD, M[ok], "d->d", linalg._SVD_FAILED)[:, 0]
                       for M in (B, C))
-    ok = ok[np.min([eigs_A[:, 0] - mu, L - eigs_A[:, -1], L - norm_B, L - norm_C], 0)
-            >= -VALIDATION_RTOL * L]
-    schur = np.full_like(C, np.nan)
+    ok = ok[np.all(list(_clauses_hold(eigs_A, norm_B, norm_C, L, mu).values()), 0)]
+    X = np.full(B.mT.shape, np.nan)
     for k in ok:
         factor, info = linalg._POTRF(S[k], lower=1, clean=0)
         if info == 0:
-            schur[k] = C[k] + B[k] @ linalg._POTRS(factor, B[k].T, lower=1)[0]
-    schur = 0.5 * (schur + schur.mT)
+            X[k] = linalg._POTRS(factor, B[k].T, lower=1)[0]
+    schur = _schur(C, B, X)
     ok = np.flatnonzero(np.isfinite(schur).all((1, 2)))
     mu_x[ok] = _clip_mu_x(linalg._lapack(linalg._EIGH, schur[ok], "d->dd",
                                          linalg._EIGH_FAILED)[0][:, 0], L)
@@ -394,14 +390,13 @@ def sample_instance(
     smallest eigenvalue >= ``schur_margin`` (>= 0; only 0 without
     ``primal_convex``); ``mu_x_zero`` instead builds ``C = W D W' - B A^-1
     B'`` with diagonal PSD ``D`` having exactly one zero entry, shrinking
-    ``beta`` as needed, so ``mu_x`` is exactly 0.
-    Makes up to 50 draws before raising
-    :class:`GenerationFailureError`.  ``rng`` is a nonnegative integer seed
-    or a ``numpy.random.Generator``; identical arguments give identical
-    instances.
+    ``beta`` as needed, so ``mu_x`` is exactly 0; both keep an attempt only
+    if ``derive_constants(problem).primal_convex``.  Makes up to 50 draws
+    before raising :class:`GenerationFailureError`.  ``n`` and ``m`` count
+    (``4.0`` is ``4``); ``rng`` is a nonnegative integer seed or a
+    ``numpy.random.Generator``; identical arguments give identical instances.
     """
-    if n < 1 or m < 1:
-        raise InvalidInputError("n and m must be >= 1")
+    n, m = as_count(n, "n", 1), as_count(m, "m", 1)
     if not isinstance(rng, np.random.Generator):
         rng = as_count(rng, "seed", 0)
     if not (math.inf > L > mu > 0):
@@ -429,8 +424,7 @@ def sample_instance(
                 beta_eff *= 0.7
                 continue
         elif primal_convex:
-            schur0 = C + B @ linalg.solve_spd(A, B.T)
-            schur0_min = float(linalg.sym_eig(0.5 * (schur0 + schur0.T))[0][0])
+            schur0_min = float(linalg.sym_eig(_schur(C, B, linalg.solve_spd(A, B.T)))[0][0])
             tau = max(0.0, schur_margin - schur0_min)
             C = C + tau * np.eye(n)
             if linalg.spectral_norm(C) > L:
@@ -439,7 +433,8 @@ def sample_instance(
         problem = QuadraticProblem(
             A=A, B=B, C=C, x_star=np.zeros(n), y_star=np.zeros(m), L=L, mu=mu
         )
-        if not validate(problem, require_primal_convex=primal_convex or mu_x_zero):
+        if not validate(problem) and (
+                not (primal_convex or mu_x_zero) or derive_constants(problem).primal_convex):
             return problem
 
     raise GenerationFailureError(

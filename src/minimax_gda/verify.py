@@ -450,10 +450,13 @@ def check_sgda_floor(seed=0, batches=(16, 64, 256, 1024), n_seeds=32):
     """Tail mean-square distance of SGDA at noise level ``sigma = 1`` below
     the proved floor at every batch size, with the log-log slope against
     the batch size equal to -1 +- 0.15.  A budget too short for the
-    transient to decay makes the check inconclusive rather than failed."""
+    transient to decay makes the check inconclusive rather than failed.
+    Fewer than two distinct batch sizes raise before any run."""
+    batches = tuple(batches)
+    if len(set(batches)) == 1:
+        raise InvalidInputError(f"the slope needs two distinct batch sizes, got {batches}")
     inst = corpus_instances(1, start_seed=seed, min_mu_x=10.0, max_mu_x=60.0)[0][1]
     dc = prob.derive_constants(inst)
-    batches = tuple(batches)
     sweep = harness.sgda_floor_sweep(
         inst, r=2.0 * dc.kappa, sigma=1.0, batch_list=batches,
         seeds=tuple(range(seed, seed + n_seeds)),

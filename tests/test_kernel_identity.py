@@ -273,20 +273,22 @@ class TestValidateSchurIdentity:
     def test_schur_min_equals_direct_eigensolve(self, n, m, seed, family):
         kw = {family: True} if family != "random" else {}
         base = prob.sample_instance(n, m, 100.0, 1.0, seed, **kw)
-        # a fresh instance, so validating the Schur clause fills the
-        # derived-constant cache
+        # a fresh instance, so derive_constants fills its cache afresh
         p = prob.QuadraticProblem(base.A, base.B, base.C, base.x_star,
                                   base.y_star, base.L, base.mu)
         direct = float(linalg.sym_eig(p.C + p.B @ linalg.solve_spd(p.A, p.B.T))[0][0])
-        failed = prob.validate(p, require_primal_convex=True)
+        assert prob.validate(p) == ()
         assert prob.derive_constants(p).schur_min == direct
         psd = direct >= -prob.VALIDATION_RTOL * p.L
-        assert failed == (() if psd else ("schur_psd",))
+        assert prob.derive_constants(p).primal_convex == psd
 
     def test_not_positive_definite_A_fails_schur_clause(self):
+        # A fails its lower clause, and the Schur complement is undefined
         p = prob.QuadraticProblem(A=[[-1.0]], B=[[0.5]], C=[[1.0]], x_star=[0.0],
                                   y_star=[0.0], L=2.0, mu=1.0)
-        assert prob.validate(p, require_primal_convex=True) == ("A_lower", "schur_psd")
+        assert prob.validate(p) == ("A_lower",)
+        with pytest.raises(NotPositiveDefiniteError):
+            prob.derive_constants(p)
 
 
 class TestFactorisationCount:
@@ -304,8 +306,10 @@ class TestFactorisationCount:
         p = prob.sample_instance(4, 4, 100.0, 1.0, seed)
         prob.derive_constants(p)
         assert calls == {"solve_spd": 1, "sym_eig": 2}
-        # validating again eigensolves A only; the Schur complement is cached
-        prob.validate(p, require_primal_convex=True)
+        # validating again, and reading primal convexity, eigensolves A
+        # only; the Schur complement is cached
+        assert prob.validate(p) == ()
+        assert isinstance(prob.derive_constants(p).primal_convex, bool)
         assert calls == {"solve_spd": 1, "sym_eig": 3}
 
 

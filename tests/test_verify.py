@@ -407,6 +407,14 @@ class TestSgdaFloor:
         with pytest.raises(InvalidInputError, match=message):
             verify.check_sgda_floor(seed=0, **kwargs)
 
+    @pytest.mark.parametrize("batches", [(16,), (16, 16)])
+    def test_one_distinct_batch_rejected_before_any_run(self, batches):
+        # one distinct point used to run every cell, then fit a NaN slope
+        with mock.patch.object(dyn, "run", wraps=dyn.run) as spy:
+            with pytest.raises(InvalidInputError, match="two distinct batch sizes"):
+                verify.check_sgda_floor(seed=0, batches=batches, n_seeds=1)
+        assert spy.call_count == 0
+
     def test_short_budget_inconclusive(self, short_floor_budget):
         check = verify.check_sgda_floor(seed=0, batches=(16, 64), n_seeds=2)
         assert check.details["max_iters"] == 210
