@@ -137,9 +137,14 @@ def digest(obj):
     if isinstance(obj, (bool, int, str, type(None))):
         return obj
     if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+    elif isinstance(obj, tuple) and hasattr(type(obj), "_fields"):  # a NamedTuple
+        names = type(obj)._fields
+    else:
+        names = None
+    if names is not None:
         return (type(obj).__name__, tuple(
-            (f.name, digest(getattr(obj, f.name)))
-            for f in dataclasses.fields(obj) if f.name not in SKIP_FIELDS))
+            (name, digest(getattr(obj, name))) for name in names if name not in SKIP_FIELDS))
     if isinstance(obj, functools.partial):
         return ("partial", obj.func.__name__)
     if isinstance(obj, (tuple, list)):

@@ -181,17 +181,20 @@ class NonQuadraticProblem:
 def _clauses_hold(eigs_A, norm_B, norm_C, L, mu):
     """``{clause: whether it holds}`` for the contract's four clauses, from A's
     ascending eigenvalues and the norms of B and C (one instance's, or stacks):
-    a clause holds when its margin (bound minus value) is >= ``-1e-9 * L``."""
-    tol = -VALIDATION_RTOL * L
-    return {"A_lower": eigs_A[..., 0] - mu >= tol, "A_upper": L - eigs_A[..., -1] >= tol,
+    a clause holds when its margin (bound minus value) is >= ``-1e-9 * L``,
+    and ``A_lower`` also needs A's smallest eigenvalue positive, which that
+    tolerance cannot see once ``kappa`` exceeds about 1e9."""
+    tol, low = -VALIDATION_RTOL * L, eigs_A[..., 0]
+    return {"A_lower": (low - mu >= tol) & (low > 0), "A_upper": L - eigs_A[..., -1] >= tol,
             "B_norm": L - norm_B >= tol, "C_norm": L - norm_C >= tol}
 
 
 def validate(problem):
     """Names of the failed clauses of the instance contract, of ``A_lower``,
     ``A_upper``, ``B_norm`` and ``C_norm`` in turn, each failing when its
-    margin (bound minus value) is below ``-1e-9 * L``; empty when valid.  A
-    PSD Schur complement is ``derive_constants(problem).primal_convex``."""
+    margin (bound minus value) is below ``-1e-9 * L``, and ``A_lower`` also
+    when A's smallest computed eigenvalue is not positive; empty when valid.
+    A PSD Schur complement is ``derive_constants(problem).primal_convex``."""
     held = _clauses_hold(linalg.sym_eig(problem.A)[0], linalg.spectral_norm(problem.B),
                          linalg.spectral_norm(problem.C), problem.L, problem.mu)
     return tuple(name for name, ok in held.items() if not ok)

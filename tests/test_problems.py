@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimax_gda import linalg
 from minimax_gda import problems as prob
 from minimax_gda.errors import (
     GenerationFailureError,
     InvalidInputError,
     InvalidStateError,
+    NotPositiveDefiniteError,
 )
 
 
@@ -39,6 +41,24 @@ class TestValidate:
     def test_mu_clause_fails(self):
         p = make_problem(np.diag([0.5, 2.0]), np.zeros((2, 2)), np.zeros((2, 2)), 2.0, 1.0)
         assert prob.validate(p) == ("A_lower",)
+
+    def test_singular_A_fails_beyond_the_clause_tolerance(self):
+        # at kappa = 1e10 the margin tolerance 1e-9*L exceeds mu, so only
+        # the positivity of A's smallest eigenvalue rejects a singular A,
+        # whose Schur complement derive_constants cannot form
+        p = make_problem(np.diag([0.0, 1.0]), np.zeros((2, 2)), 0.5 * np.eye(2), 1.0, 1e-10)
+        assert prob.validate(p) == ("A_lower",)
+        with pytest.raises(NotPositiveDefiniteError):
+            prob.derive_constants(p)
+
+    def test_sampled_A_positive_definite_at_extreme_kappa(self):
+        # at kappa = 1e16 the computed smallest eigenvalue of a drawn A can
+        # fall to 0 or below while its margin passes the tolerance; such a
+        # draw is redrawn, never returned
+        for seed in range(300):
+            p = prob.sample_instance(3, 3, 1.0, 1e-16, seed)
+            assert linalg.sym_eig(p.A)[0][0] > 0, seed
+            assert prob.validate(p) == ()
 
     def test_generated_instance_passes(self, reference_instance):
         assert prob.validate(reference_instance) == ()

@@ -200,6 +200,57 @@ class TestLazyBasisCond:
         assert "M=" not in repr(rep)
 
 
+class TestValueObjects:
+    """A report and its lemma checks are immutable values: a report is a
+    frozen dataclass holding exactly its fields, a lemma check a record that
+    compares by value."""
+
+    @staticmethod
+    def _report(reference_instance):
+        r = 2 * prob.derive_constants(reference_instance).kappa
+        eta_x, _ = dyn.default_stepsizes(reference_instance.L, r)
+        return spec.spectral_report(reference_instance, r, eta_x)
+
+    def test_report_fields_cannot_be_assigned(self, reference_instance):
+        rep = self._report(reference_instance)
+        for f in dataclasses.fields(rep):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rep, f.name)
+
+    def test_report_holds_exactly_its_fields(self, reference_instance):
+        rep = self._report(reference_instance)
+        names = [f.name for f in dataclasses.fields(rep)]
+        assert list(vars(rep)) == names
+        # replace() runs the dataclass __init__ (that it keeps M is
+        # TestLazyBasisCond's); the lazy basis_cond is stored beside the fields
+        copy = dataclasses.replace(rep)
+        assert copy == rep and list(vars(copy)) == names
+        cond = rep.basis_cond
+        assert list(vars(rep)) == names + ["basis_cond"] and vars(rep)["basis_cond"] == cond
+
+    def test_lemma_checks_are_values(self, reference_instance):
+        checks = self._report(reference_instance).lemma_checks
+        assert type(checks) is tuple and len(checks) == 5
+        assert checks == self._report(reference_instance).lemma_checks
+        c = checks[0]
+        assert c == spec.LemmaCheck(c.item, c.applicable, c.passed, c.margin)
+        assert c != spec.LemmaCheck(c.item, c.applicable, c.passed, c.margin + 1.0)
+        assert hash(c) == hash(spec.LemmaCheck(*c))
+        for name in ("item", "applicable", "passed", "margin"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+
+    @pytest.mark.parametrize("r, scale", [(0.5, 1.0), (2.0, 1.0), (1e160, 1e160)])
+    def test_passed_is_a_bool(self, r, scale):
+        # not-applicable items, judged items and item 3 judged on scaled
+        # bounds once the squares overflow
+        lam = scale * np.array([-1.0 + 1.0j, -1.0 - 1.0j, -3.0])
+        for c in spec.check_lemma_spectral(lam, 4.0 * scale, 1.0, 1.0, 0.5, r):
+            assert type(c.passed) is bool and type(c.applicable) is bool
+
+
 class TestBasisCondCap:
     """``DIAGONALIZABLE_COND_CAP`` is the one usability rule: a condition
     number at or below it is kept as ``basis_cond``, anything above it
@@ -323,6 +374,28 @@ class TestReportMatchesReference:
              "kappa": prob.derive_constants(p).kappa * 2.0 ** (16.0 * u - 4.0),
              "squares overflow": 10.0 ** (155.0 + 145.0 * u)}[kind]
         eta_x, _ = dyn.default_stepsizes(p.L, r, scheme)
+        self.assert_matches(p, r, eta_x, scheme)
+
+    # eigenvalues of modulus 2 (an imaginary pair), 4 (real) and 24 to 2e4
+    # (a corpus instance at r = 2*kappa): at eta_x = 1e154, h^2 overflows
+    # and 1 + h + h^2 is inf; at 1.7e308, h itself overflows, and on a real
+    # eigenvalue 1 + h + h^2 is -inf + inf, a NaN the moduli map to inf
+    @pytest.mark.parametrize("eta_x", [1e154, 1e300, 1.7e308])
+    @pytest.mark.parametrize("case", ["imaginary pair", "real", "corpus"])
+    def test_bit_identical_where_moduli_overflow(self, case, eta_x, reference_instance):
+        p, r = {"imaginary pair": (prob.hard_ratio_instance(2.0, 1.0), 2.0),
+                "real": (prob.QuadraticProblem(A=[[1.0]], B=[[0.0]], C=[[4.0]], x_star=[0.0],
+                                               y_star=[0.0], L=4.0, mu=1.0), 4.0),
+                "corpus": (reference_instance,
+                           2.0 * prob.derive_constants(reference_instance).kappa)}[case]
+        rep = self.assert_matches(p, r, eta_x, QUARTER)
+        assert rep.rho2 == math.inf
+        assert (rep.rho1 == math.inf) is (eta_x == 1.7e308)
+
+    def assert_matches(self, p, r, eta_x, scheme):
+        """The report of ``p`` at ``(r, eta_x, scheme)`` against the
+        reference, bit for bit, and its radii against the maxima of the
+        transition moduli ``dominant_modulus_gap`` reads."""
         want = _reference_report(p, r, eta_x, scheme)
         calls = dict.fromkeys(self.KERNELS, 0)
 
@@ -345,6 +418,10 @@ class TestReportMatchesReference:
             assert (c.item, c.applicable, c.passed) == (item, applicable, passed)
             assert type(c.passed) is type(passed) is bool
             assert self.bits(c.margin) == self.bits(margin), item
+        gda, eg = spec._transition_moduli(rep.eigenvalues, rep.eta_x)
+        assert (self.bits(rep.rho1), self.bits(rep.rho2)) == (self.bits(np.max(gda)),
+                                                               self.bits(np.max(eg)))
+        return rep
 
 
 class TestLemmaChecks:

@@ -178,6 +178,21 @@ class TestCorpus:
             want = prob.derive_constants(instance(pair[0])).mu_x
             assert float(mu_x[0]).hex() == want.hex() and math.isnan(mu_x[1])
 
+    def test_judge_rejects_an_A_with_a_nonpositive_eigenvalue(self):
+        # at kappa = 1e16 some first attempts have a computed smallest
+        # eigenvalue of A at or below 0 that the -1e-9*L margin lets through
+        # and a Cholesky that succeeds: the judge leaves them undecided, as
+        # validate rejects them
+        seeds = range(64)
+        A, _, _, mu_x = prob._first_draws(seeds, 3, 3, 1.0, 1e-16)
+        lowest = np.array([linalg.sym_eig(M)[0][0] for M in A])
+        assert (lowest <= 0).any()
+        assert np.isnan(mu_x[lowest <= 0]).all()
+        for k in np.flatnonzero(~np.isnan(mu_x)):
+            p = prob.sample_instance(3, 3, 1.0, 1e-16, seeds[k])
+            assert p.A.tobytes() == A[k].tobytes()
+            assert float(mu_x[k]).hex() == prob.derive_constants(p).mu_x.hex()
+
     def test_integral_float_start_seed_counts_as_int(self):
         # seeds count from int(start_seed), so a float seed at 2**53 still
         # advances, and the seeds are those of the int start
